@@ -79,6 +79,7 @@ from .transform import (
     jump_gap_values,
     jump_gap_weights,
     lambda_transform,
+    lambda_transforms,
     quantile_range_of_point,
 )
 

@@ -158,8 +158,62 @@ def _check_alpha(alpha: float) -> float:
 # breakpoint value >= a; the level is attained either at that breakpoint
 # (atom jumps past it, or the ramp arrives exactly there) or strictly inside
 # the rising segment before it, where one linear solve inverts the ramp.
-# After an interior solve the result is nudged by ulps until F(x) >= a holds
-# in float arithmetic, so the defining inequality is never violated.
+# An interior solve can land a few ulps short, with F(x) < a in float
+# arithmetic; the result is then moved up to the least float with F >= a, so
+# the defining inequality is never violated.
+
+
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _float_order(x: np.ndarray) -> np.ndarray:
+    """Map float64 to uint64 preserving order, one unit per float (-0.0 just below +0.0)."""
+    b = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+    return np.where(b >= _SIGN_BIT, ~b, b | _SIGN_BIT)
+
+
+def _order_float(u: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_float_order`."""
+    return np.where(u >= _SIGN_BIT, u & ~_SIGN_BIT, ~u).view(np.float64)
+
+
+def _raise_to_level(f: Cdf, x: np.ndarray, a: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    """The least float y > x_i with F(y) >= a_i, for every short ramp solve x_i.
+
+    Requires F(x_i) < a_i <= F(cap_i), with x_i and cap_i on one rising
+    segment (cap_i its right breakpoint).  F evaluated in floats is
+    nondecreasing there, so stepping 1, 2, 4, ... floats up from x_i (never
+    past cap_i) and then bisecting the last step returns the same float as
+    walking up one float at a time, in O(log distance) evaluations of F on
+    the entries still open.  The order counts +0.0 as a float of its own,
+    which the walk skips (from -0.0 it steps to the least positive
+    subnormal); F(+0.0) == F(-0.0), so the answer is the same.
+    """
+    lo = _float_order(x)  # F < a at lo
+    top = _float_order(cap)
+    hi = top.copy()  # F >= a at hi
+    step = 1
+    open_ = np.arange(lo.size)
+    while open_.size:
+        probe = lo[open_] + np.minimum(np.uint64(step), top[open_] - lo[open_])
+        ok = f.values(_order_float(probe)) >= a[open_]
+        hi[open_[ok]] = probe[ok]
+        lo[open_[~ok]] = probe[~ok]
+        open_ = open_[~ok]
+        step = min(2 * step, 1 << 63)
+    open_ = np.flatnonzero(hi - lo > 1)
+    while open_.size:
+        mid = lo[open_] + (hi[open_] - lo[open_]) // np.uint64(2)
+        ok = f.values(_order_float(mid)) >= a[open_]
+        hi[open_[ok]] = mid[ok]
+        lo[open_[~ok]] = mid[~ok]
+        open_ = open_[hi[open_] - lo[open_] > 1]
+    return _order_float(hi)
+
+
+def _raise_scalar(f: Cdf, x: float, a: float, cap: float) -> float:
+    """Scalar entry to :func:`_raise_to_level`, for a solve already found short."""
+    return float(_raise_to_level(f, np.array([x]), np.array([a]), np.array([cap]))[0])
 
 
 def _left_quantile_unchecked(f: Cdf, a: float) -> float:
@@ -172,8 +226,8 @@ def _left_quantile_unchecked(f: Cdf, a: float) -> float:
         return f.xs[i]
     x0, x1 = f.xs[i - 1], f.xs[i]
     x = x0 + (a - float(cums[i - 1])) / f.rises[i - 1] * (x1 - x0)
-    while f.value(x) < a:
-        x = math.nextafter(x, math.inf)
+    if f.value(x) < a:
+        return _raise_scalar(f, x, a, x1)
     return x
 
 
@@ -191,8 +245,8 @@ def _right_quantile_unchecked(f: Cdf, a: float) -> float:
         return f.xs[j - 1]
     x0, x1 = f.xs[j - 1], f.xs[j]
     x = x0 + (a - c0) / f.rises[j - 1] * (x1 - x0)
-    while f.value(x) < a:
-        x = math.nextafter(x, math.inf)
+    if f.value(x) < a:
+        return _raise_scalar(f, x, a, x1)
     return x
 
 
@@ -232,12 +286,13 @@ def _left_quantiles(f: Cdf, a: np.ndarray) -> np.ndarray:
     interior = av < f._lefts[ii]
     ij = ii[interior] - 1
     x0 = xs[ij]
-    res[interior] = x0 + (av[interior] - cums[ij]) / f._rises_arr[ij] * (xs[ij + 1] - x0)
+    ai = av[interior]
+    solved = x0 + (ai - cums[ij]) / f._rises_arr[ij] * (xs[ij + 1] - x0)
+    short = np.flatnonzero(f.values(solved) < ai)
+    if short.size:
+        solved[short] = _raise_to_level(f, solved[short], ai[short], xs[ij[short] + 1])
+    res[interior] = solved
     out[rest] = res
-    bad = f.values(out) < a
-    while bad.any():
-        out[bad] = np.nextafter(out[bad], np.inf)
-        bad &= f.values(out) < a
     return out
 
 

@@ -31,6 +31,7 @@ from .measure import measure_interval, measure_level_set, measure_set, measure_v
 from .monotone import df_condition_report
 from .realset import Interval, RealSet
 from .stochastic import (
+    INVERSION_TOL,
     SeededStream,
     distributional_transform,
     inversion_check,
@@ -45,13 +46,13 @@ from .transform import (
     jump_gap_values,
     jump_gap_weights,
     lambda_transform,
+    lambda_transforms,
     quantile_range_of_point,
 )
 
 __all__ = ["CheckResult", "analytic_checks", "stochastic_checks", "sklar_checks", "KS_CRIT"]
 
 EXACT_TOL = 1e-12
-INVERSION_TOL = 1e-9
 KS_CRIT = 1.6276  # asymptotic two-sided 1% point of sqrt(n) * D_n
 LAMBDA_GRID = (0.25, 0.5, 0.75, 1.0)
 
@@ -129,14 +130,12 @@ def _check_quantile_sandwich(f: Cdf, alphas) -> CheckResult:
 
 def _check_halfline_sets(f: Cdf, alphas) -> CheckResult:
     grid = probe_grid(f)
+    fx = f.values(grid)
     bad = 0
     for a in alphas:
         xi = left_quantile(f, a)
-        for x in grid:
-            if (f.value(x) >= a) != (x >= xi):
-                bad += 1
-            if (f.value(x) < a) != (x < xi):
-                bad += 1
+        bad += int(np.count_nonzero((fx >= a) != (grid >= xi)))
+        bad += int(np.count_nonzero((fx < a) != (grid < xi)))
     return _result("halfline_sets", bad, 0)
 
 
@@ -181,6 +180,7 @@ def _check_flat_mass(f: Cdf, alphas) -> CheckResult:
 
 def _check_sublevel_union(f: Cdf, alphas) -> CheckResult:
     grid = probe_grid(f)
+    transforms = {lam: lambda_transforms(f, grid, lam) for lam in LAMBDA_GRID}
     bad = 0
     for a in alphas:
         for lam in LAMBDA_GRID:
@@ -190,10 +190,8 @@ def _check_sublevel_union(f: Cdf, alphas) -> CheckResult:
             if not beyond.intersect(below).is_empty():
                 bad += 1
             union = beyond.union(at).union(below)
-            for x in grid:
-                member = lambda_transform(f, x, lam) <= a
-                if member != union.contains(x):
-                    bad += 1
+            member = transforms[lam] <= a
+            bad += int(np.count_nonzero(member != union.contains_many(grid)))
     return _result("sublevel_union", bad, 0)
 
 

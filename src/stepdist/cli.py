@@ -118,25 +118,6 @@ def _parse_interval_text(text: str) -> Interval:
     return Interval(lo, hi, t[0] == "[", t[-1] == "]")
 
 
-def _level_set_fields(f, alpha: float) -> list[tuple[str, object]]:
-    lo, hi = quantile_pair(f, alpha)
-    ls = level_set(f, alpha)
-    if ls.is_empty():
-        case = "empty"
-    elif ls.components[0].is_point():
-        case = "singleton"
-    elif ls.components[0].closed_hi:
-        case = "closed"
-    else:
-        case = "half-open"
-    return [
-        ("left_quantile", lo),
-        ("right_quantile", hi),
-        ("level_set_case", case),
-        ("level_set", str(ls)),
-    ]
-
-
 # -- commands -----------------------------------------------------------------
 
 
@@ -151,9 +132,25 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_quantile(args) -> int:
+def _cmd_level_set(args) -> int:
+    """Both ``quantile`` and ``levelset``: the quantile pair and the level set."""
     f = load_distribution(args.dist[0])
-    _emit(args.format, _level_set_fields(f, args.alpha))
+    lo, hi = quantile_pair(f, args.alpha)
+    ls = level_set(f, args.alpha)
+    if ls.is_empty():
+        case = "empty"
+    elif ls.components[0].is_point():
+        case = "singleton"
+    elif ls.components[0].closed_hi:
+        case = "closed"
+    else:
+        case = "half-open"
+    _emit(args.format, [
+        ("left_quantile", lo),
+        ("right_quantile", hi),
+        ("level_set_case", case),
+        ("level_set", str(ls)),
+    ])
     return 0
 
 
@@ -164,12 +161,6 @@ def _cmd_transform(args) -> int:
         ("left_value", f.left_value(args.x)),
         ("value", f.value(args.x)),
     ])
-    return 0
-
-
-def _cmd_levelset(args) -> int:
-    f = load_distribution(args.dist[0])
-    _emit(args.format, _level_set_fields(f, args.alpha))
     return 0
 
 
@@ -307,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quantile", help="left/right quantiles and the level set at a level")
     common(p)
     p.add_argument("--alpha", type=float, required=True)
-    p.set_defaults(func=_cmd_quantile)
+    p.set_defaults(func=_cmd_level_set)
 
     p = sub.add_parser("transform", help="jump-interpolated evaluation F(x-) + lam*jump(x)")
     common(p)
@@ -318,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("levelset", help="describe {x : F(x) = alpha}")
     common(p)
     p.add_argument("--alpha", type=float, required=True)
-    p.set_defaults(func=_cmd_levelset)
+    p.set_defaults(func=_cmd_level_set)
 
     p = sub.add_parser("measure", help="mass of one interval, e.g. --interval '(0.25,0.5]'")
     common(p)

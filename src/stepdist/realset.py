@@ -10,9 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import MalformedInterval
 
-__all__ = ["Interval", "RealSet", "EMPTY", "REALS"]
+__all__ = ["Interval", "RealSet"]
 
 _INF = math.inf
 
@@ -161,6 +163,24 @@ class RealSet:
     def contains(self, x: float) -> bool:
         return any(iv.contains(x) for iv in self.components)
 
+    def contains_many(self, x) -> np.ndarray:
+        """Vector form of :meth:`contains`: a bool array, one entry per point of x.
+
+        Each component makes the same exact comparisons as
+        :meth:`Interval.contains`, so every entry equals ``contains(x_i)``;
+        the scalar method is the reference the tests compare with.
+        """
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape, dtype=bool)
+        for iv in self.components:
+            inside = ~((x < iv.lo) | (x > iv.hi))
+            if not iv.closed_lo:
+                inside &= x != iv.lo
+            if not iv.closed_hi:
+                inside &= x != iv.hi
+            out |= inside
+        return out
+
     def union(self, other: "RealSet") -> "RealSet":
         return RealSet(self.components + other.components)
 
@@ -194,6 +214,3 @@ class RealSet:
             return "(empty)"
         return " U ".join(str(iv) for iv in self.components)
 
-
-EMPTY = RealSet(())
-REALS = RealSet.reals()

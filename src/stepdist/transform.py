@@ -14,18 +14,22 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cdf import Cdf, _left_quantile_unchecked, _right_quantile_unchecked
 from .errors import (
     AlphaNotInJumpInterval,
     LambdaOutOfRange,
     LengthMismatch,
     TransformOutOfRange,
+    ValidationError,
 )
 from .measure import measure_set
 from .realset import Interval, RealSet
 
 __all__ = [
     "lambda_transform",
+    "lambda_transforms",
     "quantile_range_of_point",
     "jump_gap_values",
     "jump_gap_weights",
@@ -51,6 +55,27 @@ def lambda_transform(f: Cdf, x: float, lam: float) -> float:
     if lam == 1.0:
         return f.value(x)
     return f.left_value(x) + lam * f.jump(x)
+
+
+def lambda_transforms(f: Cdf, x, lam: float) -> np.ndarray:
+    """Vector form of :func:`lambda_transform`: the transform at every point of x.
+
+    Takes the same branches as the scalar function (the stored left limits
+    at lam = 0, the values at lam = 1, ``left_values + lam * jumps``
+    otherwise), so each entry equals ``lambda_transform(f, x_i, lam)`` bit
+    for bit; the scalar function is the reference the tests compare with.
+    """
+    lam = float(lam)
+    if math.isnan(lam) or not 0.0 <= lam <= 1.0:
+        raise LambdaOutOfRange(f"weight must lie in [0, 1], got {lam}")
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise ValidationError("evaluation point is NaN")
+    if lam == 0.0:
+        return f.left_values(x)
+    if lam == 1.0:
+        return f.values(x)
+    return f.left_values(x) + lam * f.jumps(x)
 
 
 def quantile_range_of_point(f: Cdf, x: float) -> RealSet:

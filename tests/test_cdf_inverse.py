@@ -6,6 +6,8 @@ import pytest
 import stepdist as sd
 from stepdist import AlphaOutOfRange, LambdaOutOfRange
 from stepdist.cdf import (
+    Cdf,
+    _left_quantiles,
     jump_set,
     left_quantile,
     level_set,
@@ -46,6 +48,79 @@ class TestRightQuantile:
     def test_alpha_out_of_range(self, fu):
         with pytest.raises(AlphaOutOfRange):
             right_quantile(fu, 1.0)
+
+
+def _float_rank(x: float) -> int:
+    """Position of x in the order of all floats, one step per float."""
+    i = int(np.float64(x).view(np.int64))
+    return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+class TestShortRampSolve:
+    """A ramp solve near 0 can land far short of its level in floats, since its
+    absolute rounding error is many ulps of a result close to 0.  Both quantile
+    kernels must still return the least float that reaches the level, within a
+    bounded number of evaluations of F (at most 64 gallop and 64 bisection
+    passes, plus the check that finds the solve short)."""
+
+    MAX_EVALS = 2 * 64 + 1
+
+    @pytest.fixture
+    def short_solves(self):
+        f = Cdf(xs=(-2.61, 4.76), atoms=(0.3, 0.0), rises=(0.7,))
+        f0 = f.value(0.0)
+        # a band around F(0), where solves land far short, and the whole ramp
+        levels = np.concatenate([np.linspace(f0 - 1e-6, f0 + 1e-6, 3000), np.linspace(0.31, 0.99, 3000)])
+        x0, x1 = f.xs
+        solve = x0 + (levels - float(f._cums[0])) / f.rises[0] * (x1 - x0)
+        short = f.values(solve) < levels
+        return f, levels[short], solve[short]
+
+    @pytest.fixture
+    def eval_count(self, monkeypatch):
+        calls = {"value": 0, "values": 0}
+        for name in calls:
+            orig = getattr(Cdf, name)
+
+            def counted(self, x, _orig=orig, _name=name):
+                calls[_name] += 1
+                return _orig(self, x)
+
+            monkeypatch.setattr(Cdf, name, counted)
+        return calls
+
+    def test_least_float_reaching_the_level(self, short_solves, eval_count):
+        f, levels, solve = short_solves
+        assert levels.size > 0
+        vec = _left_quantiles(f, levels)
+        assert eval_count["values"] <= self.MAX_EVALS
+        assert (f.values(vec) >= levels).all()
+        assert (f.values(np.nextafter(vec, -np.inf)) < levels).all()
+        # the case that made the one-float walk unbounded: far more floats
+        # between the solve and the answer than the walk could step through
+        far = max(_float_rank(x) - _float_rank(s) for x, s in zip(vec, solve))
+        assert far > 10**6
+
+    def test_scalar_kernels_agree_with_vector(self, short_solves, eval_count):
+        f, levels, _ = short_solves
+        vec = _left_quantiles(f, levels)
+        for a, x in zip(levels.tolist(), vec.tolist()):
+            eval_count["value"] = eval_count["values"] = 0
+            lo, hi = quantile_pair(f, a)
+            assert eval_count["value"] == 2  # the check that finds each solve short
+            assert eval_count["values"] <= 2 * (self.MAX_EVALS - 1)
+            assert lo == x and hi == x  # a strictly rising ramp: both quantiles agree
+
+    def test_matches_one_float_walk(self, short_solves):
+        f, levels, solve = short_solves
+        vec = _left_quantiles(f, levels)
+        near = [i for i in range(levels.size) if _float_rank(vec[i]) - _float_rank(solve[i]) <= 10_000]
+        assert near
+        for i in near:
+            x = float(solve[i])
+            while f.value(x) < levels[i]:
+                x = math.nextafter(x, math.inf)
+            assert np.float64(x).tobytes() == vec[i].tobytes()
 
 
 class TestLevelSet:

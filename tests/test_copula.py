@@ -9,6 +9,7 @@ from stepdist import (
     DimensionMismatch,
     NotAFlatLevel,
     StreamCollision,
+    ValidationError,
 )
 from stepdist.copula import (
     CopulaSpec,
@@ -162,6 +163,32 @@ class TestSklarIdentity:
         axis = np.linspace(0.1, 0.9, 5)
         grid = [np.array(p) for p in itertools.product(axis, repeat=2)]
         assert sklar_identity_check(s, c, grid) < 0.01
+
+    def test_empty_grid(self, fb, fm):
+        s = generate_joint_sample((fb, fm), "independent", 100, seed=7)
+        assert sklar_identity_check(s, dt_copula(s, SeededStream(7, 2)), []) == 0.0
+
+    def test_point_of_wrong_size(self, fb, fm):
+        s = generate_joint_sample((fb, fm), "independent", 100, seed=7)
+        c = dt_copula(s, SeededStream(7, 2))
+        with pytest.raises(DimensionMismatch):
+            sklar_identity_check(s, c, [np.array([0.0, 0.0]), np.array([0.0, 0.0, 0.0])])
+
+    def test_nan_coordinate(self, fb, fm):
+        s = generate_joint_sample((fb, fm), "independent", 100, seed=7)
+        c = dt_copula(s, SeededStream(7, 2))
+        with pytest.raises(ValidationError):
+            sklar_identity_check(s, c, [np.array([0.0, 0.0]), np.array([math.nan, 0.5])])
+        # the first bad point in grid order decides which error is raised
+        with pytest.raises(ValidationError):
+            sklar_identity_check(s, c, [np.array([math.nan, 0.5]), np.array([0.0])])
+        with pytest.raises(DimensionMismatch):
+            sklar_identity_check(s, c, [np.array([0.0]), np.array([math.nan, 0.5])])
+
+    def test_copula_dimension_mismatch(self, fb, fm):
+        s = generate_joint_sample((fb, fm), "independent", 100, seed=7)
+        with pytest.raises(DimensionMismatch):
+            sklar_identity_check(s, CopulaSpec.independence(3), [np.array([0.0, 0.0])])
 
 
 class TestFlatAlpha:
