@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import stepdist as sd
+from stepdist import copula
 from stepdist.checks import (
     LAMBDA_GRID,
     _check_halfline_sets,
@@ -125,15 +126,26 @@ class TestSklarIdentity:
         other = generate_joint_sample((fm, fu), "independent", 1_234, seed=6)
         self.assert_same(sample, dt_copula(other, SeededStream(6, 2)), grid)
 
-    def test_scattered_grids(self, fb, fm, fu):
+    def test_scattered_grids(self, fb, fm, fu, monkeypatch):
         triple = (fb, fm, fu)
         sample = generate_joint_sample(triple, "comonotone", 2_000, seed=11)
         c_hat = dt_copula(sample, SeededStream(11, 3))
         rng = np.random.default_rng(12)
+        cells = []
+        counts = copula._dominance_counts
+
+        def recorded(rows, axes, at):
+            cells.append(math.prod(a.size + 1 for a in axes))
+            return counts(rows, axes, at)
+
+        monkeypatch.setattr(copula, "_dominance_counts", recorded)
         # few scattered points: their product table is small enough to build
         self.assert_same(sample, c_hat, list(rng.uniform(-0.5, 1.5, size=(12, 3))))
-        # many scattered points: evaluated point by point
+        assert cells and max(cells) == 13**3
+        # many scattered points: no 401^3 table; evaluated point by point
+        cells.clear()
         self.assert_same(sample, c_hat, list(rng.uniform(-0.5, 1.5, size=(400, 3))))
+        assert cells == []
 
 
 # -- the half-line and sublevel checks ---------------------------------------
