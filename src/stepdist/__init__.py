@@ -13,7 +13,6 @@ from .catalog import (
     point_mass,
     ramp_plateau_atom,
     random_cdf,
-    two_point,
     uniform_01,
 )
 from .cdf import (
@@ -51,7 +50,6 @@ from .errors import (
     LambdaOutOfRange,
     LengthMismatch,
     MalformedInterval,
-    MalformedSet,
     NotAFlatLevel,
     StepDistError,
     StreamCollision,

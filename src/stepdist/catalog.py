@@ -12,7 +12,6 @@ __all__ = [
     "uniform_01",
     "ramp_plateau_atom",
     "point_mass",
-    "two_point",
     "random_cdf",
 ]
 
@@ -42,11 +41,6 @@ def ramp_plateau_atom() -> Cdf:
 def point_mass(x: float) -> Cdf:
     """All mass at a single point."""
     return Cdf(xs=(float(x),), atoms=(1.0,), rises=())
-
-
-def two_point(x0: float, x1: float, p0: float) -> Cdf:
-    """Mass p0 at x0 and 1 - p0 at x1."""
-    return Cdf(xs=(float(x0), float(x1)), atoms=(float(p0), 1.0 - float(p0)), rises=(0.0,))
 
 
 def random_cdf(

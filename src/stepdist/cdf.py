@@ -10,7 +10,9 @@ than merely close.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -40,8 +42,7 @@ class QuantilePair(NamedTuple):
     hi: float
 
 
-@dataclass(frozen=True)
-class _FlatRun:
+class _FlatRun(NamedTuple):
     """One maximal flat piece of positive length at a level strictly inside (0,1).
 
     ``closed_end`` records whether the function still equals ``level`` at
@@ -74,21 +75,16 @@ class Cdf(MonotoneStepLinear):
         if float(self._cums[-1]) != 1.0:
             raise ValidationError(f"top must be exactly 1.0, got {float(self._cums[-1])}")
         object.__setattr__(self, "_jump_idx", np.nonzero(self._atoms_arr > 0.0)[0])
-        runs = []
-        i = 0
-        while i < k - 1:
-            if self.rises[i] != 0.0:
-                i += 1
-                continue
-            s = i
-            m = i + 1
-            while m < k - 1 and self.atoms[m] == 0.0 and self.rises[m] == 0.0:
-                m += 1
-            level = float(self._cums[s])
-            if 0.0 < level < 1.0:
-                runs.append(_FlatRun(level, self.xs[s], self.xs[m], self.atoms[m] == 0.0))
-            i = m
-        object.__setattr__(self, "_flat_runs", tuple(runs))
+        # maximal flat pieces: zero-rise segments joined at atom-free breakpoints
+        spans = []
+        for i in compress(range(k - 1), map(operator.not_, self.rises)):
+            if spans and spans[-1][1] == i and self.atoms[i] == 0.0:
+                spans[-1][1] = i + 1
+            else:
+                spans.append([i, i + 1])
+        cums = self._cums.tolist()
+        runs = [_FlatRun(cums[s], self.xs[s], self.xs[m], self.atoms[m] == 0.0) for s, m in spans]
+        object.__setattr__(self, "_flat_runs", tuple(r for r in runs if 0.0 < r.level < 1.0))
 
     @property
     def jump_points(self) -> tuple[float, ...]:
@@ -121,8 +117,8 @@ def normalize(g: MonotoneStepLinear) -> Cdf:
         raise DegenerateRange("constant function has no distribution-function rescaling")
     lefts = (g._lefts - g.base) / span
     cums = (g._cums - g.base) / span
-    atoms = tuple(a / span for a in g.atoms)
-    rises = tuple(r / span for r in g.rises)
+    atoms = tuple(map(operator.truediv, g.atoms, repeat(span)))
+    rises = tuple(map(operator.truediv, g.rises, repeat(span)))
     return Cdf._with_profile(g.xs, atoms, rises, 0.0, lefts, cums)
 
 
@@ -276,23 +272,24 @@ def _left_quantiles(f: Cdf, a: np.ndarray) -> np.ndarray:
     cums = f._cums
     xs = f._xs_arr
     i = np.searchsorted(cums, a, side="left")
-    out = np.empty(a.shape)
-    first = i == 0
-    out[first] = xs[0]
-    rest = ~first
-    ii = i[rest]
-    av = a[rest]
-    res = xs[ii].copy()
-    interior = av < f._lefts[ii]
-    ij = ii[interior] - 1
-    x0 = xs[ij]
-    ai = av[interior]
-    solved = x0 + (ai - cums[ij]) / f._rises_arr[ij] * (xs[ij + 1] - x0)
-    short = np.flatnonzero(f.values(solved) < ai)
+    out = xs[i]
+    # F(xs[0]-) = 0 < a, so levels reaching the first breakpoint are never interior
+    interior = a < f._lefts[i]
+    ij = i[interior] - 1
+    ai = a[interior]
+    x0, x1, rise, c0 = xs[ij], xs[ij + 1], f._rises_arr[ij], cums[ij]
+    width = x1 - x0
+    solved = x0 + (ai - c0) / rise * width
+    # F(solved) on the known segment x0 <= solved < x1, as values() computes it
+    # there; a solve at or past x1 (or NaN) is evaluated by values() itself
+    fs = c0 + rise * ((solved - x0) / width)
+    past = np.flatnonzero(~(solved < x1))
+    if past.size:
+        fs[past] = f.values(solved[past])
+    short = np.flatnonzero(fs < ai)
     if short.size:
-        solved[short] = _raise_to_level(f, solved[short], ai[short], xs[ij[short] + 1])
-    res[interior] = solved
-    out[rest] = res
+        solved[short] = _raise_to_level(f, solved[short], ai[short], x1[short])
+    out[interior] = solved
     return out
 
 

@@ -197,8 +197,8 @@ def dt_copula(sample: JointSample, v_stream: SeededStream) -> CopulaSpec:
     v = v_stream.uniforms(rows.size).reshape(rows.shape)
     cols = []
     for j, m in enumerate(sample.marginals):
-        xj = rows[:, j]
-        cols.append(m.left_values(xj) + v[:, j] * m.jumps(xj))
+        _, left, jump = m.value_parts(rows[:, j])
+        cols.append(left + v[:, j] * jump)
     return CopulaSpec.empirical(np.column_stack(cols))
 
 

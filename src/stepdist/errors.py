@@ -44,10 +44,6 @@ class MalformedInterval(ValidationError):
     """Interval endpoints or flags are inconsistent."""
 
 
-class MalformedSet(ValidationError):
-    """A real set had overlapping or unsorted components."""
-
-
 class StreamCollision(StepDistError):
     """Two sampling roles were given the same random stream."""
 

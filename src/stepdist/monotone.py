@@ -10,18 +10,16 @@ same flat piece share the identical float level.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import ValidationError
 
 __all__ = ["MonotoneStepLinear", "DfConditionReport", "df_condition_report"]
-
-
-def _float_tuple(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -53,39 +51,34 @@ class MonotoneStepLinear:
     _atoms_arr: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "xs", _float_tuple(self.xs))
-        object.__setattr__(self, "atoms", _float_tuple(self.atoms))
-        object.__setattr__(self, "rises", _float_tuple(self.rises))
-        object.__setattr__(self, "base", float(self.base))
-        self._validate_fields()
-        k = len(self.xs)
-        lefts = np.empty(k)
-        cums = np.empty(k)
-        running = self.base
-        for i in range(k):
-            if i > 0:
-                running = running + self.rises[i - 1]
-            lefts[i] = running
-            running = running + self.atoms[i]
-            cums[i] = running
-        self._attach_profile(lefts, cums)
+        self._set_fields(self.xs, self.atoms, self.rises, self.base)
+        # running sums of [base, a0, r0, a1, r1, ..., a_{k-1}] in breakpoint
+        # order: the left limits at even positions, the values at odd ones
+        steps = [self.base] * (2 * len(self.xs))
+        steps[1::2] = self.atoms
+        steps[2::2] = self.rises
+        profile = list(accumulate(steps))
+        self._attach_profile(np.array(profile[0::2]), np.array(profile[1::2]))
         self._derive()
 
-    def _validate_fields(self):
-        k = len(self.xs)
-        if len(self.atoms) != k:
-            raise ValidationError(f"{len(self.atoms)} atoms for {k} breakpoints")
-        if len(self.rises) != max(k - 1, 0):
-            raise ValidationError(f"{len(self.rises)} rises for {k} breakpoints")
-        vals = self.xs + self.atoms + self.rises + (self.base,)
-        if any(math.isnan(v) or math.isinf(v) for v in vals):
+    def _set_fields(self, xs, atoms, rises, base):
+        """Store the fields as tuples of Python floats, then validate them."""
+        xs, atoms, rises = tuple(map(float, xs)), tuple(map(float, atoms)), tuple(map(float, rises))
+        for name, value in (("xs", xs), ("atoms", atoms), ("rises", rises), ("base", float(base))):
+            object.__setattr__(self, name, value)
+        k = len(xs)
+        if len(atoms) != k:
+            raise ValidationError(f"{len(atoms)} atoms for {k} breakpoints")
+        if len(rises) != max(k - 1, 0):
+            raise ValidationError(f"{len(rises)} rises for {k} breakpoints")
+        if not all(map(math.isfinite, xs + atoms + rises + (self.base,))):
             raise ValidationError("breakpoints, masses and base must be finite")
-        for a, b in zip(self.xs, self.xs[1:]):
-            if not a < b:
-                raise ValidationError(f"breakpoints not strictly increasing at {a}, {b}")
-        if any(a < 0 for a in self.atoms):
+        if not all(map(operator.lt, xs, xs[1:])):
+            a, b = next((a, b) for a, b in zip(xs, xs[1:]) if not a < b)
+            raise ValidationError(f"breakpoints not strictly increasing at {a}, {b}")
+        if min(atoms, default=0.0) < 0.0:
             raise ValidationError("negative atom mass")
-        if any(r < 0 for r in self.rises):
+        if min(rises, default=0.0) < 0.0:
             raise ValidationError("negative segment increase")
 
     def _attach_profile(self, lefts: np.ndarray, cums: np.ndarray):
@@ -106,11 +99,7 @@ class MonotoneStepLinear:
         top exactly 1.0 while re-accumulating scaled masses would not.
         """
         obj = object.__new__(cls)
-        object.__setattr__(obj, "xs", _float_tuple(xs))
-        object.__setattr__(obj, "atoms", _float_tuple(atoms))
-        object.__setattr__(obj, "rises", _float_tuple(rises))
-        object.__setattr__(obj, "base", float(base))
-        obj._validate_fields()
+        obj._set_fields(xs, atoms, rises, base)
         obj._attach_profile(np.asarray(lefts, dtype=float), np.asarray(cums, dtype=float))
         obj._derive()
         return obj
@@ -162,13 +151,23 @@ class MonotoneStepLinear:
         return 0.0
 
     # -- vectorized evaluation ------------------------------------------------
-    def values(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        k = len(self.xs)
-        if k == 0:
-            return np.full(x.shape, self.base)
+    def _locate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One side="left" search j of x in xs, and the hit mask xs[j] == x.
+
+        Returns (idx, hit) with idx = j + hit - 1, the last i with xs[i] <= x
+        (-1 if none): xs is strictly increasing, so a hit is the only tie.
+        """
         xs = self._xs_arr
-        idx = np.searchsorted(xs, x, side="right") - 1
+        idx = np.searchsorted(xs, x, side="left")
+        hit = xs.take(idx, mode="clip") == x
+        idx += hit
+        idx -= 1
+        return idx, hit
+
+    def _values_at(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """G at x, given idx = the last i with xs[i] <= x (-1 if none)."""
+        k = len(self.xs)
+        xs = self._xs_arr
         out = np.full(x.shape, self.base)
         last = idx >= k - 1
         out[last] = self._cums[k - 1]
@@ -178,26 +177,40 @@ class MonotoneStepLinear:
         out[mid] = self._cums[i] + self._rises_arr[i] * frac
         return out
 
+    def values(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if not self.xs:
+            return np.full(x.shape, self.base)
+        return self._values_at(x, np.searchsorted(self._xs_arr, x, side="right") - 1)
+
+    def value_parts(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(values(x), left_values(x), jumps(x)), bit for bit, from one search."""
+        x = np.asarray(x, dtype=float)
+        if not self.xs:
+            return self.values(x), self.values(x), np.zeros(x.shape)
+        idx, hit = self._locate(x)
+        fx = self._values_at(x, idx)
+        left = fx.copy()
+        left[hit] = self._lefts[idx[hit]]
+        jump = np.zeros(x.shape)
+        jump[hit] = self._atoms_arr[idx[hit]]
+        return fx, left, jump
+
     def left_values(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = self.values(x)
-        k = len(self.xs)
-        if k == 0:
-            return out
-        j = np.searchsorted(self._xs_arr, x, side="left")
-        hit = (j < k) & (self._xs_arr[np.minimum(j, k - 1)] == x)
-        out[hit] = self._lefts[j[hit]]
+        if not self.xs:
+            return self.values(x)
+        idx, hit = self._locate(x)
+        out = self._values_at(x, idx)
+        out[hit] = self._lefts[idx[hit]]
         return out
 
     def jumps(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape)
-        k = len(self.xs)
-        if k == 0:
-            return out
-        j = np.searchsorted(self._xs_arr, x, side="left")
-        hit = (j < k) & (self._xs_arr[np.minimum(j, k - 1)] == x)
-        out[hit] = self._atoms_arr[j[hit]]
+        if self.xs:
+            idx, hit = self._locate(x)
+            out[hit] = self._atoms_arr[idx[hit]]
         return out
 
 

@@ -90,7 +90,8 @@ def distributional_transform(
         )
     xs = np.asarray(xs, dtype=float)
     v = v_stream.uniforms(xs.size).reshape(xs.shape)
-    return f.left_values(xs) + v * f.jumps(xs)
+    _, left, jump = f.value_parts(xs)
+    return left + v * jump
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ def ks_uniformity(us) -> float:
         raise EmptySample("KS statistic of an empty sample")
     if np.isnan(us).any() or (us < 0.0).any() or (us > 1.0).any():
         raise ValidationError("sample values must lie in [0, 1]")
-    s = np.sort(us, kind="stable").ravel()
+    s = np.sort(us, axis=None)
     n = s.size
     upper = np.arange(1, n + 1, dtype=float) / n
     lower = np.arange(0, n, dtype=float) / n
@@ -188,15 +189,15 @@ def inversion_check(f: Cdf, stream: SeededStream, n: int) -> InversionReport:
     if n < 1:
         raise EmptySample("need at least one draw")
     xs = sample_inverse(f, stream, n)
-    v = stream.child(1).uniforms(n)
-    u = f.left_values(xs) + v * f.jumps(xs)
+    fx, left, jump = f.value_parts(xs)
+    u = left + stream.child(1).uniforms(n) * jump
+    del left, jump
     back = _left_quantiles(f, u)
     failures = int((np.abs(back - xs) > INVERSION_TOL).sum())
 
     z1 = _left_quantile_unchecked(f, 1.0)
     shortcut_failures = None
     if f.jump(z1) == 0.0:  # F reaches 1 continuously, so 0 < F(X) < 1 a.s.
-        fx = f.values(xs)
         ok = (fx > 0.0) & (fx < 1.0)
         bad = int((~ok).sum())
         back2 = _left_quantiles(f, fx[ok])

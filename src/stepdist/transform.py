@@ -61,8 +61,8 @@ def lambda_transforms(f: Cdf, x, lam: float) -> np.ndarray:
     """Vector form of :func:`lambda_transform`: the transform at every point of x.
 
     Takes the same branches as the scalar function (the stored left limits
-    at lam = 0, the values at lam = 1, ``left_values + lam * jumps``
-    otherwise), so each entry equals ``lambda_transform(f, x_i, lam)`` bit
+    at lam = 0, the values at lam = 1, ``F(x-) + lam * jump(x)`` from one
+    search otherwise), so each entry equals ``lambda_transform(f, x_i, lam)`` bit
     for bit; the scalar function is the reference the tests compare with.
     """
     lam = float(lam)
@@ -75,7 +75,8 @@ def lambda_transforms(f: Cdf, x, lam: float) -> np.ndarray:
         return f.left_values(x)
     if lam == 1.0:
         return f.values(x)
-    return f.left_values(x) + lam * f.jumps(x)
+    _, left, jump = f.value_parts(x)
+    return left + lam * jump
 
 
 def quantile_range_of_point(f: Cdf, x: float) -> RealSet:

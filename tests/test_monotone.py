@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,59 @@ class TestValidation:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             MonotoneStepLinear(xs=(0.0, 1.0), atoms=(0.5,), rises=(0.0,))
+
+
+# (xs, atoms, rises, base) and the exact diagnostic each must raise
+INVALID_INPUTS = [
+    ((0.0, 1.0), (0.5,), (0.0,), 0.0, "1 atoms for 2 breakpoints"),
+    ((0.0, 1.0), (0.5, 0.5), (), 0.0, "0 rises for 2 breakpoints"),
+    ((0.0,), (1.0,), (0.5,), 0.0, "1 rises for 1 breakpoints"),
+    ((0.0, math.nan), (0.5, 0.5), (0.0,), 0.0, "breakpoints, masses and base must be finite"),
+    ((0.0, 1.0), (0.5, math.inf), (0.0,), 0.0, "breakpoints, masses and base must be finite"),
+    ((0.0, 1.0), (0.5, 0.5), (-math.inf,), 0.0, "breakpoints, masses and base must be finite"),
+    ((-math.inf, 1.0), (0.5, 0.5), (0.0,), 0.0, "breakpoints, masses and base must be finite"),
+    ((0.0, 1.0), (0.5, 0.5), (0.0,), math.nan, "breakpoints, masses and base must be finite"),
+    ((0.0, 2.0, 1.0, 0.5), (0.25,) * 4, (0.0,) * 3, 0.0, "breakpoints not strictly increasing at 2.0, 1.0"),
+    ((0.0, 1.0, 1.0, 0.5), (0.25,) * 4, (0.0,) * 3, 0.0, "breakpoints not strictly increasing at 1.0, 1.0"),
+    ((0.0, 1.0, 1.0), (0.25, 0.25, 0.5), (0.0,) * 2, 0.0, "breakpoints not strictly increasing at 1.0, 1.0"),
+    ((0.0, 1.0, 2.0), (0.5, -0.25, 0.5), (0.0, 0.0), 0.0, "negative atom mass"),
+    ((0.0, 1.0, 2.0), (0.5, 0.0, 0.5), (0.5, -1e-300), 0.0, "negative segment increase"),
+]
+
+CONTAINERS = {
+    "tuple": tuple,
+    "list": list,
+    "ndarray": np.array,
+    "generator": lambda v: (x for x in v),
+}
+
+
+@pytest.mark.parametrize("kind", CONTAINERS)
+class TestConstructionDiagnostics:
+    @pytest.mark.parametrize("xs, atoms, rises, base, message", INVALID_INPUTS)
+    def test_same_type_and_message(self, kind, xs, atoms, rises, base, message):
+        wrap = CONTAINERS[kind]
+        with pytest.raises(ValidationError) as info:
+            MonotoneStepLinear(xs=wrap(xs), atoms=wrap(atoms), rises=wrap(rises), base=base)
+        assert type(info.value) is ValidationError
+        assert str(info.value) == message
+
+    def test_fields_are_tuples_of_python_floats(self, kind):
+        wrap = CONTAINERS[kind]
+        g = MonotoneStepLinear(
+            xs=wrap(np.array([-1.0, 0.0, 2.5], dtype=np.float32)),
+            atoms=wrap([0, 1, 0.5]),
+            rises=wrap((np.float64(0.25), 0.0)),
+            base=np.float64(0.125),
+        )
+        f = normalize(g)
+        for obj in (g, f):
+            for name in ("xs", "atoms", "rises"):
+                value = getattr(obj, name)
+                assert type(value) is tuple
+                assert all(type(v) is float for v in value)
+            assert type(obj.base) is float
+        assert g.xs == (-1.0, 0.0, 2.5) and g.atoms == (0.0, 1.0, 0.5)
 
 
 class TestMonotoneProperties:

@@ -162,6 +162,36 @@ class TestKsStatistic:
             theirs = scipy.stats.kstest(us, "uniform").statistic
             assert ours == pytest.approx(theirs, abs=1e-12)
 
+    @staticmethod
+    def ks_stable_sort(us) -> float:
+        """The statistic as computed with a stable sort."""
+        s = np.sort(np.asarray(us, dtype=float), kind="stable").ravel()
+        n = s.size
+        upper = np.arange(1, n + 1, dtype=float) / n
+        lower = np.arange(0, n, dtype=float) / n
+        return max(float((upper - s).max()), float((s - lower).max()))
+
+    def test_same_bits_as_stable_sort(self, small_population):
+        rng = np.random.default_rng(17)
+        samples = []
+        for i, f in enumerate(small_population):
+            stream = SeededStream(31, 2 * i)
+            draws = sample_inverse(f, stream, 2000)
+            samples.append(distributional_transform(f, draws, SeededStream(31, 2 * i + 1)))
+        samples.append(np.round(rng.random(5000), 2))  # heavy ties
+        samples.append(np.repeat(rng.random(50), 40))
+        signed_zeros = np.array([0.0, -0.0] * 300 + [0.5, 0.25, 0.25, 1.0] * 50)
+        for _ in range(5):
+            samples.append(rng.permutation(signed_zeros))
+        samples.append(np.concatenate([-np.zeros(100), rng.random(400), np.zeros(100)]))
+        for us in samples:
+            assert np.float64(ks_uniformity(us)).tobytes() == np.float64(self.ks_stable_sort(us)).tobytes()
+
+    def test_array_of_any_shape_is_one_sample(self):
+        us = np.random.default_rng(3).random(600)
+        assert ks_uniformity(us.reshape(20, 30)) == ks_uniformity(us)
+        assert ks_uniformity(us.reshape(20, 30)) == self.ks_stable_sort(us)
+
 
 class TestNecessityOfContinuity:
     def test_bernoulli_value_law_has_atom(self, fb):

@@ -1,8 +1,9 @@
 """Differential tests: each array pass against the scalar loop it replaced.
 
 The scalar functions (``empirical_joint_cdf``, ``sklar_compose``,
-``lambda_transform``, ``RealSet.contains``) and the point-by-point loop
-bodies kept below are the reference; the array forms must agree bit for bit.
+``lambda_transform``, ``RealSet.contains``, ``value``, ``left_value``,
+``jump``) and the loop bodies and kernels kept below are the reference; the
+array forms must agree bit for bit.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from stepdist.checks import (
     default_copula_grid,
     probe_grid,
 )
-from stepdist.cdf import left_quantile, sublevel_decomposition
+from stepdist.cdf import _left_quantiles, _raise_to_level, left_quantile, normalize, sublevel_decomposition
 from stepdist.copula import (
     CopulaSpec,
     dt_copula,
@@ -31,7 +32,7 @@ from stepdist.copula import (
     sklar_identity_check,
 )
 from stepdist.realset import Interval, RealSet
-from stepdist.stochastic import SeededStream
+from stepdist.stochastic import SeededStream, distributional_transform, inversion_check, sample_inverse
 from stepdist.transform import lambda_transform, lambda_transforms
 
 
@@ -206,3 +207,266 @@ def test_contains_many():
         got = s.contains_many(probes)
         assert got.dtype == bool
         assert got.tolist() == [s.contains(float(x)) for x in probes]
+
+
+# -- one search per point set -------------------------------------------------
+#
+# The kernels below are the three-search forms the fused evaluation replaced:
+# values with its own side="right" search, left_values searching twice and
+# jumps once more.
+
+
+def values_by_right_search(f, x):
+    x = np.asarray(x, dtype=float)
+    k = len(f.xs)
+    if k == 0:
+        return np.full(x.shape, f.base)
+    xs = f._xs_arr
+    idx = np.searchsorted(xs, x, side="right") - 1
+    out = np.full(x.shape, f.base)
+    last = idx >= k - 1
+    out[last] = f._cums[k - 1]
+    mid = (idx >= 0) & ~last
+    i = idx[mid]
+    frac = (x[mid] - xs[i]) / (xs[i + 1] - xs[i])
+    out[mid] = f._cums[i] + f._rises_arr[i] * frac
+    return out
+
+
+def left_values_by_two_searches(f, x):
+    x = np.asarray(x, dtype=float)
+    out = values_by_right_search(f, x)
+    k = len(f.xs)
+    if k == 0:
+        return out
+    j = np.searchsorted(f._xs_arr, x, side="left")
+    hit = (j < k) & (f._xs_arr[np.minimum(j, k - 1)] == x)
+    out[hit] = f._lefts[j[hit]]
+    return out
+
+
+def jumps_by_left_search(f, x):
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    k = len(f.xs)
+    if k == 0:
+        return out
+    j = np.searchsorted(f._xs_arr, x, side="left")
+    hit = (j < k) & (f._xs_arr[np.minimum(j, k - 1)] == x)
+    out[hit] = f._atoms_arr[j[hit]]
+    return out
+
+
+def same(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def eval_points(f) -> np.ndarray:
+    """Every breakpoint, its float neighbours, segment midpoints, +-0.0 and +-inf."""
+    xs = np.asarray(f.xs)
+    mids = xs[:-1] + 0.5 * np.diff(xs) if xs.size > 1 else xs[:0]
+    return np.concatenate(
+        [xs, np.nextafter(xs, -math.inf), np.nextafter(xs, math.inf), mids, [0.0, -0.0, -math.inf, math.inf]]
+    )
+
+
+def eval_functions(population, fb, fm, fu):
+    return list(population) + [
+        fb,
+        fm,
+        fu,
+        sd.point_mass(0.0),  # k = 1
+        sd.point_mass(-2.5),
+        sd.MonotoneStepLinear(xs=(), atoms=(), rises=(), base=0.25),  # k = 0
+        sd.MonotoneStepLinear(xs=(-0.0, 1.0), atoms=(0.5, 0.25), rises=(0.125,), base=-0.5),
+    ]
+
+
+def test_fused_evaluation_matches_scalars_and_three_searches(population, fb, fm, fu):
+    for f in eval_functions(population, fb, fm, fu):
+        x = eval_points(f)
+        fx, left, jump = f.value_parts(x)
+        ref = (
+            np.array([f.value(p) for p in x]),
+            np.array([f.left_value(p) for p in x]),
+            np.array([f.jump(p) for p in x]),
+        )
+        old = (values_by_right_search(f, x), left_values_by_two_searches(f, x), jumps_by_left_search(f, x))
+        for got, scalar, three in zip((fx, left, jump), ref, old):
+            assert same(got, scalar) and same(got, three)
+        assert same(f.values(x), fx)
+        assert same(f.left_values(x), left)
+        assert same(f.jumps(x), jump)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (), (2, 3), (3, 2, 1)])
+def test_fused_evaluation_shapes_and_nan(fm, shape):
+    for f in (fm, sd.point_mass(0.0), sd.MonotoneStepLinear(xs=(), atoms=(), rises=(), base=0.25)):
+        pool = np.array([math.nan, 0.5, -0.0, math.inf, 0.25, -math.inf])
+        x = np.resize(pool, shape)
+        parts = f.value_parts(x)
+        old = (values_by_right_search(f, x), left_values_by_two_searches(f, x), jumps_by_left_search(f, x))
+        for got, three, single in zip(parts, old, (f.values(x), f.left_values(x), f.jumps(x))):
+            assert same(got, three) and same(single, three)
+
+
+# -- the ramp check of _left_quantiles -----------------------------------------
+
+
+def left_quantiles_checked_by_values(f, a):
+    """The kernel before the on-segment check: F(solved) from a fresh values() search.
+
+    Also returns how many interior solves landed at or past their segment's
+    right breakpoint, where the on-segment expression does not apply.
+    """
+    cums = f._cums
+    xs = f._xs_arr
+    i = np.searchsorted(cums, a, side="left")
+    out = np.empty(a.shape)
+    first = i == 0
+    out[first] = xs[0]
+    rest = ~first
+    ii = i[rest]
+    av = a[rest]
+    res = xs[ii].copy()
+    interior = av < f._lefts[ii]
+    ij = ii[interior] - 1
+    x0 = xs[ij]
+    ai = av[interior]
+    solved = x0 + (ai - cums[ij]) / f._rises_arr[ij] * (xs[ij + 1] - x0)
+    short = np.flatnonzero(f.values(solved) < ai)
+    if short.size:
+        solved[short] = _raise_to_level(f, solved[short], ai[short], xs[ij[short] + 1])
+    past = int((x0 + (ai - cums[ij]) / f._rises_arr[ij] * (xs[ij + 1] - x0) >= xs[ij + 1]).sum())
+    res[interior] = solved
+    out[rest] = res
+    return out, past
+
+
+def ramp_levels(f, rng) -> np.ndarray:
+    """Uniform levels plus, on every rising segment, levels at both ends of its range."""
+    rising = np.flatnonzero(f._rises_arr > 0.0)
+    lo = f._cums[rising]
+    hi = f._lefts[rising + 1]
+    ends = [np.nextafter(lo, math.inf), np.nextafter(hi, -math.inf), np.nextafter(np.nextafter(hi, -1), -1)]
+    a = np.concatenate([rng.random(200), *ends, lo + 0.5 * (hi - lo)])
+    return a[(a > 0.0) & (a < 1.0)]
+
+
+def test_on_segment_check_equals_values(population, fb, fm, fu):
+    # on x0 <= x < x1 the expression _left_quantiles evaluates is values() there
+    for f in [*population, fb, fm, fu]:
+        xs = f._xs_arr
+        for i in np.flatnonzero(f._rises_arr > 0.0):
+            x0, x1 = xs[i], xs[i + 1]
+            pts = np.concatenate([np.linspace(x0, x1, 17)[:-1], [np.nextafter(x1, -math.inf)]])
+            on_segment = f._cums[i] + f._rises_arr[i] * ((pts - x0) / (x1 - x0))
+            assert same(on_segment, f.values(pts))
+
+
+def rescaled_functions(rng, count):
+    """Small functions rescaled by normalize: their stored left limits come from
+    division, not from summing the ramp, so a solve can land past x1 while the
+    on-segment expression there is still below the level."""
+    out = []
+    while len(out) < count:
+        k = int(rng.integers(2, 4))
+        xs = np.round(np.sort(rng.uniform(-5.0, 5.0, k)), 3)
+        if len(np.unique(xs)) < k:
+            continue
+        atoms = np.where(rng.random(k) < 0.5, np.round(rng.uniform(0.0, 1.0, k), 3), 0.0)
+        rises = np.round(rng.uniform(0.01, 1.0, k - 1), 3)
+        base = float(np.round(rng.uniform(-3.0, 3.0), 3))
+        out.append(normalize(sd.MonotoneStepLinear(xs=xs, atoms=atoms, rises=rises, base=base)))
+    return out
+
+
+def test_left_quantiles_match_values_checked_kernel(population, fb, fm, fu):
+    rng = np.random.default_rng(11)
+    past = 0
+    for f in [*population, fb, fm, fu, *rescaled_functions(rng, 300)]:
+        a = ramp_levels(f, rng)
+        ref, n_past = left_quantiles_checked_by_values(f, a)
+        assert same(_left_quantiles(f, a), ref)
+        past += n_past
+    assert past > 0  # some solves reached their right breakpoint and took the values() path
+
+
+def test_one_search_per_point_set(fm, monkeypatch):
+    """Sampling, the transform and the inversion check search each n-point set once."""
+    n = 4000
+    sizes = []
+    search = np.searchsorted
+
+    def counted(a, v, *args, **kwargs):
+        sizes.append(np.size(v))
+        return search(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    stream = SeededStream(3)
+    draws = sample_inverse(fm, stream, n)
+    distributional_transform(fm, draws, stream.child(1), x_stream=stream)
+    rep = inversion_check(fm, stream.child(2), n)
+    assert rep.shortcut_failures == 0  # the shortcut branch ran: its levels were searched too
+    full = [s for s in sizes if s > n // 2]
+    assert len(full) == 6  # sample 1, transform 1, inversion check 4 (sample, F, two quantile passes)
+
+
+# -- construction: the profile and the flat runs -------------------------------
+
+
+def profile_by_loop(g):
+    k = len(g.xs)
+    lefts = np.empty(k)
+    cums = np.empty(k)
+    running = g.base
+    for i in range(k):
+        if i > 0:
+            running = running + g.rises[i - 1]
+        lefts[i] = running
+        running = running + g.atoms[i]
+        cums[i] = running
+    return lefts, cums
+
+
+def flat_runs_by_loop(f):
+    k = len(f.xs)
+    runs = []
+    i = 0
+    while i < k - 1:
+        if f.rises[i] != 0.0:
+            i += 1
+            continue
+        s = i
+        m = i + 1
+        while m < k - 1 and f.atoms[m] == 0.0 and f.rises[m] == 0.0:
+            m += 1
+        level = float(f._cums[s])
+        if 0.0 < level < 1.0:
+            runs.append((level, f.xs[s], f.xs[m], f.atoms[m] == 0.0))
+        i = m
+    return runs
+
+
+def random_function(rng, k, atom_share, flat_share):
+    xs = rng.uniform(-10.0, 10.0) + np.cumsum(rng.uniform(1e-3, 1.0, size=k))
+    atoms = np.where(rng.random(k) < atom_share, rng.uniform(0.0, 1.0, size=k), 0.0)
+    rises = np.where(rng.random(k - 1) < flat_share, 0.0, rng.uniform(0.0, 1.0, size=k - 1))
+    if atoms.sum() + rises.sum() == 0.0:
+        atoms[-1] = 1.0
+    return sd.MonotoneStepLinear(xs=xs, atoms=atoms, rises=rises, base=float(rng.uniform(-1.0, 1.0)))
+
+
+def test_profile_and_flat_runs_match_loops(fb, fm, fu):
+    rng = np.random.default_rng(5)
+    sizes = [1, 2, 3, 4, 10, 5000, *rng.integers(1, 5001, size=34)]
+    shares = [(0.0, 0.0), (0.3, 0.25), (0.05, 0.9), (0.9, 1.0), (0.5, 0.5)]
+    for n, k in enumerate(sizes):
+        g = random_function(rng, int(k), *shares[n % len(shares)])
+        lefts, cums = profile_by_loop(g)
+        assert same(g._lefts, lefts) and same(g._cums, cums)
+        f = normalize(g)
+        assert repr([tuple(r) for r in f._flat_runs]) == repr(flat_runs_by_loop(f))
+    for f in (fb, fm, fu, sd.point_mass(1.0)):
+        assert repr([tuple(r) for r in f._flat_runs]) == repr(flat_runs_by_loop(f))
