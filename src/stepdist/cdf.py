@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from typing import NamedTuple
@@ -43,7 +44,7 @@ class QuantilePair(NamedTuple):
 
 
 class _FlatRun(NamedTuple):
-    """One maximal flat piece of positive length at a level strictly inside (0,1).
+    """One maximal flat piece of positive length at a level in [0, 1).
 
     ``closed_end`` records whether the function still equals ``level`` at
     ``hi`` (continuous take-off) or jumps past it there (atom at ``hi``).
@@ -59,12 +60,12 @@ class _FlatRun(NamedTuple):
 class Cdf(MonotoneStepLinear):
     """A distribution function: nondecreasing, right-continuous, limits 0 and 1.
 
-    Carries the jump points (atoms) and the flat-piece levels in (0,1),
-    read off the representation at construction time.
+    Carries the jump points (atoms) and the flat pieces below level 1, read
+    off the representation at construction time.
     """
 
     _jump_idx: np.ndarray = field(init=False, repr=False, compare=False)
-    _flat_runs: tuple = field(init=False, repr=False, compare=False)
+    _flat_runs: dict = field(init=False, repr=False, compare=False)
 
     def _derive(self):
         k = len(self.xs)
@@ -75,16 +76,20 @@ class Cdf(MonotoneStepLinear):
         if float(self._cums[-1]) != 1.0:
             raise ValidationError(f"top must be exactly 1.0, got {float(self._cums[-1])}")
         object.__setattr__(self, "_jump_idx", np.nonzero(self._atoms_arr > 0.0)[0])
-        # maximal flat pieces: zero-rise segments joined at atom-free breakpoints
+        # maximal flat pieces, read off the stored values: segments with
+        # F(x_{i+1}-) == F(x_i), joined at x_i unless F(x_i) > F(x_{i-1});
+        # a memoryview, not a list of all k left limits, keeps peak memory down
+        cums = self._cums.tolist()
         spans = []
-        for i in compress(range(k - 1), map(operator.not_, self.rises)):
-            if spans and spans[-1][1] == i and self.atoms[i] == 0.0:
+        for i in compress(range(k - 1), map(operator.eq, cums, memoryview(self._lefts)[1:])):
+            if spans and spans[-1][1] == i and cums[i] == cums[i - 1]:
                 spans[-1][1] = i + 1
             else:
                 spans.append([i, i + 1])
-        cums = self._cums.tolist()
-        runs = [_FlatRun(cums[s], self.xs[s], self.xs[m], self.atoms[m] == 0.0) for s, m in spans]
-        object.__setattr__(self, "_flat_runs", tuple(r for r in runs if 0.0 < r.level < 1.0))
+        # keyed by level: levels strictly increase from one piece to the next
+        runs = {cums[s]: _FlatRun(cums[s], self.xs[s], self.xs[m], cums[m] == cums[s]) for s, m in spans}
+        runs.pop(1.0, None)
+        object.__setattr__(self, "_flat_runs", runs)
 
     @property
     def jump_points(self) -> tuple[float, ...]:
@@ -97,7 +102,7 @@ class Cdf(MonotoneStepLinear):
     @property
     def plateau_levels(self) -> tuple[float, ...]:
         """Levels a in (0,1) where the left and right quantiles differ."""
-        return tuple(run.level for run in self._flat_runs)
+        return tuple(level for level in self._flat_runs if level > 0.0)
 
 
 def normalize(g: MonotoneStepLinear) -> Cdf:
@@ -153,10 +158,14 @@ def _check_alpha(alpha: float) -> float:
 # Left quantile at a: the least x with F(x) >= a.  Scan for the first
 # breakpoint value >= a; the level is attained either at that breakpoint
 # (atom jumps past it, or the ramp arrives exactly there) or strictly inside
-# the rising segment before it, where one linear solve inverts the ramp.
-# An interior solve can land a few ulps short, with F(x) < a in float
-# arithmetic; the result is then moved up to the least float with F >= a, so
-# the defining inequality is never violated.
+# the rising segment [x0, x1) before it, where one linear solve inverts the
+# ramp.  A solve that lands a few ulps short (F(x) < a in floats), or that
+# rounds to or past x1 although F(x1-) > a, is moved up to the least float
+# with F >= a, from x0 in the second case: the defining inequality always
+# holds and the result stays on the segment.
+#
+# Right quantile at a in [0, 1): it differs from the left one only where F
+# is flat at level a, and then it is the right end of that flat piece.
 
 
 _SIGN_BIT = np.uint64(1 << 63)
@@ -174,7 +183,7 @@ def _order_float(u: np.ndarray) -> np.ndarray:
 
 
 def _raise_to_level(f: Cdf, x: np.ndarray, a: np.ndarray, cap: np.ndarray) -> np.ndarray:
-    """The least float y > x_i with F(y) >= a_i, for every short ramp solve x_i.
+    """The least float y > x_i with F(y) >= a_i, for every ramp solve x_i to correct.
 
     Requires F(x_i) < a_i <= F(cap_i), with x_i and cap_i on one rising
     segment (cap_i its right breakpoint).  F evaluated in floats is
@@ -207,43 +216,38 @@ def _raise_to_level(f: Cdf, x: np.ndarray, a: np.ndarray, cap: np.ndarray) -> np
     return _order_float(hi)
 
 
-def _raise_scalar(f: Cdf, x: float, a: float, cap: float) -> float:
-    """Scalar entry to :func:`_raise_to_level`, for a solve already found short."""
-    return float(_raise_to_level(f, np.array([x]), np.array([a]), np.array([cap]))[0])
+def _ramp_solve(a, x0, x1, c0, rise):
+    """Solve F = a on the ramp from (x0, c0) rising by ``rise`` to x1, and F at the
+    solve as ``values()`` evaluates it for x0 <= x < x1.  Floats or arrays."""
+    width = x1 - x0
+    x = x0 + (a - c0) / rise * width
+    return x, c0 + rise * ((x - x0) / width)
 
 
 def _left_quantile_unchecked(f: Cdf, a: float) -> float:
-    cums = f._cums
-    i = int(np.searchsorted(cums, a, side="left"))
+    i = bisect_left(f._cums, a)
     if i == 0:
         return f.xs[0]
-    la = float(f._lefts[i])
-    if a >= la:
+    if a >= float(f._lefts[i]):
         return f.xs[i]
     x0, x1 = f.xs[i - 1], f.xs[i]
-    x = x0 + (a - float(cums[i - 1])) / f.rises[i - 1] * (x1 - x0)
-    if f.value(x) < a:
-        return _raise_scalar(f, x, a, x1)
-    return x
+    x, fx = _ramp_solve(a, x0, x1, float(f._cums[i - 1]), f.rises[i - 1])
+    if not x < x1:
+        x = x0  # the solve reached x1: correct it from x0, where F = c0 < a
+    elif fx >= a:
+        return x
+    return float(_raise_to_level(f, np.array([x]), np.array([a]), np.array([x1]))[0])
+
+
+def _quantile_pair_unchecked(f: Cdf, a: float) -> QuantilePair:
+    # requires 0 <= a < 1: the flat pieces are tabled below level 1 only
+    lo = _left_quantile_unchecked(f, a)
+    run = f._flat_runs.get(a)
+    return QuantilePair(lo, lo if run is None else run.hi)
 
 
 def _right_quantile_unchecked(f: Cdf, a: float) -> float:
-    # requires a < top == 1, so {x : F(x) > a} is nonempty and the scan lands
-    cums = f._cums
-    j = int(np.searchsorted(cums, a, side="right"))
-    if j == 0:
-        return f.xs[0]
-    la = float(f._lefts[j])
-    if a >= la:
-        return f.xs[j]
-    c0 = float(cums[j - 1])
-    if a == c0:
-        return f.xs[j - 1]
-    x0, x1 = f.xs[j - 1], f.xs[j]
-    x = x0 + (a - c0) / f.rises[j - 1] * (x1 - x0)
-    if f.value(x) < a:
-        return _raise_scalar(f, x, a, x1)
-    return x
+    return _quantile_pair_unchecked(f, a).hi
 
 
 def left_quantile(f: Cdf, alpha: float) -> float:
@@ -261,10 +265,7 @@ def right_quantile(f: Cdf, alpha: float) -> float:
 
 
 def quantile_pair(f: Cdf, alpha: float) -> QuantilePair:
-    a = _check_alpha(alpha)
-    lo = _left_quantile_unchecked(f, a)
-    hi = _right_quantile_unchecked(f, a)
-    return QuantilePair(lo, hi)
+    return _quantile_pair_unchecked(f, _check_alpha(alpha))
 
 
 def _left_quantiles(f: Cdf, a: np.ndarray) -> np.ndarray:
@@ -277,16 +278,12 @@ def _left_quantiles(f: Cdf, a: np.ndarray) -> np.ndarray:
     interior = a < f._lefts[i]
     ij = i[interior] - 1
     ai = a[interior]
-    x0, x1, rise, c0 = xs[ij], xs[ij + 1], f._rises_arr[ij], cums[ij]
-    width = x1 - x0
-    solved = x0 + (ai - c0) / rise * width
-    # F(solved) on the known segment x0 <= solved < x1, as values() computes it
-    # there; a solve at or past x1 (or NaN) is evaluated by values() itself
-    fs = c0 + rise * ((solved - x0) / width)
-    past = np.flatnonzero(~(solved < x1))
-    if past.size:
-        fs[past] = f.values(solved[past])
-    short = np.flatnonzero(fs < ai)
+    x0, x1 = xs[ij], xs[ij + 1]
+    solved, fs = _ramp_solve(ai, x0, x1, cums[ij], f._rises_arr[ij])
+    # a solve at or past x1 (or NaN) is corrected from x0, where F = c0 < a
+    past = ~(solved < x1)
+    solved[past] = x0[past]
+    short = np.flatnonzero(past | (fs < ai))
     if short.size:
         solved[short] = _raise_to_level(f, solved[short], ai[short], x1[short])
     out[interior] = solved
@@ -304,8 +301,7 @@ def level_set(f: Cdf, alpha: float) -> RealSet:
     [lo, hi) if F(hi) > alpha and [lo, hi] if F(hi) == alpha.
     """
     a = _check_alpha(alpha)
-    lo = _left_quantile_unchecked(f, a)
-    hi = _right_quantile_unchecked(f, a)
+    lo, hi = _quantile_pair_unchecked(f, a)
     if lo == hi:
         if f.value(lo) == a:
             return RealSet.point(lo)
@@ -327,8 +323,7 @@ def sublevel_decomposition(f: Cdf, lam: float, alpha: float):
     if not 0.0 < lam <= 1.0:
         raise LambdaOutOfRange(f"weight must lie in (0, 1], got {lam}")
     a = _check_alpha(alpha)
-    lo = _left_quantile_unchecked(f, a)
-    hi = _right_quantile_unchecked(f, a)
+    lo, hi = _quantile_pair_unchecked(f, a)
     if lo == hi:
         beyond = RealSet.empty()
     elif f.value(hi) == a:
@@ -360,8 +355,7 @@ def jump_set(f: Cdf) -> list[tuple[float, float]]:
         mass = f.atoms[i]
         u = float(f._lefts[i]) + 0.5 * mass
         if float(f._lefts[i]) < u < float(f._cums[i]) and 0.0 < u < 1.0:
-            lo = _left_quantile_unchecked(f, u)
-            hi = _right_quantile_unchecked(f, u)
+            lo, hi = _quantile_pair_unchecked(f, u)
             if lo != x or hi != x:
                 raise ValidationError(
                     f"jump at {x} fails the quantile round trip: got ({lo}, {hi})"

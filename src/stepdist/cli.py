@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cdf import level_set, quantile_pair
 from .checks import CheckResult, analytic_checks, sklar_checks, stochastic_checks
@@ -211,22 +211,19 @@ def _cmd_transform_cdf(args) -> int:
 def _cmd_verify(args) -> int:
     start = time.perf_counter()
     dists = [(path, load_distribution(path)) for path in args.dist]
-    checks: list[CheckResult] = []
+    suites: list[tuple[str, list[CheckResult]]] = []
     for path, f in dists:
-        tag = str(path)
         if args.suite in ("analytic", "all"):
-            for c in analytic_checks(f):
-                checks.append(CheckResult(f"{tag}:{c.name}", c.passed, c.value, c.threshold, c.detail))
+            suites.append((str(path), analytic_checks(f)))
         if args.suite in ("stochastic", "all"):
-            for c in stochastic_checks(f, args.seed, args.n):
-                checks.append(CheckResult(f"{tag}:{c.name}", c.passed, c.value, c.threshold, c.detail))
+            suites.append((str(path), stochastic_checks(f, args.seed, args.n)))
     if args.suite in ("stochastic", "all"):
         marginals = [f for _, f in dists]
         if len(marginals) == 1:
             marginals = marginals * 2
         for dep in ("independent", "comonotone"):
-            for c in sklar_checks(marginals, dep, args.n, args.seed):
-                checks.append(CheckResult(f"sklar[{dep}]:{c.name}", c.passed, c.value, c.threshold, c.detail))
+            suites.append((f"sklar[{dep}]", sklar_checks(marginals, dep, args.n, args.seed)))
+    checks = [replace(c, name=f"{tag}:{c.name}") for tag, suite in suites for c in suite]
     report = RunReport(
         command="verify",
         inputs=_input_records(args.dist),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdf import Cdf, _check_alpha, _left_quantile_unchecked, _left_quantiles, _right_quantile_unchecked
+from .cdf import Cdf, _check_alpha, _left_quantiles, _quantile_pair_unchecked
 from .errors import (
     CountermonotoneDimension,
     DimensionMismatch,
@@ -316,8 +316,7 @@ def copula_at_flat_alpha(sample: JointSample, c_hat: CopulaSpec, alphas) -> tupl
     q = np.empty(sample.dim)
     for j, (m, a) in enumerate(zip(sample.marginals, alphas)):
         a = _check_alpha(a)
-        lo = _left_quantile_unchecked(m, a)
-        hi = _right_quantile_unchecked(m, a)
+        lo, hi = _quantile_pair_unchecked(m, a)
         if not lo < hi:
             raise NotAFlatLevel(j, f"coordinate {j}: level {a} is not on a flat piece")
         q[j] = lo

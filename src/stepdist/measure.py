@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .cdf import Cdf, _check_alpha, _left_quantile_unchecked, _right_quantile_unchecked, level_set
+from .cdf import Cdf, _check_alpha, _left_quantile_unchecked, _quantile_pair_unchecked, level_set
 from .errors import MalformedInterval
 from .realset import Interval, RealSet
 
@@ -55,8 +55,7 @@ def measure_level_set(f: Cdf, alpha: float) -> float:
     routes are cross-checked against each other before returning.
     """
     a = _check_alpha(alpha)
-    lo = _left_quantile_unchecked(f, a)
-    hi = _right_quantile_unchecked(f, a)
+    lo, hi = _quantile_pair_unchecked(f, a)
     via_set = measure_set(f, level_set(f, a))
     if lo == hi:
         return via_set

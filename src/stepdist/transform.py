@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdf import Cdf, _left_quantile_unchecked, _right_quantile_unchecked
+from .cdf import Cdf, _left_quantile_unchecked, _quantile_pair_unchecked
 from .errors import (
     AlphaNotInJumpInterval,
     LambdaOutOfRange,
@@ -203,7 +203,7 @@ def inversion_null_set(f: Cdf, lam: float) -> NullSetReport:
     if math.isnan(lam) or not 0.0 < lam <= 1.0:
         raise LambdaOutOfRange(f"weight must lie in (0, 1], got {lam}")
     # {x : transform = 0} equals {x : F(x) = 0} for every lam > 0
-    t0 = _right_quantile_unchecked(f, 0.0)
+    t0 = _quantile_pair_unchecked(f, 0.0).hi
     if f.value(t0) == 0.0:
         zero = RealSet.of(Interval(-math.inf, t0, False, True))
     else:
@@ -216,7 +216,9 @@ def inversion_null_set(f: Cdf, lam: float) -> NullSetReport:
     else:
         one = RealSet.of(Interval(z1, math.inf, False, False))
     parts = []
-    for run in f._flat_runs:
+    for run in f._flat_runs.values():
+        if run.level == 0.0:
+            continue  # the level-0 piece lies inside the zero set
         if run.closed_end:
             parts.append(Interval.open_closed(run.lo, run.hi))
         else:

@@ -60,8 +60,9 @@ class TestShortRampSolve:
     """A ramp solve near 0 can land far short of its level in floats, since its
     absolute rounding error is many ulps of a result close to 0.  Both quantile
     kernels must still return the least float that reaches the level, within a
-    bounded number of evaluations of F (at most 64 gallop and 64 bisection
-    passes, plus the check that finds the solve short)."""
+    bounded number of evaluations of F: at most 64 gallop and 64 bisection
+    passes (the check that finds the solve short evaluates F on its segment,
+    and the vector kernel's bound keeps one evaluation of slack)."""
 
     MAX_EVALS = 2 * 64 + 1
 
@@ -107,8 +108,10 @@ class TestShortRampSolve:
         for a, x in zip(levels.tolist(), vec.tolist()):
             eval_count["value"] = eval_count["values"] = 0
             lo, hi = quantile_pair(f, a)
-            assert eval_count["value"] == 2  # the check that finds each solve short
-            assert eval_count["values"] <= 2 * (self.MAX_EVALS - 1)
+            # the solve is checked on its segment, and the right quantile is a
+            # lookup: one correction, and no call of value()
+            assert eval_count["value"] == 0
+            assert eval_count["values"] <= self.MAX_EVALS - 1
             assert lo == x and hi == x  # a strictly rising ramp: both quantiles agree
 
     def test_matches_one_float_walk(self, short_solves):

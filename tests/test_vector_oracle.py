@@ -22,7 +22,16 @@ from stepdist.checks import (
     default_copula_grid,
     probe_grid,
 )
-from stepdist.cdf import _left_quantiles, _raise_to_level, left_quantile, normalize, sublevel_decomposition
+from stepdist.cdf import (
+    _left_quantiles,
+    _raise_to_level,
+    _right_quantile_unchecked,
+    left_quantile,
+    normalize,
+    quantile_pair,
+    right_quantile,
+    sublevel_decomposition,
+)
 from stepdist.copula import (
     CopulaSpec,
     dt_copula,
@@ -33,7 +42,7 @@ from stepdist.copula import (
 )
 from stepdist.realset import Interval, RealSet
 from stepdist.stochastic import SeededStream, distributional_transform, inversion_check, sample_inverse
-from stepdist.transform import lambda_transform, lambda_transforms
+from stepdist.transform import inversion_null_set, lambda_transform, lambda_transforms
 
 
 def bits(x) -> bytes:
@@ -317,8 +326,9 @@ def test_fused_evaluation_shapes_and_nan(fm, shape):
 def left_quantiles_checked_by_values(f, a):
     """The kernel before the on-segment check: F(solved) from a fresh values() search.
 
-    Also returns how many interior solves landed at or past their segment's
-    right breakpoint, where the on-segment expression does not apply.
+    Also returns the mask of levels whose solve landed at or past its
+    segment's right breakpoint x1; this kernel returned such a solve as is
+    unless it was short.
     """
     cums = f._cums
     xs = f._xs_arr
@@ -338,10 +348,11 @@ def left_quantiles_checked_by_values(f, a):
     short = np.flatnonzero(f.values(solved) < ai)
     if short.size:
         solved[short] = _raise_to_level(f, solved[short], ai[short], xs[ij[short] + 1])
-    past = int((x0 + (ai - cums[ij]) / f._rises_arr[ij] * (xs[ij + 1] - x0) >= xs[ij + 1]).sum())
+    reached = np.zeros(a.shape, dtype=bool)
+    reached[np.flatnonzero(rest)[interior]] = x0 + (ai - cums[ij]) / f._rises_arr[ij] * (xs[ij + 1] - x0) >= xs[ij + 1]
     res[interior] = solved
     out[rest] = res
-    return out, past
+    return out, reached
 
 
 def ramp_levels(f, rng) -> np.ndarray:
@@ -382,15 +393,23 @@ def rescaled_functions(rng, count):
     return out
 
 
+def least_reaching(f, x, a) -> bool:
+    """Each x_i is the least float with F(x_i) >= a_i."""
+    return bool((f.values(x) >= a).all() and (f.values(np.nextafter(x, -math.inf)) < a).all())
+
+
 def test_left_quantiles_match_values_checked_kernel(population, fb, fm, fu):
     rng = np.random.default_rng(11)
     past = 0
     for f in [*population, fb, fm, fu, *rescaled_functions(rng, 300)]:
         a = ramp_levels(f, rng)
-        ref, n_past = left_quantiles_checked_by_values(f, a)
-        assert same(_left_quantiles(f, a), ref)
-        past += n_past
-    assert past > 0  # some solves reached their right breakpoint and took the values() path
+        ref, reached = left_quantiles_checked_by_values(f, a)
+        got = _left_quantiles(f, a)
+        # a solve that reached x1 is corrected from x0 now: the least float, not the solve
+        assert same(got[~reached], ref[~reached])
+        assert least_reaching(f, got[reached], a[reached])
+        past += int(reached.sum())
+    assert past > 0  # some solves reached their right breakpoint
 
 
 def test_one_search_per_point_set(fm, monkeypatch):
@@ -443,7 +462,7 @@ def flat_runs_by_loop(f):
         while m < k - 1 and f.atoms[m] == 0.0 and f.rises[m] == 0.0:
             m += 1
         level = float(f._cums[s])
-        if 0.0 < level < 1.0:
+        if level < 1.0:
             runs.append((level, f.xs[s], f.xs[m], f.atoms[m] == 0.0))
         i = m
     return runs
@@ -458,6 +477,11 @@ def random_function(rng, k, atom_share, flat_share):
     return sd.MonotoneStepLinear(xs=xs, atoms=atoms, rises=rises, base=float(rng.uniform(-1.0, 1.0)))
 
 
+def flat_table_rows(f) -> str:
+    assert all(level == run.level for level, run in f._flat_runs.items())
+    return repr([tuple(r) for r in f._flat_runs.values()])
+
+
 def test_profile_and_flat_runs_match_loops(fb, fm, fu):
     rng = np.random.default_rng(5)
     sizes = [1, 2, 3, 4, 10, 5000, *rng.integers(1, 5001, size=34)]
@@ -467,6 +491,111 @@ def test_profile_and_flat_runs_match_loops(fb, fm, fu):
         lefts, cums = profile_by_loop(g)
         assert same(g._lefts, lefts) and same(g._cums, cums)
         f = normalize(g)
-        assert repr([tuple(r) for r in f._flat_runs]) == repr(flat_runs_by_loop(f))
-    for f in (fb, fm, fu, sd.point_mass(1.0)):
-        assert repr([tuple(r) for r in f._flat_runs]) == repr(flat_runs_by_loop(f))
+        assert flat_table_rows(f) == repr(flat_runs_by_loop(f))
+    for f in (fb, fm, fu, sd.point_mass(1.0), sd.Cdf(xs=(0.0, 1.0, 2.0), atoms=(0.0, 0.0, 0.5), rises=(0.0, 0.5))):
+        assert flat_table_rows(f) == repr(flat_runs_by_loop(f))
+
+
+# -- the right quantile: flat-piece end or left quantile ------------------------
+
+
+def right_quantile_by_scan(f, a):
+    """The right kernel before the flat-piece table: its own scan, solve and check.
+
+    Also returns whether its ramp solve landed at or past the segment's right
+    breakpoint x1; this kernel returned such a solve as is unless it was short.
+    """
+    cums = f._cums
+    j = int(np.searchsorted(cums, a, side="right"))
+    if j == 0:
+        return f.xs[0], False
+    if a >= float(f._lefts[j]):
+        return f.xs[j], False
+    c0 = float(cums[j - 1])
+    if a == c0:
+        return f.xs[j - 1], False
+    x0, x1 = f.xs[j - 1], f.xs[j]
+    x = x0 + (a - c0) / f.rises[j - 1] * (x1 - x0)
+    reached = x >= x1
+    if f.value(x) < a:
+        x = float(_raise_to_level(f, np.array([x]), np.array([a]), np.array([x1]))[0])
+    return x, reached
+
+
+def stored_levels(f) -> list[float]:
+    """Every stored breakpoint value and its float neighbours in (0, 1)."""
+    v = np.concatenate([f._cums, f._lefts])
+    v = np.unique(np.concatenate([v, np.nextafter(v, -1.0), np.nextafter(v, 2.0)]))
+    return v[(v > 0.0) & (v < 1.0)].tolist()
+
+
+def test_right_quantiles_match_scanning_kernel(population, fb, fm, fu):
+    reached_x1 = 0
+    for f in [*population, fb, fm, fu, *rescaled_functions(np.random.default_rng(12), 300)]:
+        for a in stored_levels(f):
+            ref, reached = right_quantile_by_scan(f, a)
+            lo, hi = quantile_pair(f, a)
+            got = right_quantile(f, a)
+            assert bits(hi) == bits(got)
+            if reached:  # corrected from x0 now: the least float reaching the level
+                reached_x1 += 1
+                assert lo == hi and least_reaching(f, np.array([got]), np.array([a]))
+            else:
+                assert bits(got) == bits(ref)
+        # level 0: the right end of {F = 0}, which bounds the null set's zero set
+        t0, _ = right_quantile_by_scan(f, 0.0)
+        zero = Interval(-math.inf, t0, False, f.value(t0) == 0.0)
+        assert bits(_right_quantile_unchecked(f, 0.0)) == bits(t0)
+        assert repr(inversion_null_set(f, 1.0).zero_set) == repr(RealSet.of(zero))
+    assert reached_x1 > 0
+
+
+def test_flat_table_is_read_off_stored_values():
+    # an atom or a rise too small to move F in floats leaves F flat across it:
+    # one flat piece, whose end is where the scanning kernel put the right quantile
+    cases = [
+        sd.Cdf(xs=(0.0, 1.0, 2.0, 3.0), atoms=(0.5, 1e-300, 0.0, 0.5), rises=(0.0, 0.0, 0.0)),
+        sd.Cdf(xs=(0.0, 1.0, 2.0, 3.0), atoms=(0.5, 0.0, 0.0, 0.5), rises=(0.0, 1e-20, 0.0)),
+        sd.Cdf(xs=(0.0, 1.0, 2.0, 3.0), atoms=(0.25, 0.0, 0.0, 0.0), rises=(0.25, 1e-20, 0.5)),
+    ]
+    for f in cases:
+        for a in stored_levels(f):
+            assert bits(right_quantile(f, a)) == bits(right_quantile_by_scan(f, a)[0])
+        flat = [a for a in stored_levels(f) if left_quantile(f, a) < right_quantile(f, a)]
+        assert list(f.plateau_levels) == flat
+
+
+# -- ramp solves that round to or past the segment's right breakpoint ----------
+
+
+def test_solve_past_right_breakpoint_regression():
+    g = sd.MonotoneStepLinear(xs=(-0.944, -0.617, 3.692), atoms=(0, 0, 0.644), rises=(0.22, 0.139), base=-2.247)
+    f = normalize(g)
+    a = 0.21934197407776684  # one float below F(-0.617-)
+    assert a == math.nextafter(float(f._lefts[1]), -math.inf)
+    assert left_quantile(f, a) == right_quantile(f, a) == -0.617  # the solve was -0.6169999999999998
+    assert _left_quantiles(f, np.array([a])).tolist() == [-0.617]
+
+
+def test_solves_below_left_limits_stay_on_segment():
+    # the level one float below each F(x1-): every quantile stays at or left of
+    # x1, and a solve that reached x1 comes back as the least float reaching
+    # the level (a solve left of x1 that overshoots is not corrected).  The
+    # scalar pair is compared on the first 500 functions: each correction it
+    # repeats costs about 120 one-point evaluations of F.
+    reached_x1 = 0
+    for n, f in enumerate(rescaled_functions(np.random.default_rng(13), 2000)):
+        i = np.flatnonzero((f._rises_arr > 0.0) & (f._cums[:-1] < np.nextafter(f._lefts[1:], -1.0)))
+        a = np.nextafter(f._lefts[i + 1], -math.inf)
+        keep = a < 1.0
+        i, a = i[keep], a[keep]
+        x0, x1 = f._xs_arr[i], f._xs_arr[i + 1]
+        reached = x0 + (a - f._cums[i]) / f._rises_arr[i] * (x1 - x0) >= x1
+        vec = _left_quantiles(f, a)
+        assert (vec <= x1).all() and least_reaching(f, vec[reached], a[reached])
+        if n < 500:
+            for ai, xi in zip(a.tolist(), vec.tolist()):
+                lo, hi = quantile_pair(f, ai)
+                assert bits(lo) == bits(hi) == bits(xi)
+        reached_x1 += int(reached.sum())
+    assert reached_x1 > 0
