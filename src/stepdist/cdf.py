@@ -46,14 +46,18 @@ class QuantilePair(NamedTuple):
 class _FlatRun(NamedTuple):
     """One maximal flat piece of positive length at a level in [0, 1).
 
-    ``closed_end`` records whether the function still equals ``level`` at
+    ``lo`` is the left quantile at the level and ``hi`` the right one.
+    ``closed_end`` records whether the function still equals the level at
     ``hi`` (continuous take-off) or jumps past it there (atom at ``hi``).
     """
 
-    level: float
     lo: float
     hi: float
     closed_end: bool
+
+    def interval(self, closed_lo: bool) -> Interval:
+        """The level set with ``closed_lo``; without it, its part right of ``lo``."""
+        return Interval(self.lo, self.hi, closed_lo, self.closed_end)
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ class Cdf(MonotoneStepLinear):
             else:
                 spans.append([i, i + 1])
         # keyed by level: levels strictly increase from one piece to the next
-        runs = {cums[s]: _FlatRun(cums[s], self.xs[s], self.xs[m], cums[m] == cums[s]) for s, m in spans}
+        runs = {cums[s]: _FlatRun(self.xs[s], self.xs[m], cums[m] == cums[s]) for s, m in spans}
         runs.pop(1.0, None)
         object.__setattr__(self, "_flat_runs", runs)
 
@@ -151,6 +155,13 @@ def _check_alpha(alpha: float) -> float:
     if math.isnan(alpha) or not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(f"level must lie in (0, 1), got {alpha}")
     return alpha
+
+
+def _check_weight(lam: float, zero_ok: bool = False) -> float:
+    lam = float(lam)
+    if not (0.0 < lam <= 1.0 or zero_ok and lam == 0.0):
+        raise LambdaOutOfRange(f"weight must lie in {'[' if zero_ok else '('}0, 1], got {lam}")
+    return lam
 
 
 # -- quantile scans ----------------------------------------------------------
@@ -240,10 +251,13 @@ def _left_quantile_unchecked(f: Cdf, a: float) -> float:
 
 
 def _quantile_pair_unchecked(f: Cdf, a: float) -> QuantilePair:
-    # requires 0 <= a < 1: the flat pieces are tabled below level 1 only
-    lo = _left_quantile_unchecked(f, a)
+    # requires 0 <= a < 1: the flat pieces are tabled below level 1 only;
+    # at a flat level the scan would stop at the piece's left end
     run = f._flat_runs.get(a)
-    return QuantilePair(lo, lo if run is None else run.hi)
+    if run is None:
+        lo = _left_quantile_unchecked(f, a)
+        return QuantilePair(lo, lo)
+    return QuantilePair(run.lo, run.hi)
 
 
 def _right_quantile_unchecked(f: Cdf, a: float) -> float:
@@ -293,6 +307,15 @@ def _left_quantiles(f: Cdf, a: np.ndarray) -> np.ndarray:
 # -- level sets and the sublevel split ---------------------------------------
 
 
+def _level_set_unchecked(f: Cdf, a: float) -> RealSet:
+    # requires 0 <= a < 1, as the quantile pair does
+    run = f._flat_runs.get(a)
+    if run is not None:
+        return RealSet.of(run.interval(True))
+    lo = _left_quantile_unchecked(f, a)
+    return RealSet.point(lo) if f.value(lo) == a else RealSet.empty()
+
+
 def level_set(f: Cdf, alpha: float) -> RealSet:
     """{x : F(x) = alpha}, exactly one of: empty, a point, [lo,hi), [lo,hi].
 
@@ -300,15 +323,7 @@ def level_set(f: Cdf, alpha: float) -> RealSet:
     (according to whether F(lo) equals alpha); when lo < hi the set is
     [lo, hi) if F(hi) > alpha and [lo, hi] if F(hi) == alpha.
     """
-    a = _check_alpha(alpha)
-    lo, hi = _quantile_pair_unchecked(f, a)
-    if lo == hi:
-        if f.value(lo) == a:
-            return RealSet.point(lo)
-        return RealSet.empty()
-    if f.value(hi) == a:
-        return RealSet.of(Interval.closed(lo, hi))
-    return RealSet.of(Interval.closed_open(lo, hi))
+    return _level_set_unchecked(f, _check_alpha(alpha))
 
 
 def sublevel_decomposition(f: Cdf, lam: float, alpha: float):
@@ -319,17 +334,15 @@ def sublevel_decomposition(f: Cdf, lam: float, alpha: float):
     jump(q) * lam <= alpha - F(q-), and the always-present (-inf, q).
     Requires 0 < lam <= 1 and 0 < alpha < 1.
     """
-    lam = float(lam)
-    if not 0.0 < lam <= 1.0:
-        raise LambdaOutOfRange(f"weight must lie in (0, 1], got {lam}")
+    lam = _check_weight(lam)
     a = _check_alpha(alpha)
-    lo, hi = _quantile_pair_unchecked(f, a)
-    if lo == hi:
+    run = f._flat_runs.get(a)
+    if run is None:
+        lo = _left_quantile_unchecked(f, a)
         beyond = RealSet.empty()
-    elif f.value(hi) == a:
-        beyond = RealSet.of(Interval.open_closed(lo, hi))
     else:
-        beyond = RealSet.of(Interval.open(lo, hi))
+        lo = run.lo
+        beyond = RealSet.of(run.interval(False))
     # membership of the quantile itself: jump(q) * lam <= alpha - F(q-),
     # evaluated as the transform itself evaluates so the two never disagree
     # on the float boundary

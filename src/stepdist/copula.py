@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdf import Cdf, _check_alpha, _left_quantiles, _quantile_pair_unchecked
+from .cdf import Cdf, _check_alpha, _left_quantiles
 from .errors import (
     CountermonotoneDimension,
     DimensionMismatch,
@@ -316,10 +316,10 @@ def copula_at_flat_alpha(sample: JointSample, c_hat: CopulaSpec, alphas) -> tupl
     q = np.empty(sample.dim)
     for j, (m, a) in enumerate(zip(sample.marginals, alphas)):
         a = _check_alpha(a)
-        lo, hi = _quantile_pair_unchecked(m, a)
-        if not lo < hi:
+        run = m._flat_runs.get(a)
+        if run is None:
             raise NotAFlatLevel(j, f"coordinate {j}: level {a} is not on a flat piece")
-        q[j] = lo
+        q[j] = run.lo
     lhs = copula_eval(c_hat, alphas)
     rhs = empirical_joint_cdf(sample, q)
     return lhs, rhs

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import math
 
-from .cdf import Cdf, _check_alpha, _left_quantile_unchecked, _quantile_pair_unchecked, level_set
+from .cdf import Cdf, _left_quantile_unchecked, level_set
 from .errors import MalformedInterval
 from .realset import Interval, RealSet
 
 __all__ = ["measure_interval", "measure_set", "measure_level_set", "measure_value_level"]
-
-_CONSISTENCY_TOL = 1e-12
 
 
 def measure_interval(f: Cdf, iv: Interval) -> float:
@@ -44,27 +42,17 @@ def measure_interval(f: Cdf, iv: Interval) -> float:
 
 def measure_set(f: Cdf, s: RealSet) -> float:
     """Total mass of a finite union of disjoint intervals (additive, monotone)."""
-    return sum(measure_interval(f, iv) for iv in s.components)
+    return sum((measure_interval(f, iv) for iv in s.components), 0.0)
 
 
 def measure_level_set(f: Cdf, alpha: float) -> float:
     """Mass of {x : F(x) = alpha}.
 
-    When the level is flat (left quantile < right quantile) this equals both
-    the jump at the left quantile and alpha - F(left quantile -); the three
-    routes are cross-checked against each other before returning.
+    When the level is flat (left quantile < right quantile) this is
+    alpha - F(left quantile -), which is the jump at the left quantile up to
+    rounding; the flat-piece-mass check compares the routes.
     """
-    a = _check_alpha(alpha)
-    lo, hi = _quantile_pair_unchecked(f, a)
-    via_set = measure_set(f, level_set(f, a))
-    if lo == hi:
-        return via_set
-    direct = a - f.left_value(lo)
-    if abs(direct - via_set) > _CONSISTENCY_TOL or abs(direct - f.jump(lo)) > _CONSISTENCY_TOL:
-        raise AssertionError(
-            f"level-set mass mismatch at level {a}: {direct} vs {via_set} vs jump {f.jump(lo)}"
-        )
-    return direct
+    return measure_set(f, level_set(f, alpha))
 
 
 def measure_value_level(f: Cdf, c: float) -> float:

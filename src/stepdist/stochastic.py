@@ -12,15 +12,13 @@ the same draws, distinct stream_ids give independent streams.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cdf import Cdf, _check_alpha, _left_quantile_unchecked, _left_quantiles, level_set
+from .cdf import Cdf, _check_alpha, _left_quantile_unchecked, _left_quantiles
 from .errors import EmptySample, StreamCollision, ValidationError
-from .measure import measure_set
-from .realset import Interval, RealSet
+from .measure import measure_interval
 
 __all__ = [
     "SeededStream",
@@ -126,10 +124,8 @@ def transform_cdf_exact(f: Cdf, law_of_x: Cdf, alpha: float) -> TransformCdfBrea
     qv = f.left_value(q_pt)
     fq = f.value(q_pt)
     c_beta = 0.0 if beta == 0.0 else (a - fq) / beta
-    flat_region = level_set(f, a).intersect(
-        RealSet.of(Interval.open(q_pt, math.inf))
-    )
-    term_flat = measure_set(law_of_x, flat_region)
+    run = f._flat_runs.get(a)
+    term_flat = 0.0 if run is None else measure_interval(law_of_x, run.interval(False))
     term_atom = c_beta * (law_of_x.jump(q_pt) - beta)
     term_left = law_of_x.value(q_pt) - fq
     total = a + term_flat + term_atom + term_left

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdf import Cdf, _left_quantile_unchecked, _quantile_pair_unchecked
+from .cdf import Cdf, _check_weight, _left_quantile_unchecked, _level_set_unchecked
 from .errors import (
     AlphaNotInJumpInterval,
     LambdaOutOfRange,
@@ -47,9 +47,7 @@ def lambda_transform(f: Cdf, x: float, lam: float) -> float:
     continuity points.  lam = 0 and lam = 1 return the stored left limit and
     value exactly.
     """
-    lam = float(lam)
-    if math.isnan(lam) or not 0.0 <= lam <= 1.0:
-        raise LambdaOutOfRange(f"weight must lie in [0, 1], got {lam}")
+    lam = _check_weight(lam, zero_ok=True)
     if lam == 0.0:
         return f.left_value(x)
     if lam == 1.0:
@@ -65,9 +63,7 @@ def lambda_transforms(f: Cdf, x, lam: float) -> np.ndarray:
     search otherwise), so each entry equals ``lambda_transform(f, x_i, lam)`` bit
     for bit; the scalar function is the reference the tests compare with.
     """
-    lam = float(lam)
-    if math.isnan(lam) or not 0.0 <= lam <= 1.0:
-        raise LambdaOutOfRange(f"weight must lie in [0, 1], got {lam}")
+    lam = _check_weight(lam, zero_ok=True)
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
         raise ValidationError("evaluation point is NaN")
@@ -95,9 +91,9 @@ def quantile_range_of_point(f: Cdf, x: float) -> RealSet:
     if x <= xs[0] or x > xs[-1]:
         flat_left = True
     else:
-        # x sits in (xs[i-1], xs[i]]; flatness to the left is segment i-1's rise
+        # x sits in (xs[i-1], xs[i]]; segment i-1 is flat where F(xs[i]-) == F(xs[i-1])
         i = bisect_left(xs, x)
-        flat_left = f.rises[i - 1] == 0.0
+        flat_left = f._lefts[i] == f._cums[i - 1]
     if hi > lo:
         include_lo = (not flat_left) and lo > 0.0
         include_hi = hi < 1.0
@@ -199,15 +195,10 @@ def inversion_null_set(f: Cdf, lam: float) -> NullSetReport:
     Outside this set, composing the left quantile after the lam-transform
     returns every point unchanged.
     """
-    lam = float(lam)
-    if math.isnan(lam) or not 0.0 < lam <= 1.0:
-        raise LambdaOutOfRange(f"weight must lie in (0, 1], got {lam}")
-    # {x : transform = 0} equals {x : F(x) = 0} for every lam > 0
-    t0 = _quantile_pair_unchecked(f, 0.0).hi
-    if f.value(t0) == 0.0:
-        zero = RealSet.of(Interval(-math.inf, t0, False, True))
-    else:
-        zero = RealSet.of(Interval.open(-math.inf, t0))
+    lam = _check_weight(lam)
+    # {x : transform = 0} equals {x : F(x) = 0} for every lam > 0: all of
+    # (-inf, x_0) and the level set at 0
+    zero = RealSet.of(Interval.open(-math.inf, f.xs[0])).union(_level_set_unchecked(f, 0.0))
     # {x : transform = 1}: beyond the first point where F reaches 1; the
     # point itself belongs iff lam = 1 or F arrives continuously
     z1 = _left_quantile_unchecked(f, 1.0)
@@ -215,15 +206,8 @@ def inversion_null_set(f: Cdf, lam: float) -> NullSetReport:
         one = RealSet.of(Interval(z1, math.inf, True, False))
     else:
         one = RealSet.of(Interval(z1, math.inf, False, False))
-    parts = []
-    for run in f._flat_runs.values():
-        if run.level == 0.0:
-            continue  # the level-0 piece lies inside the zero set
-        if run.closed_end:
-            parts.append(Interval.open_closed(run.lo, run.hi))
-        else:
-            parts.append(Interval.open(run.lo, run.hi))
-    plateau = RealSet(tuple(parts))
+    # the level-0 piece lies inside the zero set
+    plateau = RealSet(tuple(run.interval(False) for a, run in f._flat_runs.items() if a > 0.0))
     report = NullSetReport(zero, one, plateau, 0.0)
     total = measure_set(f, report.union())
     object.__setattr__(report, "total_measure", float(total))
@@ -237,9 +221,7 @@ def invert_transform(f: Cdf, x: float, lam: float) -> float:
     never exceeds x, and equality holds exactly when x avoids
     :func:`inversion_null_set`.
     """
-    lam = float(lam)
-    if math.isnan(lam) or not 0.0 < lam <= 1.0:
-        raise LambdaOutOfRange(f"weight must lie in (0, 1], got {lam}")
+    lam = _check_weight(lam)
     t = lambda_transform(f, x, lam)
     if t == 0.0 or t == 1.0:
         raise TransformOutOfRange(f"transform at {x} hit {t}; left quantile undefined")

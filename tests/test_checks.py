@@ -1,5 +1,6 @@
 import pytest
 
+from stepdist import Cdf
 from stepdist.checks import (
     alpha_population,
     analytic_checks,
@@ -32,6 +33,20 @@ class TestAnalyticSuite:
         for f in small_population:
             failed = [c for c in analytic_checks(f) if not c.passed]
             assert not failed, failed
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            Cdf(xs=(0.0, 1.0, 2.0, 3.0), atoms=(0.25, 0.0, 0.0, 0.0), rises=(0.25, 1e-20, 0.5)),
+            Cdf(xs=(0.0, 1.0, 2.0), atoms=(0.5, 0.0, 0.0), rises=(1e-300, 0.5)),
+            Cdf(xs=(0.0, 1.0, 2.0, 3.0), atoms=(0.25, 0.0, 0.25, 0.0), rises=(0.25, 1e-20, 0.25)),
+        ],
+    )
+    def test_rises_too_small_to_move_f(self, f):
+        # F is flat in floats across the tiny rise, so no level's left
+        # quantile lies inside or at the right end of that segment
+        failed = [c for c in analytic_checks(f) if not c.passed]
+        assert not failed, failed
 
 
 class TestStochasticSuite:

@@ -105,6 +105,10 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "transform-cdf", "--dist", dists["bernoulli"], "--alpha", "0.3")
         assert code == 0 and "total: 0.3" in out
 
+    def test_transform_cdf_flat_term_off_flat_levels(self, dists, capsys):
+        code, out, _ = run(capsys, "transform-cdf", "--dist", dists["bernoulli"], "--alpha", "0.3")
+        assert code == 0 and "term_flat: 0.0\n" in out
+
     def test_levelset_json(self, dists, capsys):
         code, out, _ = run(
             capsys, "levelset", "--dist", dists["bernoulli"], "--alpha", "0.5", "--format", "json"

@@ -44,6 +44,10 @@ class TestMeasureSet:
     def test_empty(self, fb):
         assert measure_set(fb, RealSet.empty()) == 0.0
 
+    def test_empty_union_is_a_float(self, fb):
+        assert type(measure_set(fb, RealSet.empty())) is float
+        assert type(measure_level_set(fb, 0.3)) is float  # its level set is empty
+
     def test_uniform_full_mass(self, fu):
         assert measure_set(fu, RealSet.of(Interval.open(0.0, 1.0))) == 1.0
 

@@ -64,6 +64,31 @@ class TestLambdaTransform:
             lambda_transform(fb, 0.0, 1.1)
 
 
+WEIGHT_TAKERS = {
+    "[0, 1]": [
+        lambda f, lam: lambda_transform(f, 0.5, lam),
+        lambda f, lam: sd.lambda_transforms(f, [0.5], lam),
+    ],
+    "(0, 1]": [
+        lambda f, lam: sd.sublevel_decomposition(f, lam, 0.5),
+        lambda f, lam: inversion_null_set(f, lam),
+        lambda f, lam: invert_transform(f, 0.5, lam),
+    ],
+}
+
+
+@pytest.mark.parametrize("lam", [-0.1, 1.5, math.nan, 0.0, -0.0])
+def test_weight_range_messages(fu, lam):
+    for bounds, takers in WEIGHT_TAKERS.items():
+        for take in takers:
+            if lam == 0.0 and bounds == "[0, 1]":
+                take(fu, lam)  # a zero weight is the left limit
+                continue
+            with pytest.raises(LambdaOutOfRange) as err:
+                take(fu, lam)
+            assert str(err.value) == f"weight must lie in {bounds}, got {lam}"
+
+
 class TestQuantileRangeOfPoint:
     def test_mixed_atom(self, fm):
         assert quantile_range_of_point(fm, 0.5) == RealSet.of(Interval.open_closed(0.25, 0.5))

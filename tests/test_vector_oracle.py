@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import stepdist as sd
-from stepdist import copula
+from stepdist import cdf, copula, stochastic
 from stepdist.checks import (
     LAMBDA_GRID,
     _check_halfline_sets,
@@ -27,6 +27,7 @@ from stepdist.cdf import (
     _raise_to_level,
     _right_quantile_unchecked,
     left_quantile,
+    level_set,
     normalize,
     quantile_pair,
     right_quantile,
@@ -40,8 +41,15 @@ from stepdist.copula import (
     sklar_compose,
     sklar_identity_check,
 )
+from stepdist.measure import measure_level_set, measure_set
 from stepdist.realset import Interval, RealSet
-from stepdist.stochastic import SeededStream, distributional_transform, inversion_check, sample_inverse
+from stepdist.stochastic import (
+    SeededStream,
+    distributional_transform,
+    inversion_check,
+    sample_inverse,
+    transform_cdf_exact,
+)
 from stepdist.transform import inversion_null_set, lambda_transform, lambda_transforms
 
 
@@ -478,8 +486,7 @@ def random_function(rng, k, atom_share, flat_share):
 
 
 def flat_table_rows(f) -> str:
-    assert all(level == run.level for level, run in f._flat_runs.items())
-    return repr([tuple(r) for r in f._flat_runs.values()])
+    return repr([(level, *run) for level, run in f._flat_runs.items()])
 
 
 def test_profile_and_flat_runs_match_loops(fb, fm, fu):
@@ -550,15 +557,20 @@ def test_right_quantiles_match_scanning_kernel(population, fb, fm, fu):
     assert reached_x1 > 0
 
 
+# an atom or a rise too small to move F in floats leaves F flat across it
+SUB_ULP_CASES = [
+    sd.Cdf(xs=(0.0, 1.0, 2.0, 3.0), atoms=(0.5, 1e-300, 0.0, 0.5), rises=(0.0, 0.0, 0.0)),
+    sd.Cdf(xs=(0.0, 1.0, 2.0, 3.0), atoms=(0.5, 0.0, 0.0, 0.5), rises=(0.0, 1e-20, 0.0)),
+    sd.Cdf(xs=(0.0, 1.0, 2.0, 3.0), atoms=(0.25, 0.0, 0.0, 0.0), rises=(0.25, 1e-20, 0.5)),
+    sd.Cdf(xs=(0.0, 1.0, 2.0), atoms=(0.5, 0.0, 0.0), rises=(1e-300, 0.5)),
+    sd.Cdf(xs=(0.0, 1.0, 2.0, 3.0), atoms=(0.25, 0.0, 0.25, 0.0), rises=(0.25, 1e-20, 0.25)),
+]
+
+
 def test_flat_table_is_read_off_stored_values():
-    # an atom or a rise too small to move F in floats leaves F flat across it:
-    # one flat piece, whose end is where the scanning kernel put the right quantile
-    cases = [
-        sd.Cdf(xs=(0.0, 1.0, 2.0, 3.0), atoms=(0.5, 1e-300, 0.0, 0.5), rises=(0.0, 0.0, 0.0)),
-        sd.Cdf(xs=(0.0, 1.0, 2.0, 3.0), atoms=(0.5, 0.0, 0.0, 0.5), rises=(0.0, 1e-20, 0.0)),
-        sd.Cdf(xs=(0.0, 1.0, 2.0, 3.0), atoms=(0.25, 0.0, 0.0, 0.0), rises=(0.25, 1e-20, 0.5)),
-    ]
-    for f in cases:
+    # one flat piece across the tiny atom or rise, whose end is where the
+    # scanning kernel put the right quantile
+    for f in SUB_ULP_CASES:
         for a in stored_levels(f):
             assert bits(right_quantile(f, a)) == bits(right_quantile_by_scan(f, a)[0])
         flat = [a for a in stored_levels(f) if left_quantile(f, a) < right_quantile(f, a)]
@@ -599,3 +611,87 @@ def test_solves_below_left_limits_stay_on_segment():
                 assert bits(lo) == bits(hi) == bits(xi)
         reached_x1 += int(reached.sum())
     assert reached_x1 > 0
+
+
+# -- level sets, splits, flat masses and null sets: read off the flat-piece table
+
+
+def pair_by_scan(f, a):
+    """The pair scanning at every level: one left scan, then the flat piece's right end."""
+    lo = cdf._left_quantile_unchecked(f, a)
+    run = f._flat_runs.get(a)
+    return lo, lo if run is None else run.hi
+
+
+def level_set_by_pair(f, a, lo, hi):
+    if lo == hi:
+        return RealSet.point(lo) if f.value(lo) == a else RealSet.empty()
+    if f.value(hi) == a:
+        return RealSet.of(Interval.closed(lo, hi))
+    return RealSet.of(Interval.closed_open(lo, hi))
+
+
+def sublevel_by_pair(f, lam, a, lo, hi):
+    if lo == hi:
+        beyond = RealSet.empty()
+    elif f.value(hi) == a:
+        beyond = RealSet.of(Interval.open_closed(lo, hi))
+    else:
+        beyond = RealSet.of(Interval.open(lo, hi))
+    t_at = f.value(lo) if lam == 1.0 else f.left_value(lo) + lam * f.jump(lo)
+    at = RealSet.point(lo) if t_at <= a else RealSet.empty()
+    return beyond, at, RealSet.of(Interval.open(-math.inf, lo))
+
+
+def measure_level_set_by_pair(f, a, lo, hi):
+    if lo == hi:
+        return measure_set(f, level_set_by_pair(f, a, lo, hi))
+    return a - f.left_value(lo)
+
+
+def term_flat_by_level_set(f, law, a, lo, hi):
+    return measure_set(law, level_set_by_pair(f, a, lo, hi).intersect(RealSet.of(Interval.open(lo, math.inf))))
+
+
+def plateau_union_by_pair(f):
+    parts = (sublevel_by_pair(f, 1.0, a, *pair_by_scan(f, a))[0].components for a in f.plateau_levels)
+    return RealSet(tuple(itertools.chain.from_iterable(parts)))
+
+
+@pytest.fixture()
+def scan_once(monkeypatch):
+    """Run the left scan once per function and level, for the oracle and the readers alike.
+
+    A ramp solve that reached its right breakpoint takes about 120
+    evaluations of F to correct, and stored levels just below F(x1-) hit
+    that path; the scan depends on (f, a) only, so its result is reused.
+    """
+    scan = cdf._left_quantile_unchecked
+    done = {}
+
+    def cached(f, a):
+        key = (id(f), a)
+        if key not in done:
+            done[key] = scan(f, a)
+        return done[key]
+
+    for module in (cdf, stochastic):
+        monkeypatch.setattr(module, "_left_quantile_unchecked", cached)
+
+
+def test_flat_piece_readers_match_pair_and_evaluate(population, fb, fm, fu, scan_once):
+    functions = [*population, fb, fm, fu, *rescaled_functions(np.random.default_rng(14), 300), *SUB_ULP_CASES]
+    flat = 0
+    for n, f in enumerate(functions):
+        law = functions[n - 1]
+        for a in stored_levels(f):
+            lo, hi = pair_by_scan(f, a)
+            assert [bits(v) for v in quantile_pair(f, a)] == [bits(lo), bits(hi)]
+            assert repr(level_set(f, a)) == repr(level_set_by_pair(f, a, lo, hi))
+            assert repr(sublevel_decomposition(f, 0.5, a)) == repr(sublevel_by_pair(f, 0.5, a, lo, hi))
+            assert bits(measure_level_set(f, a)) == bits(measure_level_set_by_pair(f, a, lo, hi))
+            for g in (f, law):
+                assert bits(transform_cdf_exact(f, g, a).term_flat) == bits(term_flat_by_level_set(f, g, a, lo, hi))
+            flat += lo < hi
+        assert repr(inversion_null_set(f, 1.0).plateau_union) == repr(plateau_union_by_pair(f))
+    assert flat > 0
