@@ -18,7 +18,6 @@ from .catalog import (
 from .cdf import (
     Cdf,
     QuantilePair,
-    as_cdf,
     jump_set,
     left_quantile,
     level_set,

@@ -26,7 +26,6 @@ __all__ = [
     "Cdf",
     "QuantilePair",
     "normalize",
-    "as_cdf",
     "left_quantile",
     "right_quantile",
     "quantile_pair",
@@ -129,25 +128,6 @@ def normalize(g: MonotoneStepLinear) -> Cdf:
     atoms = tuple(map(operator.truediv, g.atoms, repeat(span)))
     rises = tuple(map(operator.truediv, g.rises, repeat(span)))
     return Cdf._with_profile(g.xs, atoms, rises, 0.0, lefts, cums)
-
-
-def as_cdf(g: MonotoneStepLinear, mass_tol: float = 1e-9) -> Cdf:
-    """Validate that g carries total mass 1 within ``mass_tol`` and rescale exactly.
-
-    Decimal inputs whose masses sum to 1 only approximately are accepted and
-    renormalized; a larger deviation is a validation error rather than a
-    silent distortion.
-    """
-    if isinstance(g, Cdf):
-        return g
-    span = g.top - g.base
-    if span <= 0.0:
-        raise DegenerateRange("constant function has no distribution-function rescaling")
-    if abs(span - 1.0) > mass_tol:
-        raise ValidationError(
-            f"total mass {span!r} differs from 1 by more than {mass_tol}"
-        )
-    return normalize(g)
 
 
 def _check_alpha(alpha: float) -> float:

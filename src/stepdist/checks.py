@@ -8,6 +8,8 @@ statements use their stated statistical bounds.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +29,7 @@ from .copula import (
     generate_joint_sample,
     sklar_identity_check,
 )
+from .errors import StepDistError
 from .measure import measure_interval, measure_level_set, measure_set, measure_value_level
 from .monotone import df_condition_report
 from .realset import Interval, RealSet
@@ -96,7 +99,32 @@ def probe_grid(f: Cdf) -> np.ndarray:
 # -- analytic suite -----------------------------------------------------------
 
 
-def _check_transform_sandwich(f: Cdf) -> CheckResult:
+def _analytic(name: str, threshold: float):
+    """Report what a check returns, its value or (value, detail), as a named result.
+
+    A StepDistError raised inside the check is that check's FAIL, with the
+    finite value 1.0 (above every analytic threshold, so JSON reports stay
+    standard) and a detail that names the exception: no exception escapes
+    the suite.
+    """
+
+    def wrap(check):
+        @functools.wraps(check)
+        def run(*args) -> CheckResult:
+            try:
+                found = check(*args)
+            except StepDistError as exc:
+                found = 1.0, f"raised {type(exc).__name__}: {exc}"
+            value, detail = found if isinstance(found, tuple) else (found, "")
+            return _result(name, value, threshold, detail)
+
+        return run
+
+    return wrap
+
+
+@_analytic("transform_sandwich", EXACT_TOL)
+def _check_transform_sandwich(f: Cdf):
     worst = 0.0
     grid = probe_grid(f)
     for x in grid:
@@ -110,10 +138,11 @@ def _check_transform_sandwich(f: Cdf) -> CheckResult:
             vals = {lambda_transform(f, x, lam) for lam in (0.0, 0.3, 0.7, 1.0)}
             if len(vals) > 1:
                 worst = max(worst, max(vals) - min(vals))
-    return _result("transform_sandwich", worst, EXACT_TOL)
+    return worst
 
 
-def _check_quantile_sandwich(f: Cdf, alphas) -> CheckResult:
+@_analytic("quantile_sandwich", EXACT_TOL)
+def _check_quantile_sandwich(f: Cdf, alphas):
     worst = 0.0
     for a in alphas:
         lo, hi = quantile_pair(f, a)
@@ -125,10 +154,11 @@ def _check_quantile_sandwich(f: Cdf, alphas) -> CheckResult:
             if not f.value(lo - d) < a:  # strict part of the sandwich
                 worst = max(worst, f.value(lo - d) - a + 2.0 * EXACT_TOL)
             worst = max(worst, a - f.value(lo + d))
-    return _result("quantile_sandwich", worst, EXACT_TOL)
+    return worst
 
 
-def _check_halfline_sets(f: Cdf, alphas) -> CheckResult:
+@_analytic("halfline_sets", 0)
+def _check_halfline_sets(f: Cdf, alphas):
     grid = probe_grid(f)
     fx = f.values(grid)
     bad = 0
@@ -136,7 +166,7 @@ def _check_halfline_sets(f: Cdf, alphas) -> CheckResult:
         xi = left_quantile(f, a)
         bad += int(np.count_nonzero((fx >= a) != (grid >= xi)))
         bad += int(np.count_nonzero((fx < a) != (grid < xi)))
-    return _result("halfline_sets", bad, 0)
+    return bad
 
 
 def _expected_level_set(f: Cdf, a, lo, hi) -> RealSet:
@@ -147,7 +177,8 @@ def _expected_level_set(f: Cdf, a, lo, hi) -> RealSet:
     return RealSet.of(Interval.closed_open(lo, hi))
 
 
-def _check_level_set_cases(f: Cdf, alphas) -> CheckResult:
+@_analytic("level_set_cases", 0)
+def _check_level_set_cases(f: Cdf, alphas):
     bad = 0
     for a in alphas:
         lo, hi = quantile_pair(f, a)
@@ -161,10 +192,11 @@ def _check_level_set_cases(f: Cdf, alphas) -> CheckResult:
             bad += 1
         if hi > lo and (f.jump(hi) == 0.0) != (f.value(hi) == a):
             bad += 1
-    return _result("level_set_cases", bad, 0)
+    return bad
 
 
-def _check_flat_mass(f: Cdf, alphas) -> CheckResult:
+@_analytic("flat_piece_mass", EXACT_TOL)
+def _check_flat_mass(f: Cdf, alphas):
     worst = 0.0
     for a in alphas:
         lo, hi = quantile_pair(f, a)
@@ -175,10 +207,11 @@ def _check_flat_mass(f: Cdf, alphas) -> CheckResult:
         worst = max(worst, abs(m - measure_set(f, level_set(f, a))))
         if hi > lo:
             worst = max(worst, abs(m - (a - f.left_value(lo))), abs(m - f.jump(lo)))
-    return _result("flat_piece_mass", worst, EXACT_TOL)
+    return worst
 
 
-def _check_sublevel_union(f: Cdf, alphas) -> CheckResult:
+@_analytic("sublevel_union", 0)
+def _check_sublevel_union(f: Cdf, alphas):
     grid = probe_grid(f)
     transforms = {lam: lambda_transforms(f, grid, lam) for lam in LAMBDA_GRID}
     bad = 0
@@ -192,10 +225,11 @@ def _check_sublevel_union(f: Cdf, alphas) -> CheckResult:
             union = beyond.union(at).union(below)
             member = transforms[lam] <= a
             bad += int(np.count_nonzero(member != union.contains_many(grid)))
-    return _result("sublevel_union", bad, 0)
+    return bad
 
 
-def _check_quantile_ranges(f: Cdf) -> CheckResult:
+@_analytic("quantile_range_of_point", 0)
+def _check_quantile_ranges(f: Cdf):
     bad = 0
     bps = set(f.xs)
     for x in probe_grid(f):
@@ -223,10 +257,11 @@ def _check_quantile_ranges(f: Cdf) -> CheckResult:
                 if 0.0 < a < 1.0:
                     if s.contains(a) != (left_quantile(f, a) == x):
                         bad += 1
-    return _result("quantile_range_of_point", bad, 0)
+    return bad
 
 
-def _check_jump_gaps(f: Cdf) -> CheckResult:
+@_analytic("jump_gap_complement", 0)
+def _check_jump_gaps(f: Cdf):
     gaps = RealSet(
         tuple(
             Interval.open(float(f._lefts[i]), float(f._cums[i]))
@@ -241,10 +276,11 @@ def _check_jump_gaps(f: Cdf) -> CheckResult:
     for a, b in zip(ivs, ivs[1:]):
         if a.intersect(b) is not None:
             bad += 1
-    return _result("jump_gap_complement", bad, 0)
+    return bad
 
 
-def _check_phi_roundtrip(f: Cdf, seed: int = 20240901) -> CheckResult:
+@_analytic("jump_gap_roundtrip", EXACT_TOL)
+def _check_phi_roundtrip(f: Cdf, seed: int = 20240901):
     rng = np.random.default_rng(seed)
     m = len(f._jump_idx)
     worst = 0.0
@@ -260,11 +296,12 @@ def _check_phi_roundtrip(f: Cdf, seed: int = 20240901) -> CheckResult:
         if m:
             worst = max(worst, max(abs(b - l) for b, l in zip(back, lams)))
     if bad:
-        return _result("jump_gap_roundtrip", bad + 1.0, EXACT_TOL, "output hit an attained level")
-    return _result("jump_gap_roundtrip", worst, EXACT_TOL)
+        return bad + 1.0, "output hit an attained level"
+    return worst
 
 
-def _check_null_sets(f: Cdf) -> CheckResult:
+@_analytic("null_set_inversion", EXACT_TOL)
+def _check_null_sets(f: Cdf):
     worst = 0.0
     bad = 0
     for lam in LAMBDA_GRID:
@@ -287,18 +324,20 @@ def _check_null_sets(f: Cdf) -> CheckResult:
                 tol = 0.0 if f.jump(x) > 0.0 else INVERSION_TOL
                 if abs(y - x) > tol:
                     bad += 1
-    return _result("null_set_inversion", worst + bad, EXACT_TOL)
+    return worst + bad
 
 
-def _check_transform_cdf(f: Cdf, alphas) -> CheckResult:
+@_analytic("transform_cdf_uniform", EXACT_TOL)
+def _check_transform_cdf(f: Cdf, alphas):
     worst = 0.0
     for a in alphas:
         br = transform_cdf_exact(f, f, a)
         worst = max(worst, abs(br.total - a))
-    return _result("transform_cdf_uniform", worst, EXACT_TOL)
+    return worst
 
 
-def _check_uniformity_displays(f: Cdf) -> CheckResult:
+@_analytic("uniformity_displays", EXACT_TOL)
+def _check_uniformity_displays(f: Cdf):
     # on flat levels: P(F(X) <= a) = a = P(X <= left quantile)
     worst = 0.0
     for a in f.plateau_levels:
@@ -308,10 +347,11 @@ def _check_uniformity_displays(f: Cdf) -> CheckResult:
     # every jump puts an equally sized atom on the law of F(X)
     for x, mass in zip(f.jump_points, f.jump_masses):
         worst = max(worst, abs(measure_value_level(f, f.value(x)) - mass))
-    return _result("uniformity_displays", worst, EXACT_TOL)
+    return worst
 
 
-def _check_jump_characterization(f: Cdf, alphas) -> CheckResult:
+@_analytic("jump_characterization", 0)
+def _check_jump_characterization(f: Cdf, alphas):
     jump_set(f)  # raises if the stored atoms and the quantile scans disagree
     bad = 0
     for a in alphas:
@@ -319,10 +359,11 @@ def _check_jump_characterization(f: Cdf, alphas) -> CheckResult:
         beyond, _, _ = sublevel_decomposition(f, 1.0, a)
         if (hi > lo) != (not beyond.is_empty()):
             bad += 1
-    return _result("jump_characterization", bad, 0)
+    return bad
 
 
-def _check_total_mass(f: Cdf) -> CheckResult:
+@_analytic("total_mass_and_df_conditions", EXACT_TOL)
+def _check_total_mass(f: Cdf):
     worst = abs(measure_set(f, RealSet.reals()) - 1.0)
     xs = f.xs
     lo = xs[0] - 1.0
@@ -335,11 +376,14 @@ def _check_total_mass(f: Cdf) -> CheckResult:
     rep = df_condition_report(f)
     if not (rep.all_agree() and rep.is_distribution_function()):
         worst = max(worst, 1.0)
-    return _result("total_mass_and_df_conditions", worst, EXACT_TOL)
+    return worst
 
 
 def analytic_checks(f: Cdf) -> list[CheckResult]:
-    """Every exact identity the representation supports, on one CDF."""
+    """Every exact identity the representation supports, on one CDF.
+
+    A check that raises a StepDistError reports that as its own FAIL.
+    """
     alphas = alpha_population(f)
     return [
         _check_transform_sandwich(f),
@@ -395,12 +439,12 @@ def stochastic_checks(f: Cdf, seed: int, n: int) -> list[CheckResult]:
 
 
 def default_copula_grid(marginals) -> list[np.ndarray]:
+    """One axis per marginal: its breakpoints and their offsets by -0.25 and +0.25."""
     axes = []
     for m in marginals:
         xs = np.asarray(m.xs)
         axes.append(np.unique(np.concatenate([xs, xs - 0.25, xs + 0.25])))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return [np.array(p) for p in zip(*(mm.ravel() for mm in mesh))]
+    return axes
 
 
 def sklar_checks(
@@ -408,9 +452,13 @@ def sklar_checks(
     dependence: str,
     n: int,
     seed: int,
-    grid: list | None = None,
+    axes: list | None = None,
 ) -> list[CheckResult]:
-    """Sample a joint law, extract its copula, and test both Sklar directions."""
+    """Sample a joint law, extract its copula, and test both Sklar directions.
+
+    The identity is checked on the product grid of ``axes``, one coordinate
+    array per marginal (:func:`default_copula_grid` when omitted).
+    """
     marginals = tuple(marginals)
     d = len(marginals)
     sample = generate_joint_sample(marginals, dependence, n, seed, base_stream_id=0)
@@ -418,29 +466,16 @@ def sklar_checks(
     out = []
     ks_worst = max(ks_uniformity(c_hat.sample[:, j]) for j in range(d))
     out.append(_result("copula_marginal_ks", ks_worst, KS_CRIT / math.sqrt(n)))
-    if grid is None:
-        grid = default_copula_grid(marginals)
-    out.append(_result("sklar_identity", sklar_identity_check(sample, c_hat, grid), 0.01))
+    if axes is None:
+        axes = default_copula_grid(marginals)
+    out.append(_result("sklar_identity", sklar_identity_check(sample, c_hat, axes), 0.01))
 
-    flat_axes = [m.plateau_levels for m in marginals]
     worst = 0.0
     count = 0
-    if all(flat_axes):
-        idx = [0] * d
-        while True:
-            alphas = [flat_axes[j][idx[j]] for j in range(d)]
-            lhs, rhs = copula_at_flat_alpha(sample, c_hat, alphas)
-            worst = max(worst, abs(lhs - rhs))
-            count += 1
-            j = d - 1
-            while j >= 0:
-                idx[j] += 1
-                if idx[j] < len(flat_axes[j]):
-                    break
-                idx[j] = 0
-                j -= 1
-            if j < 0:
-                break
+    for alphas in itertools.product(*(m.plateau_levels for m in marginals)):
+        lhs, rhs = copula_at_flat_alpha(sample, c_hat, alphas)
+        worst = max(worst, abs(lhs - rhs))
+        count += 1
     out.append(
         _result("copula_flat_levels", worst, 0.01, f"{count} flat level vectors")
     )

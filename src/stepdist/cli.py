@@ -243,7 +243,7 @@ def _cmd_copula_check(args) -> int:
         raise ValidationError("copula-check needs at least two --dist files")
     if args.dependence == "countermonotone" and len(marginals) != 2:
         raise ValidationError("countermonotone exists only for exactly 2 marginals")
-    grid = None
+    axes = None
     if args.grid:
         try:
             axis = [float(tok) for tok in args.grid.split(",") if tok.strip()]
@@ -251,11 +251,8 @@ def _cmd_copula_check(args) -> int:
             raise ValidationError(f"--grid: {exc}") from exc
         if not axis:
             raise ValidationError("--grid: no values")
-        import numpy as np
-
-        mesh = np.meshgrid(*([np.asarray(axis)] * len(marginals)), indexing="ij")
-        grid = [np.array(p) for p in zip(*(mm.ravel() for mm in mesh))]
-    checks = sklar_checks(marginals, args.dependence, args.n, args.seed, grid=grid)
+        axes = [axis] * len(marginals)
+    checks = sklar_checks(marginals, args.dependence, args.n, args.seed, axes=axes)
     report = RunReport(
         command="copula-check",
         inputs=_input_records(args.dist),
@@ -335,7 +332,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dependence", choices=("independent", "comonotone", "countermonotone"),
                    default="independent")
     p.add_argument("--grid", default=None,
-                   help="comma-separated axis values applied to every coordinate")
+                   help="comma-separated values, in any order, of the axis used for every "
+                   "coordinate; the grid is the product of one copy per --dist. A list "
+                   "that starts with a minus sign needs the form --grid=-0.5,0,1")
     p.set_defaults(func=_cmd_copula_check)
     return top
 

@@ -9,6 +9,7 @@ countermonotone) evaluate in closed form; the empirical kind counts rows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -210,38 +211,16 @@ def empirical_joint_cdf(sample: JointSample, x) -> float:
     return float(np.all(sample.rows <= x, axis=1).mean())
 
 
-def _grid_matrix(grid, dim: int) -> np.ndarray:
-    """Stack the grid points into a G x dim matrix, with the per-point checks.
+def _dominance_counts(rows: np.ndarray, axes) -> np.ndarray:
+    """Count the rows <= each point coordinatewise, for every point of a product of axes.
 
-    A point of the wrong size raises DimensionMismatch and a NaN coordinate
-    raises ValidationError; when several points are bad, the first bad point
-    in grid order decides, as in a point-by-point evaluation.
-    """
-    points = []
-    size_error = None
-    for x in grid:
-        p = np.asarray(x, dtype=float).reshape(-1)
-        if p.size != dim:
-            size_error = DimensionMismatch(f"point of size {p.size} for dimension {dim}")
-            break
-        points.append(p)
-    pts = np.array(points, dtype=float).reshape(len(points), dim)
-    if np.isnan(pts).any():
-        raise ValidationError("evaluation point is NaN")
-    if size_error is not None:
-        raise size_error
-    return pts
-
-
-def _dominance_counts(rows: np.ndarray, axes, at) -> np.ndarray:
-    """Count the rows <= each point coordinatewise, for points on a product of axes.
-
-    ``axes[j]`` holds sorted distinct values and ``at[j]`` the axis-j index
-    of every point.  A row binned at index b on axis j (the first axis
-    value >= the row's coordinate) is counted at every index >= b, which is
-    the weak inequality; rows beyond the last value land in an extra bin
-    that is never read.  One bincount and a cumulative sum per axis give
-    every count at once.
+    ``axes[j]`` holds sorted distinct values; entry ``[i_0, ..., i_{d-1}]``
+    of the result counts the rows <= ``(axes[0][i_0], ..., axes[d-1][i_{d-1}])``.
+    A row binned at index b on axis j (the first axis value >= the row's
+    coordinate) is counted at every index >= b, which is the weak
+    inequality; rows beyond the last value land in an extra bin that is
+    dropped.  One bincount and a cumulative sum per axis give every count at
+    once.
     """
     shape = tuple(a.size + 1 for a in axes)
     bins = tuple(np.searchsorted(a, rows[:, j], side="left") for j, a in enumerate(axes))
@@ -249,57 +228,53 @@ def _dominance_counts(rows: np.ndarray, axes, at) -> np.ndarray:
     table = table.reshape(shape)
     for j in range(len(shape)):
         np.cumsum(table, axis=j, out=table)
-    return table[tuple(at)]
+    return table[(slice(-1),) * len(shape)]
 
 
-def sklar_identity_check(sample: JointSample, c_hat: CopulaSpec, grid) -> float:
-    """Max deviation of the Sklar identity over a grid of points.
+def sklar_identity_check(sample: JointSample, c_hat: CopulaSpec, axes) -> float:
+    """Max deviation of the Sklar identity over the product grid of ``axes``.
 
-    Compares the empirical joint CDF against the copula composed with the
-    declared marginals, both estimated from the same rows.  The result is
-    the maximum over grid points of the per-point evaluation
+    ``axes`` holds one 1-D array of coordinates per dimension, in any order
+    and with repeats allowed; the grid is their product.  Compares the
+    empirical joint CDF against the copula composed with the declared
+    marginals, both estimated from the same rows.  The result is the
+    maximum over grid points x of
     ``|empirical_joint_cdf(sample, x) - sklar_compose(c_hat, marginals, x)|``,
-    bit for bit, and 0.0 for an empty grid.
+    bit for bit, and 0.0 when an axis is empty.
 
-    Both sides are evaluated on the product of the grid's distinct
-    coordinates per axis: every row is binned once per coordinate, and a
-    cumulative sum over the d-dimensional table of bin counts gives each
-    point's count of dominated rows (the empirical copula as rank counts).
-    The copula side does the same with the transform sample against the
-    marginal values ``H_j(axis_j)``.  The cost is O(N d log G + P), where P
-    is the size of the product table; for the product grids that
-    :func:`stepdist.checks.default_copula_grid` and the CLI build, P is
-    about G.  A grid whose product table would exceed 4 (N + G) cells (a
-    scattered, non-product grid) is evaluated point by point instead, so the
-    extra memory stays O(N d + G).  Analytic copulas are evaluated per point
-    with :func:`copula_eval`, which scans no rows.
+    Each side reads one d-dimensional table of dominated-row counts: every
+    row is binned once per axis, and a cumulative sum over the table of bin
+    counts gives each grid point's count (the empirical copula as rank
+    counts).  The copula side builds its table from the transform sample
+    against the distinct marginal values ``H_j(axis_j)`` and reads it at
+    each axis value's level.  The cost is O(N d log G + G) for G grid
+    points.  Analytic copulas are evaluated per point with
+    :func:`copula_eval`, which scans no rows.
+
+    A wrong number of axes or a copula of another dimension raises
+    DimensionMismatch; a NaN coordinate raises ValidationError.
     """
     if c_hat.dim != sample.dim:
         raise DimensionMismatch(f"copula dimension {c_hat.dim} vs sample {sample.dim}")
-    pts = _grid_matrix(grid, sample.dim)
-    if pts.shape[0] == 0:
+    axes = [np.unique(np.asarray(a, dtype=float)) for a in axes]
+    if len(axes) != sample.dim:
+        raise DimensionMismatch(f"{len(axes)} axes for dimension {sample.dim}")
+    if any(np.isnan(a).any() for a in axes):
+        raise ValidationError("grid coordinate is NaN")
+    if not all(a.size for a in axes):
         return 0.0
-    axes, at = zip(*(np.unique(pts[:, j], return_inverse=True) for j in range(sample.dim)))
-    if math.prod(a.size + 1 for a in axes) > 4 * (sample.size + pts.shape[0]):
-        worst = 0.0
-        for x in pts:
-            lhs = empirical_joint_cdf(sample, x)
-            rhs = sklar_compose(c_hat, sample.marginals, x)
-            worst = max(worst, abs(lhs - rhs))
-        return worst
-    lhs = _dominance_counts(sample.rows, axes, at) / sample.size
+    lhs = _dominance_counts(sample.rows, axes) / sample.size
     gamma_axes = [m.values(a) for m, a in zip(sample.marginals, axes)]
     if c_hat.kind == "empirical":
         if any(((g < 0) | (g > 1)).any() for g in gamma_axes):
             raise ValidationError("copula arguments must lie in [0, 1]")
         levels, level_at = zip(*(np.unique(g, return_inverse=True) for g in gamma_axes))
-        point_levels = [la[i] for la, i in zip(level_at, at)]
-        rhs = _dominance_counts(c_hat.sample, levels, point_levels) / c_hat.sample.shape[0]
+        rhs = _dominance_counts(c_hat.sample, levels)[np.ix_(*level_at)] / c_hat.sample.shape[0]
     else:
-        gamma = np.column_stack([g[i] for g, i in zip(gamma_axes, at)])
-        rhs = np.array([copula_eval(c_hat, g) for g in gamma])
+        rhs = np.array([copula_eval(c_hat, g) for g in itertools.product(*gamma_axes)])
+        rhs = rhs.reshape(lhs.shape)
     # fmax skips NaN (an empty sample) as the running max(worst, d) does
-    return float(np.fmax.reduce(np.abs(lhs - rhs), initial=0.0))
+    return float(np.fmax.reduce(np.abs(lhs - rhs), axis=None, initial=0.0))
 
 
 def copula_at_flat_alpha(sample: JointSample, c_hat: CopulaSpec, alphas) -> tuple[float, float]:

@@ -22,7 +22,7 @@ import json
 import math
 from bisect import bisect_left
 
-from .cdf import Cdf, as_cdf
+from .cdf import Cdf, normalize
 from .errors import DegenerateRange, ValidationError
 from .monotone import MonotoneStepLinear
 
@@ -128,7 +128,7 @@ def parse_distribution(doc, name: str = "distribution") -> Cdf:
         raise ValidationError(
             f"{name}: total mass {span!r} differs from 1 by more than {MASS_TOL}"
         )
-    return as_cdf(g, mass_tol=MASS_TOL)
+    return normalize(g)
 
 
 def load_distribution(path) -> Cdf:

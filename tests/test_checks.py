@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 
 from stepdist import Cdf
@@ -48,6 +51,33 @@ class TestAnalyticSuite:
         failed = [c for c in analytic_checks(f) if not c.passed]
         assert not failed, failed
 
+    @pytest.mark.parametrize(
+        "f, check, error",
+        [
+            # a 1e-300 atom cannot move F: its jump gap is empty in floats
+            (
+                Cdf(xs=(0.0, 1.0, 2.0, 3.0), atoms=(0.5, 1e-300, 0.0, 0.5), rises=(0.0, 0.0, 0.0)),
+                "jump_gap_roundtrip",
+                "AlphaNotInJumpInterval",
+            ),
+            # the span overflows: the mass check's cut points come out NaN
+            (
+                Cdf(xs=(-1e308, 1e308), atoms=(0.0, 0.0), rises=(1.0,)),
+                "total_mass_and_df_conditions",
+                "MalformedInterval",
+            ),
+        ],
+    )
+    def test_raised_error_is_that_checks_fail(self, fb, f, check, error):
+        results = analytic_checks(f)
+        assert len(results) == 14
+        assert [c.name for c in results] == [c.name for c in analytic_checks(fb)]
+        (raised,) = [c for c in results if c.detail.startswith("raised ")]
+        assert raised.name == check
+        assert not raised.passed and raised.value == 1.0
+        assert error in raised.detail
+        json.dumps([c.value for c in results], allow_nan=False)
+
 
 class TestStochasticSuite:
     @pytest.mark.parametrize("seed", [1, 42])
@@ -67,6 +97,8 @@ class TestSklarSuite:
             assert not failed, failed
 
     def test_grid_contains_offset_breakpoints(self, fb, fm):
-        grid = default_copula_grid((fb, fm))
-        firsts = {p[0] for p in grid}
-        assert {-0.25, 0.0, 0.25, 0.75, 1.0, 1.25} <= firsts
+        axes = default_copula_grid((fb, fm))
+        assert len(axes) == 2
+        assert {-0.25, 0.0, 0.25, 0.75, 1.0, 1.25} <= set(axes[0])
+        for axis in axes:
+            assert np.all(np.diff(axis) > 0)

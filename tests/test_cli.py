@@ -155,6 +155,18 @@ class TestVerify:
         assert code == 0
         assert out.count("transform_sandwich") == 2
 
+    def test_check_that_raises_exits_1_with_report(self, tmp_path, capsys):
+        # a 1e-300 atom cannot move F, so its jump-gap round trip raises inside the check
+        spec = tmp_path / "tiny_atom.json"
+        spec.write_text(json.dumps({"breakpoints": [
+            {"x": 0.0, "atom": 0.5}, {"x": 1.0, "atom": 1e-300}, {"x": 3.0, "atom": 0.5},
+        ]}))
+        code, out, _ = run(capsys, "verify", "--dist", str(spec), "--suite", "analytic")
+        assert code == 1
+        (line,) = [ln for ln in out.splitlines() if ":jump_gap_roundtrip " in ln]
+        assert line.startswith("FAIL") and "raised AlphaNotInJumpInterval" in line
+        assert "result: FAIL (12/14)" in out
+
     def test_check_failure_exits_1_with_report(self, dists, capsys, monkeypatch):
         import stepdist.cli as cli
         from stepdist.checks import CheckResult
@@ -194,3 +206,14 @@ class TestCopulaCheck:
             "--dependence", "comonotone", "--n", "20000", "--grid", "0.25,0.5,0.75",
         )
         assert code == 0
+
+    def test_grid_order_and_repeats_do_not_matter(self, dists, capsys):
+        reports = []
+        for grid in ("0.75,0.25,0.5,0.25", "0.25,0.5,0.75"):
+            code, out, _ = run(
+                capsys, "copula-check", "--dist", dists["uniform"], "--dist", dists["mixed"],
+                "--n", "5000", "--grid", grid,
+            )
+            assert code == 0
+            reports.append(out)
+        assert reports[0] == reports[1]

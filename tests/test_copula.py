@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -149,46 +148,53 @@ class TestSklarIdentity:
     def test_independent_bernoulli_grid(self, fb):
         s = generate_joint_sample((fb, fb), "independent", N, seed=42)
         c = dt_copula(s, SeededStream(42, 2))
-        grid = [np.array(p) for p in itertools.product((-0.5, 0.0, 0.5, 1.0), repeat=2)]
-        assert sklar_identity_check(s, c, grid) < 0.01
+        axis = (-0.5, 0.0, 0.5, 1.0)
+        assert sklar_identity_check(s, c, [axis, axis]) < 0.01
 
     def test_grid_below_support(self, fb, fm):
         s = generate_joint_sample((fb, fm), "independent", 1000, seed=7)
         c = dt_copula(s, SeededStream(7, 2))
-        assert sklar_identity_check(s, c, [np.array([-5.0, -5.0])]) == 0.0
+        assert sklar_identity_check(s, c, [[-5.0], [-5.0]]) == 0.0
 
     def test_comonotone_uniforms(self, fu):
         s = generate_joint_sample((fu, fu), "comonotone", N, seed=42)
         c = dt_copula(s, SeededStream(42, 1))
         axis = np.linspace(0.1, 0.9, 5)
-        grid = [np.array(p) for p in itertools.product(axis, repeat=2)]
-        assert sklar_identity_check(s, c, grid) < 0.01
+        assert sklar_identity_check(s, c, [axis, axis]) < 0.01
 
-    def test_empty_grid(self, fb, fm):
+    def test_empty_axis(self, fb, fm):
         s = generate_joint_sample((fb, fm), "independent", 100, seed=7)
-        assert sklar_identity_check(s, dt_copula(s, SeededStream(7, 2)), []) == 0.0
+        c = dt_copula(s, SeededStream(7, 2))
+        assert sklar_identity_check(s, c, [[], []]) == 0.0
+        assert sklar_identity_check(s, c, [[0.0, 0.5], []]) == 0.0
+        assert sklar_identity_check(s, CopulaSpec.independence(2), [[], [1.0]]) == 0.0
 
-    def test_point_of_wrong_size(self, fb, fm):
+    def test_wrong_number_of_axes(self, fb, fm):
         s = generate_joint_sample((fb, fm), "independent", 100, seed=7)
         c = dt_copula(s, SeededStream(7, 2))
         with pytest.raises(DimensionMismatch):
-            sklar_identity_check(s, c, [np.array([0.0, 0.0]), np.array([0.0, 0.0, 0.0])])
+            sklar_identity_check(s, c, [[0.0, 0.5]])
+        with pytest.raises(DimensionMismatch):
+            sklar_identity_check(s, c, [[0.0], [0.0], [0.0]])
+        with pytest.raises(DimensionMismatch):
+            sklar_identity_check(s, c, [])
 
     def test_nan_coordinate(self, fb, fm):
         s = generate_joint_sample((fb, fm), "independent", 100, seed=7)
         c = dt_copula(s, SeededStream(7, 2))
         with pytest.raises(ValidationError):
-            sklar_identity_check(s, c, [np.array([0.0, 0.0]), np.array([math.nan, 0.5])])
-        # the first bad point in grid order decides which error is raised
+            sklar_identity_check(s, c, [[0.0, 0.5], [math.nan, 0.5]])
+        # a NaN is an error even when another axis is empty
         with pytest.raises(ValidationError):
-            sklar_identity_check(s, c, [np.array([math.nan, 0.5]), np.array([0.0])])
+            sklar_identity_check(s, c, [[math.nan], []])
+        # the number of axes is checked first
         with pytest.raises(DimensionMismatch):
-            sklar_identity_check(s, c, [np.array([0.0]), np.array([math.nan, 0.5])])
+            sklar_identity_check(s, c, [[math.nan, 0.5]])
 
     def test_copula_dimension_mismatch(self, fb, fm):
         s = generate_joint_sample((fb, fm), "independent", 100, seed=7)
         with pytest.raises(DimensionMismatch):
-            sklar_identity_check(s, CopulaSpec.independence(3), [np.array([0.0, 0.0])])
+            sklar_identity_check(s, CopulaSpec.independence(3), [[0.0], [0.0]])
 
 
 class TestFlatAlpha:

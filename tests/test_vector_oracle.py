@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import stepdist as sd
-from stepdist import cdf, copula, stochastic
+from stepdist import cdf, stochastic
 from stepdist.checks import (
     LAMBDA_GRID,
     _check_halfline_sets,
@@ -60,9 +60,9 @@ def bits(x) -> bytes:
 # -- the point-by-point loops -------------------------------------------------
 
 
-def sklar_by_point(sample, c_hat, grid) -> float:
+def sklar_by_point(sample, c_hat, axes) -> float:
     worst = 0.0
-    for x in grid:
+    for x in itertools.product(*axes):
         lhs = empirical_joint_cdf(sample, x)
         rhs = sklar_compose(c_hat, sample.marginals, x)
         worst = max(worst, abs(lhs - rhs))
@@ -99,16 +99,12 @@ def sublevel_by_point(f, alphas) -> int:
     return bad
 
 
-def product_grid(*axes):
-    return [np.array(p, dtype=float) for p in itertools.product(*axes)]
-
-
 # -- the Sklar identity -------------------------------------------------------
 
 
 class TestSklarIdentity:
-    def assert_same(self, sample, c_hat, grid):
-        assert bits(sklar_identity_check(sample, c_hat, grid)) == bits(sklar_by_point(sample, c_hat, grid))
+    def assert_same(self, sample, c_hat, axes):
+        assert bits(sklar_identity_check(sample, c_hat, axes)) == bits(sklar_by_point(sample, c_hat, axes))
 
     @pytest.mark.parametrize("dep", ["independent", "comonotone"])
     def test_criterion_6_pairs(self, fb, fm, fu, dep):
@@ -121,49 +117,49 @@ class TestSklarIdentity:
     def test_seeded_triples(self, seed):
         rng = np.random.default_rng([seed, 3])
         triple = tuple(sd.random_cdf(rng, 3, 2, 1) for _ in range(3))
-        grid = default_copula_grid(triple)
+        axes = default_copula_grid(triple)
         for dep in ("independent", "comonotone"):
             sample = generate_joint_sample(triple, dep, 2_000, seed=seed)
             c_hat = dt_copula(sample, SeededStream(seed, 3))
-            self.assert_same(sample, c_hat, grid)
+            self.assert_same(sample, c_hat, axes)
             for analytic in (CopulaSpec.independence(3), CopulaSpec.comonotone(3)):
-                self.assert_same(sample, analytic, grid)
+                self.assert_same(sample, analytic, axes)
 
     def test_infinite_coordinates(self, fb, fm, fu):
         triple = (fb, fm, fu)
         sample = generate_joint_sample(triple, "independent", 5_000, seed=9)
         c_hat = dt_copula(sample, SeededStream(9, 3))
         axis = (-math.inf, -0.5, 0.0, 0.5, 0.75, 1.0, math.inf)
-        self.assert_same(sample, c_hat, product_grid(axis, axis, axis))
+        self.assert_same(sample, c_hat, (axis, axis, axis))
 
     def test_countermonotone_and_other_row_count(self, fm, fu):
         sample = generate_joint_sample((fm, fu), "countermonotone", 3_000, seed=5)
-        grid = default_copula_grid((fm, fu))
-        self.assert_same(sample, CopulaSpec.countermonotone(), grid)
+        axes = default_copula_grid((fm, fu))
+        self.assert_same(sample, CopulaSpec.countermonotone(), axes)
         # a copula estimated from a different number of rows than the sample
         other = generate_joint_sample((fm, fu), "independent", 1_234, seed=6)
-        self.assert_same(sample, dt_copula(other, SeededStream(6, 2)), grid)
+        self.assert_same(sample, dt_copula(other, SeededStream(6, 2)), axes)
+        # unsorted axes with repeats and infinite coordinates
+        axes = ((math.inf, 0.75, -math.inf, 0.25, 0.75, 0.5), (0.5, -math.inf, 0.0, 1.0, 0.5))
+        for cop in (dt_copula(sample, SeededStream(5, 2)), CopulaSpec.countermonotone()):
+            self.assert_same(sample, cop, axes)
 
-    def test_scattered_grids(self, fb, fm, fu, monkeypatch):
+    def test_unsorted_and_repeated_axis_values(self, fb, fm, fu):
+        rng = np.random.default_rng(12)
         triple = (fb, fm, fu)
         sample = generate_joint_sample(triple, "comonotone", 2_000, seed=11)
         c_hat = dt_copula(sample, SeededStream(11, 3))
-        rng = np.random.default_rng(12)
-        cells = []
-        counts = copula._dominance_counts
-
-        def recorded(rows, axes, at):
-            cells.append(math.prod(a.size + 1 for a in axes))
-            return counts(rows, axes, at)
-
-        monkeypatch.setattr(copula, "_dominance_counts", recorded)
-        # few scattered points: their product table is small enough to build
-        self.assert_same(sample, c_hat, list(rng.uniform(-0.5, 1.5, size=(12, 3))))
-        assert cells and max(cells) == 13**3
-        # many scattered points: no 401^3 table; evaluated point by point
-        cells.clear()
-        self.assert_same(sample, c_hat, list(rng.uniform(-0.5, 1.5, size=(400, 3))))
-        assert cells == []
+        base = rng.uniform(-0.5, 1.5, size=6)
+        axes = (
+            rng.permutation(np.concatenate([base, base[:3], [0.0, 0.5, 1.0, 0.5]])),
+            (1.0, 0.25, 1.0, -0.25, 0.5, 0.25),
+            rng.permutation(np.concatenate([base, [math.inf, -math.inf, math.inf]])),
+        )
+        for cop in (c_hat, CopulaSpec.independence(3), CopulaSpec.comonotone(3)):
+            self.assert_same(sample, cop, axes)
+        # one value per axis, and axes of different lengths
+        self.assert_same(sample, c_hat, ([0.5], [0.25], [0.75]))
+        self.assert_same(sample, c_hat, ([0.5, 0.5], [math.inf], rng.uniform(0, 1, 40)))
 
 
 # -- the half-line and sublevel checks ---------------------------------------
