@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -333,15 +334,27 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="independent")
     p.add_argument("--grid", default=None,
                    help="comma-separated values, in any order, of the axis used for every "
-                   "coordinate; the grid is the product of one copy per --dist. A list "
-                   "that starts with a minus sign needs the form --grid=-0.5,0,1")
+                   "coordinate; the grid is the product of one copy per --dist")
     p.set_defaults(func=_cmd_copula_check)
     return top
 
 
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """Write ``--opt -V`` as ``--opt=-V`` when V starts with a negative number: argparse
+    takes ``-0.5,0,1``, ``-1e-3`` or ``-inf``, which are not plain decimals, for
+    options.  Every option here but --help takes a value."""
+    out = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-(\d|\.\d|inf)", tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except StepDistError as exc:

@@ -151,12 +151,10 @@ class JointSample:
         return int(self.rows.shape[0])
 
 
-def generate_joint_sample(
-    marginals, dependence: str, n: int, seed: int, base_stream_id: int = 0
-) -> JointSample:
+def generate_joint_sample(marginals, dependence: str, n: int, seed: int) -> JointSample:
     """Draw a joint sample with a known dependence structure.
 
-    independent: one stream per coordinate (ids base, base+1, ...);
+    independent: one stream per coordinate (ids 0, 1, ...);
     comonotone: a single uniform driven through every left quantile;
     countermonotone (2 marginals): u and 1-u through the two quantiles.
     """
@@ -165,17 +163,17 @@ def generate_joint_sample(
     if d < 1:
         raise DimensionMismatch("need at least one marginal")
     if dependence == "independent":
-        streams = tuple(SeededStream(seed, base_stream_id + j) for j in range(d))
+        streams = tuple(SeededStream(seed, j) for j in range(d))
         cols = [_left_quantiles(m, s.uniforms(n)) for m, s in zip(marginals, streams)]
     elif dependence == "comonotone":
-        s = SeededStream(seed, base_stream_id)
+        s = SeededStream(seed, 0)
         u = s.uniforms(n)
         streams = tuple(s for _ in range(d))
         cols = [_left_quantiles(m, u) for m in marginals]
     elif dependence == "countermonotone":
         if d != 2:
             raise CountermonotoneDimension("countermonotone sampling needs exactly 2 marginals")
-        s = SeededStream(seed, base_stream_id)
+        s = SeededStream(seed, 0)
         u = s.uniforms(n)
         streams = (s, s)
         cols = [_left_quantiles(marginals[0], u), _left_quantiles(marginals[1], 1.0 - u)]

@@ -151,18 +151,9 @@ class MonotoneStepLinear:
         return 0.0
 
     # -- vectorized evaluation ------------------------------------------------
-    def _locate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One side="left" search j of x in xs, and the hit mask xs[j] == x.
-
-        Returns (idx, hit) with idx = j + hit - 1, the last i with xs[i] <= x
-        (-1 if none): xs is strictly increasing, so a hit is the only tie.
-        """
-        xs = self._xs_arr
-        idx = np.searchsorted(xs, x, side="left")
-        hit = xs.take(idx, mode="clip") == x
-        idx += hit
-        idx -= 1
-        return idx, hit
+    def _locate(self, x: np.ndarray) -> np.ndarray:
+        """The last i with xs[i] <= x (-1 if none), from one side="right" search."""
+        return np.searchsorted(self._xs_arr, x, side="right") - 1
 
     def _values_at(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """G at x, given idx = the last i with xs[i] <= x (-1 if none)."""
@@ -181,14 +172,17 @@ class MonotoneStepLinear:
         x = np.asarray(x, dtype=float)
         if not self.xs:
             return np.full(x.shape, self.base)
-        return self._values_at(x, np.searchsorted(self._xs_arr, x, side="right") - 1)
+        return self._values_at(x, self._locate(x))
 
     def value_parts(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(values(x), left_values(x), jumps(x)), bit for bit, from one search."""
         x = np.asarray(x, dtype=float)
         if not self.xs:
             return self.values(x), self.values(x), np.zeros(x.shape)
-        idx, hit = self._locate(x)
+        idx = self._locate(x)
+        # xs is strictly increasing, so x is a breakpoint iff x == xs[idx]; idx = -1
+        # (x below xs[0]) clips to xs[0], and NaN lands on xs[-1], neither equal to x
+        hit = self._xs_arr.take(idx, mode="clip") == x
         fx = self._values_at(x, idx)
         left = fx.copy()
         left[hit] = self._lefts[idx[hit]]
@@ -197,21 +191,10 @@ class MonotoneStepLinear:
         return fx, left, jump
 
     def left_values(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if not self.xs:
-            return self.values(x)
-        idx, hit = self._locate(x)
-        out = self._values_at(x, idx)
-        out[hit] = self._lefts[idx[hit]]
-        return out
+        return self.value_parts(x)[1]
 
     def jumps(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        if self.xs:
-            idx, hit = self._locate(x)
-            out[hit] = self._atoms_arr[idx[hit]]
-        return out
+        return self.value_parts(x)[2]
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,7 @@ def quantile_range_of_point(f: Cdf, x: float) -> RealSet:
     else:
         # x sits in (xs[i-1], xs[i]]; segment i-1 is flat where F(xs[i]-) == F(xs[i-1])
         i = bisect_left(xs, x)
-        flat_left = f._lefts[i] == f._cums[i - 1]
+        flat_left = f.left_value(xs[i]) == f.value(xs[i - 1])
     if hi > lo:
         include_lo = (not flat_left) and lo > 0.0
         include_hi = hi < 1.0
@@ -111,17 +111,14 @@ def jump_gap_values(f: Cdf, lams) -> list[float]:
     gaps (F(x_n-), F(x_n)) and therefore avoid every level attained by F or
     by its left limits.
     """
-    idx = f._jump_idx
     lams = [float(v) for v in lams]
-    if len(lams) != len(idx):
-        raise LengthMismatch(f"{len(lams)} weights for {len(idx)} jump points")
+    if len(lams) != len(f._jumps):
+        raise LengthMismatch(f"{len(lams)} weights for {len(f._jumps)} jump points")
     out = []
-    for n, (i, lam) in enumerate(zip(idx, lams)):
+    for n, ((_, lo, hi, mass), lam) in enumerate(zip(f._jumps, lams)):
         if math.isnan(lam) or not 0.0 < lam < 1.0:
             raise LambdaOutOfRange(f"weight {n} must lie strictly inside (0, 1), got {lam}")
-        lo = float(f._lefts[i])
-        hi = float(f._cums[i])
-        v = lo + lam * f.atoms[i]
+        v = lo + lam * mass
         # float rounding with sub-ulp masses could touch a gap endpoint
         if v <= lo:
             v = math.nextafter(lo, math.inf)
@@ -138,14 +135,11 @@ def jump_gap_weights(f: Cdf, alphas) -> list[float]:
     AlphaNotInJumpInterval(n) is raised.  The weight is
     (a - F(q-)) / jump(q) with q the left quantile of a.
     """
-    idx = f._jump_idx
     alphas = [float(a) for a in alphas]
-    if len(alphas) != len(idx):
-        raise LengthMismatch(f"{len(alphas)} levels for {len(idx)} jump points")
+    if len(alphas) != len(f._jumps):
+        raise LengthMismatch(f"{len(alphas)} levels for {len(f._jumps)} jump points")
     out = []
-    for n, (i, a) in enumerate(zip(idx, alphas)):
-        lo = float(f._lefts[i])
-        hi = float(f._cums[i])
+    for n, ((_, lo, hi, _), a) in enumerate(zip(f._jumps, alphas)):
         if math.isnan(a) or not lo < a < hi:
             raise AlphaNotInJumpInterval(n, f"level {a} not inside ({lo}, {hi})")
         q = _left_quantile_unchecked(f, a)
@@ -160,12 +154,13 @@ def attained_values(f: Cdf) -> RealSet:
     of the open jump gaps.
     """
     parts = [Interval.point(0.0), Interval.point(1.0)]
-    k = len(f.xs)
-    for i in range(k):
-        parts.append(Interval.point(float(f._lefts[i])))
-        parts.append(Interval.point(float(f._cums[i])))
-        if i < k - 1 and f.rises[i] > 0.0:
-            parts.append(Interval.closed(float(f._cums[i]), float(f._lefts[i + 1])))
+    xs = f.xs
+    for i, x in enumerate(xs):
+        # at a stored breakpoint both return the stored floats
+        lo, hi = f.left_value(x), f.value(x)
+        parts += [Interval.point(lo), Interval.point(hi)]
+        if i < len(xs) - 1 and f.rises[i] > 0.0:
+            parts.append(Interval.closed(hi, f.left_value(xs[i + 1])))
     return RealSet(tuple(parts))
 
 
@@ -208,10 +203,8 @@ def inversion_null_set(f: Cdf, lam: float) -> NullSetReport:
         one = RealSet.of(Interval(z1, math.inf, False, False))
     # the level-0 piece lies inside the zero set
     plateau = RealSet(tuple(run.interval(False) for a, run in f._flat_runs.items() if a > 0.0))
-    report = NullSetReport(zero, one, plateau, 0.0)
-    total = measure_set(f, report.union())
-    object.__setattr__(report, "total_measure", float(total))
-    return report
+    total = measure_set(f, zero.union(one).union(plateau))
+    return NullSetReport(zero, one, plateau, float(total))
 
 
 def invert_transform(f: Cdf, x: float, lam: float) -> float:

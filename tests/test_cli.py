@@ -54,6 +54,12 @@ class TestEval:
         assert code == 0
         assert "value: 0.25" in out and "jump: 0.0" in out
 
+    @pytest.mark.parametrize("x", ["-1e-3", "-inf"])
+    def test_spaced_negative_value_that_is_no_plain_decimal(self, dists, capsys, x):
+        code, spaced, _ = run(capsys, "eval", "--dist", dists["uniform"], "--x", x)
+        assert code == 0
+        assert spaced == run(capsys, "eval", "--dist", dists["uniform"], f"--x={x}")[1]
+
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text('{"breakpoints": [{"x": 0.0, "atom": -1}]}')
@@ -206,6 +212,17 @@ class TestCopulaCheck:
             "--dependence", "comonotone", "--n", "20000", "--grid", "0.25,0.5,0.75",
         )
         assert code == 0
+
+    def test_spaced_grid_with_a_leading_minus(self, dists, capsys):
+        reports = []
+        for grid in (["--grid", "-0.5,0,0.5,1"], ["--grid=-0.5,0,0.5,1"]):
+            code, out, _ = run(
+                capsys, "copula-check", "--dist", dists["bernoulli"], "--dist", dists["mixed"],
+                "--n", "5000", *grid,
+            )
+            assert code == 0
+            reports.append(out)
+        assert reports[0] == reports[1]
 
     def test_grid_order_and_repeats_do_not_matter(self, dists, capsys):
         reports = []

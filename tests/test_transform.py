@@ -155,8 +155,7 @@ class TestJumpGapBijection:
             for _ in range(5):
                 lams = rng.uniform(0.01, 0.99, size=m).tolist()
                 vals = jump_gap_values(f, lams)
-                gaps = list(zip(f._lefts[f._jump_idx], f._cums[f._jump_idx]))
-                for v, (lo, hi) in zip(vals, gaps):
+                for v, (_, lo, hi, _) in zip(vals, f._jumps):
                     assert lo < v < hi
                     assert not attained.contains(v)
                 back = jump_gap_weights(f, vals)
@@ -165,10 +164,7 @@ class TestJumpGapBijection:
     def test_gap_union_is_unattained_part_of_unit(self, small_population):
         unit = RealSet.of(Interval.open(0.0, 1.0))
         for f in small_population:
-            gaps = RealSet(
-                tuple(Interval.open(float(lo), float(hi))
-                      for lo, hi in zip(f._lefts[f._jump_idx], f._cums[f._jump_idx]))
-            )
+            gaps = RealSet(tuple(Interval.open(j.lo, j.hi) for j in f._jumps))
             assert gaps.intersect(unit) == unit.difference(attained_values(f))
 
 

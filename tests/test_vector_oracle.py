@@ -573,6 +573,38 @@ def test_flat_table_is_read_off_stored_values():
         assert list(f.plateau_levels) == flat
 
 
+# -- the jump table -------------------------------------------------------------
+
+
+def jumps_by_index(f):
+    """The index reading the jump table replaced: one row per positive stored atom."""
+    return [(f.xs[i], float(f._lefts[i]), float(f._cums[i]), f.atoms[i]) for i in np.nonzero(f._atoms_arr > 0.0)[0]]
+
+
+def test_jump_table_matches_index_reading(population, fb, fm, fu):
+    rng = np.random.default_rng(29)
+    large = [normalize(random_function(rng, k, 0.3, 0.25)) for k in (1, 2, 50, 5000)]
+    functions = [*population, fb, fm, fu, *rescaled_functions(rng, 300), *SUB_ULP_CASES, *large]
+    for f in functions:
+        rows = [tuple(j) for j in f._jumps]
+        old = jumps_by_index(f)
+        assert [tuple(map(bits, r)) for r in rows] == [tuple(map(bits, r)) for r in old]
+        assert all(type(v) is float for r in rows for v in r)
+        assert f.jump_points == tuple(r[0] for r in old)
+        assert f.jump_masses == tuple(r[3] for r in old)
+    # an atom too small to move F keeps its row, with an empty gap
+    assert (1.0, 0.5, 0.5, 1e-300) in [tuple(j) for j in SUB_ULP_CASES[0]._jumps]
+
+
+def test_sampling_never_builds_the_jump_table(fm):
+    f = normalize(sd.MonotoneStepLinear(xs=fm.xs, atoms=fm.atoms, rises=fm.rises))
+    xs = sample_inverse(f, SeededStream(1, 0), 1000)
+    distributional_transform(f, xs, SeededStream(1, 1), x_stream=SeededStream(1, 0))
+    inversion_check(f, SeededStream(1, 2), 1000)
+    assert f._jump_rows is None
+    assert f.jump_points == (0.5,) and f._jump_rows == f._jumps
+
+
 # -- ramp solves that round to or past the segment's right breakpoint ----------
 
 
