@@ -3,7 +3,9 @@
 Each check pins one identity of the library to a named pass/fail result
 with a measured value and a threshold.  Exact identities use the arithmetic
 tolerance 1e-12 (or an outright mismatch count with threshold 0); sampled
-statements use their stated statistical bounds.
+statements use their stated statistical bounds.  The analytic suite decides
+each level once, in one row per level, and evaluates one probe grid; every
+check reads those, and still calls the public function it verifies.
 """
 
 from __future__ import annotations
@@ -95,6 +97,17 @@ def probe_grid(f: Cdf) -> np.ndarray:
     return np.unique(np.concatenate(pts))
 
 
+def _level_rows(f: Cdf, alphas) -> list[tuple]:
+    """One row ``(a, lo, hi, level_set, splits)`` per level, ``splits[lam]`` its sublevel
+    split at each weight of LAMBDA_GRID.  Built outside the checks' guard: no call
+    raises for a level in (0, 1), whose left quantile is a finite float in [xs[0], xs[-1]]."""
+    rows = []
+    for a in alphas:
+        splits = {lam: sublevel_decomposition(f, lam, a) for lam in LAMBDA_GRID}
+        rows.append((a, *quantile_pair(f, a), level_set(f, a), splits))
+    return rows
+
+
 # -- analytic suite -----------------------------------------------------------
 
 
@@ -123,9 +136,8 @@ def _analytic(name: str, threshold: float):
 
 
 @_analytic("transform_sandwich", EXACT_TOL)
-def _check_transform_sandwich(f: Cdf):
+def _check_transform_sandwich(f: Cdf, grid):
     worst = 0.0
-    grid = probe_grid(f)
     for x in grid:
         lo, hi = f.left_value(x), f.value(x)
         for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -141,10 +153,9 @@ def _check_transform_sandwich(f: Cdf):
 
 
 @_analytic("quantile_sandwich", EXACT_TOL)
-def _check_quantile_sandwich(f: Cdf, alphas):
+def _check_quantile_sandwich(f: Cdf, rows):
     worst = 0.0
-    for a in alphas:
-        lo, hi = quantile_pair(f, a)
+    for a, lo, hi, _, _ in rows:
         if lo > hi:
             worst = max(worst, lo - hi)
         worst = max(worst, f.left_value(lo) - a, a - f.value(lo))
@@ -157,12 +168,11 @@ def _check_quantile_sandwich(f: Cdf, alphas):
 
 
 @_analytic("halfline_sets", 0)
-def _check_halfline_sets(f: Cdf, alphas):
-    grid = probe_grid(f)
+def _check_halfline_sets(f: Cdf, rows, grid):
     fx = f.values(grid)
     bad = 0
-    for a in alphas:
-        xi = left_quantile(f, a)
+    for a, *_ in rows:
+        xi = left_quantile(f, a)  # the scan, which quantile_pair skips at flat levels
         bad += int(np.count_nonzero((fx >= a) != (grid >= xi)))
         bad += int(np.count_nonzero((fx < a) != (grid < xi)))
     return bad
@@ -177,11 +187,9 @@ def _expected_level_set(f: Cdf, a, lo, hi) -> RealSet:
 
 
 @_analytic("level_set_cases", 0)
-def _check_level_set_cases(f: Cdf, alphas):
+def _check_level_set_cases(f: Cdf, rows):
     bad = 0
-    for a in alphas:
-        lo, hi = quantile_pair(f, a)
-        ls = level_set(f, a)
+    for a, lo, hi, ls, _ in rows:
         if ls != _expected_level_set(f, a, lo, hi):
             bad += 1
         if (f.value(lo) == a) != (not ls.is_empty()):
@@ -195,28 +203,24 @@ def _check_level_set_cases(f: Cdf, alphas):
 
 
 @_analytic("flat_piece_mass", EXACT_TOL)
-def _check_flat_mass(f: Cdf, alphas):
+def _check_flat_mass(f: Cdf, rows):
     worst = 0.0
-    for a in alphas:
-        lo, hi = quantile_pair(f, a)
-        for lam in LAMBDA_GRID:
-            beyond, _, _ = sublevel_decomposition(f, lam, a)
+    for a, lo, hi, ls, splits in rows:
+        for beyond, _, _ in splits.values():
             worst = max(worst, abs(measure_set(f, beyond)))
         m = measure_level_set(f, a)
-        worst = max(worst, abs(m - measure_set(f, level_set(f, a))))
+        worst = max(worst, abs(m - measure_set(f, ls)))
         if hi > lo:
             worst = max(worst, abs(m - (a - f.left_value(lo))), abs(m - f.jump(lo)))
     return worst
 
 
 @_analytic("sublevel_union", 0)
-def _check_sublevel_union(f: Cdf, alphas):
-    grid = probe_grid(f)
+def _check_sublevel_union(f: Cdf, rows, grid):
     transforms = {lam: lambda_transforms(f, grid, lam) for lam in LAMBDA_GRID}
     bad = 0
-    for a in alphas:
-        for lam in LAMBDA_GRID:
-            beyond, at, below = sublevel_decomposition(f, lam, a)
+    for a, _, _, _, splits in rows:
+        for lam, (beyond, at, below) in splits.items():
             if not beyond.intersect(at).is_empty() or not at.intersect(below).is_empty():
                 bad += 1
             if not beyond.intersect(below).is_empty():
@@ -228,10 +232,10 @@ def _check_sublevel_union(f: Cdf, alphas):
 
 
 @_analytic("quantile_range_of_point", 0)
-def _check_quantile_ranges(f: Cdf):
+def _check_quantile_ranges(f: Cdf, grid):
     bad = 0
     bps = set(f.xs)
-    for x in probe_grid(f):
+    for x in grid:
         lo, hi = f.left_value(x), f.value(x)
         s = quantile_range_of_point(f, x)
         for iv in s.components:
@@ -295,7 +299,7 @@ def _check_phi_roundtrip(f: Cdf):
 
 
 @_analytic("null_set_inversion", EXACT_TOL)
-def _check_null_sets(f: Cdf):
+def _check_null_sets(f: Cdf, grid):
     worst = 0.0
     bad = 0
     for lam in LAMBDA_GRID:
@@ -305,7 +309,7 @@ def _check_null_sets(f: Cdf):
         if boundary == 0.0:
             worst = max(worst, abs(rep.total_measure))
         exceptional = rep.union()
-        for x in probe_grid(f):
+        for x in grid:
             t = lambda_transform(f, x, lam)
             if t == 0.0 or t == 1.0:
                 if not exceptional.contains(x):
@@ -322,22 +326,22 @@ def _check_null_sets(f: Cdf):
 
 
 @_analytic("transform_cdf_uniform", EXACT_TOL)
-def _check_transform_cdf(f: Cdf, alphas):
+def _check_transform_cdf(f: Cdf, rows):
     worst = 0.0
-    for a in alphas:
+    for a, *_ in rows:
         br = transform_cdf_exact(f, f, a)
         worst = max(worst, abs(br.total - a))
     return worst
 
 
 @_analytic("uniformity_displays", EXACT_TOL)
-def _check_uniformity_displays(f: Cdf):
-    # on flat levels: P(F(X) <= a) = a = P(X <= left quantile)
+def _check_uniformity_displays(f: Cdf, rows):
+    # on flat levels (the rows with hi > lo): P(F(X) <= a) = a = P(X <= left quantile)
     worst = 0.0
-    for a in f.plateau_levels:
-        lo, hi = quantile_pair(f, a)
-        below = measure_interval(f, Interval(-math.inf, hi, False, f.value(hi) == a))
-        worst = max(worst, abs(below - a), abs(f.value(lo) - a))
+    for a, lo, hi, _, _ in rows:
+        if hi > lo:
+            below = measure_interval(f, Interval(-math.inf, hi, False, f.value(hi) == a))
+            worst = max(worst, abs(below - a), abs(f.value(lo) - a))
     # every jump puts an equally sized atom on the law of F(X)
     for x, mass in zip(f.jump_points, f.jump_masses):
         worst = max(worst, abs(measure_value_level(f, f.value(x)) - mass))
@@ -345,13 +349,11 @@ def _check_uniformity_displays(f: Cdf):
 
 
 @_analytic("jump_characterization", 0)
-def _check_jump_characterization(f: Cdf, alphas):
+def _check_jump_characterization(f: Cdf, rows):
     jump_set(f)  # raises if the stored atoms and the quantile scans disagree
     bad = 0
-    for a in alphas:
-        lo, hi = quantile_pair(f, a)
-        beyond, _, _ = sublevel_decomposition(f, 1.0, a)
-        if (hi > lo) != (not beyond.is_empty()):
+    for _, lo, hi, _, splits in rows:
+        if (hi > lo) != (not splits[1.0][0].is_empty()):  # the lam = 1 split's beyond part
             bad += 1
     return bad
 
@@ -378,21 +380,22 @@ def analytic_checks(f: Cdf) -> list[CheckResult]:
 
     A check that raises a StepDistError reports that as its own FAIL.
     """
-    alphas = alpha_population(f)
+    rows = _level_rows(f, alpha_population(f))
+    grid = probe_grid(f)
     return [
-        _check_transform_sandwich(f),
-        _check_quantile_sandwich(f, alphas),
-        _check_halfline_sets(f, alphas),
-        _check_level_set_cases(f, alphas),
-        _check_flat_mass(f, alphas),
-        _check_sublevel_union(f, alphas),
-        _check_quantile_ranges(f),
+        _check_transform_sandwich(f, grid),
+        _check_quantile_sandwich(f, rows),
+        _check_halfline_sets(f, rows, grid),
+        _check_level_set_cases(f, rows),
+        _check_flat_mass(f, rows),
+        _check_sublevel_union(f, rows, grid),
+        _check_quantile_ranges(f, grid),
         _check_jump_gaps(f),
         _check_phi_roundtrip(f),
-        _check_null_sets(f),
-        _check_transform_cdf(f, alphas),
-        _check_uniformity_displays(f),
-        _check_jump_characterization(f, alphas),
+        _check_null_sets(f, grid),
+        _check_transform_cdf(f, rows),
+        _check_uniformity_displays(f, rows),
+        _check_jump_characterization(f, rows),
         _check_total_mass(f),
     ]
 

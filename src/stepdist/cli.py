@@ -134,7 +134,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_level_set(args) -> int:
-    """Both ``quantile`` and ``levelset``: the quantile pair and the level set."""
+    """``quantile`` (alias ``levelset``): the quantile pair and the level set."""
     f = load_distribution(args.dist[0])
     lo, hi = quantile_pair(f, args.alpha)
     ls = level_set(f, args.alpha)
@@ -290,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("quantile", help="left/right quantiles and the level set at a level")
+    p = sub.add_parser("quantile", aliases=["levelset"], help="quantiles and level set at a level")
     common(p)
     p.add_argument("--alpha", type=float, required=True)
     p.set_defaults(func=_cmd_level_set)
@@ -300,11 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--lam", type=float, required=True)
     p.set_defaults(func=_cmd_transform)
-
-    p = sub.add_parser("levelset", help="describe {x : F(x) = alpha}")
-    common(p)
-    p.add_argument("--alpha", type=float, required=True)
-    p.set_defaults(func=_cmd_level_set)
 
     p = sub.add_parser("measure", help="mass of one interval, e.g. --interval '(0.25,0.5]'")
     common(p)

@@ -206,6 +206,8 @@ def empirical_joint_cdf(sample: JointSample, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.size != sample.dim:
         raise DimensionMismatch(f"point of size {x.size} for dimension {sample.dim}")
+    if np.isnan(x).any():
+        raise ValidationError("point coordinate is NaN")
     return float(np.all(sample.rows <= x, axis=1).mean())
 
 

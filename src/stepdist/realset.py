@@ -74,7 +74,7 @@ class Interval:
         return self.lo == self.hi and self.closed_lo and self.closed_hi
 
     def contains(self, x: float) -> bool:
-        if x < self.lo or x > self.hi:
+        if not self.lo <= x <= self.hi:  # NaN lies outside every interval
             return False
         if x == self.lo and not self.closed_lo:
             return False
@@ -173,7 +173,7 @@ class RealSet:
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape, dtype=bool)
         for iv in self.components:
-            inside = ~((x < iv.lo) | (x > iv.hi))
+            inside = (x >= iv.lo) & (x <= iv.hi)
             if not iv.closed_lo:
                 inside &= x != iv.lo
             if not iv.closed_hi:

@@ -123,6 +123,13 @@ class TestOtherCommands:
         doc = json.loads(out)
         assert doc["level_set_case"] == "half-open"
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_levelset_is_an_alias_of_quantile(self, dists, capsys, fmt):
+        args = ("--dist", dists["mixed"], "--alpha", "0.25", "--format", fmt)
+        code, out, _ = run(capsys, "levelset", *args)
+        assert code == 0
+        assert out == run(capsys, "quantile", *args)[1]
+
 
 class TestVerify:
     def test_analytic_passes(self, dists, capsys):

@@ -223,3 +223,9 @@ class TestEmpiricalJointCdf:
         s = generate_joint_sample((fb, fb), "independent", 1000, seed=3)
         assert empirical_joint_cdf(s, (1.0, 1.0)) == 1.0
         assert empirical_joint_cdf(s, (-1.0, 1.0)) == 0.0
+
+    def test_nan_coordinate(self, fb):
+        s = generate_joint_sample((fb, fb), "independent", 100, seed=3)
+        for x in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValidationError):
+                empirical_joint_cdf(s, x)

@@ -70,6 +70,19 @@ class TestRealSet:
         d = unit.difference(holes)
         assert d == RealSet.of(Interval.open(0.0, 0.25), Interval.open(0.5, 1.0))
 
+    @pytest.mark.parametrize(
+        "s",
+        [
+            RealSet.point(0.0),
+            RealSet.of(Interval.open(0.0, 1.0)),
+            RealSet.of(Interval.closed(-1.0, 1.0), Interval.open_closed(2.0, 3.0)),
+            RealSet.reals(),
+        ],
+    )
+    def test_nan_is_in_no_set(self, s):
+        assert not s.contains(math.nan)
+        assert s.contains_many([math.nan, 0.5]).tolist() == [False, s.contains(0.5)]
+
     def test_empty(self):
         assert RealSet.empty().is_empty()
         assert not RealSet.empty().contains(0.0)

@@ -18,6 +18,7 @@ from stepdist.checks import (
     LAMBDA_GRID,
     _check_halfline_sets,
     _check_sublevel_union,
+    _level_rows,
     alpha_population,
     default_copula_grid,
     probe_grid,
@@ -172,14 +173,14 @@ def _check_population(small_population, fb, fm, fu):
 def test_halfline_counts(small_population, fb, fm, fu):
     for f in _check_population(small_population, fb, fm, fu):
         alphas = alpha_population(f)
-        res = _check_halfline_sets(f, alphas)
+        res = _check_halfline_sets(f, _level_rows(f, alphas), probe_grid(f))
         assert res.value == halfline_by_point(f, alphas)
 
 
 def test_sublevel_counts(small_population, fb, fm, fu):
     for f in _check_population(small_population, fb, fm, fu):
         alphas = alpha_population(f)
-        res = _check_sublevel_union(f, alphas)
+        res = _check_sublevel_union(f, _level_rows(f, alphas), probe_grid(f))
         assert res.value == sublevel_by_point(f, alphas)
 
 
