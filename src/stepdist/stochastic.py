@@ -8,10 +8,16 @@ and verifies the almost-sure inversion X = left_quantile(U) empirically.
 
 Streams are identified by (seed, stream_id): the same pair always reproduces
 the same draws, distinct stream_ids give independent streams.
+
+The quantile and the transform are nondecreasing, so the kernels run over the
+levels (or points) in increasing order: one argsort per call puts every
+search on sorted keys, and since each key's result does not depend on the
+order of the others, the outputs are bit-identical to an unsorted pass.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,11 +72,26 @@ class SeededStream:
             u[zero] = g.random(int(zero.sum()))
 
 
-def sample_inverse(f: Cdf, stream: SeededStream, n: int) -> np.ndarray:
-    """n draws from F by applying the left quantile to uniform levels."""
+def _sorted_levels(stream: SeededStream, n) -> tuple[np.ndarray, np.ndarray]:
+    """The permutation that sorts the stream's first n uniforms, and the sorted uniforms."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValidationError(f"the number of draws must be an integer, got {n!r}") from None
     if n < 1:
         raise EmptySample("need at least one draw")
-    return _left_quantiles(f, stream.uniforms(n))
+    u = stream.uniforms(n)
+    order = np.argsort(u)
+    return order, u[order]
+
+
+def sample_inverse(f: Cdf, stream: SeededStream, n: int) -> np.ndarray:
+    """n draws from F by applying the left quantile to uniform levels."""
+    order, levels = _sorted_levels(stream, n)
+    draws = _left_quantiles(f, levels)
+    out = np.empty_like(draws)
+    out[order] = draws
+    return out
 
 
 def distributional_transform(
@@ -80,16 +101,22 @@ def distributional_transform(
 
     Each output lies in [F(x-), F(x)].  The randomization stream must not be
     the stream that produced xs; pass the producing stream as ``x_stream``
-    to have the collision checked.
+    to have the collision checked.  V is drawn in the flattened order of xs.
     """
     if x_stream is not None and x_stream.stream_id == v_stream.stream_id:
         raise StreamCollision(
             f"stream_id {v_stream.stream_id} used for both the sample and its randomization"
         )
     xs = np.asarray(xs, dtype=float)
-    v = v_stream.uniforms(xs.size).reshape(xs.shape)
-    _, left, jump = f.value_parts(xs)
-    return left + v * jump
+    if np.isnan(xs).any():
+        raise ValidationError("evaluation point is NaN")
+    order = np.argsort(xs, axis=None)
+    u, jump = f.value_parts(xs.take(order))[1:]  # u starts as F(x-)
+    jump *= v_stream.uniforms(xs.size)[order]  # each x keeps its own V
+    u += jump
+    out = np.empty(xs.size)
+    out[order] = u
+    return out.reshape(xs.shape)
 
 
 @dataclass(frozen=True)
@@ -182,12 +209,18 @@ def inversion_check(f: Cdf, stream: SeededStream, n: int) -> InversionReport:
     ``stream.child(1)``.  Atoms round-trip exactly; points inside rising
     segments are compared with tolerance 1e-9.
     """
-    if n < 1:
-        raise EmptySample("need at least one draw")
-    xs = sample_inverse(f, stream, n)
-    fx, left, jump = f.value_parts(xs)
-    u = left + stream.child(1).uniforms(n) * jump
-    del left, jump
+    order, levels = _sorted_levels(stream, n)
+    n = levels.size
+    v = stream.child(1).uniforms(n)[order]  # each draw keeps its own V
+    del order
+    # the counts need no scatter back: the draws and F stay nondecreasing, and
+    # the transform too, except among the draws that share an atom
+    xs = _left_quantiles(f, levels)
+    del levels
+    fx, u, jump = f.value_parts(xs)  # u starts as F(x-)
+    jump *= v
+    u += jump
+    del jump, v
     back = _left_quantiles(f, u)
     failures = int((np.abs(back - xs) > INVERSION_TOL).sum())
 
@@ -202,7 +235,7 @@ def inversion_check(f: Cdf, stream: SeededStream, n: int) -> InversionReport:
     return InversionReport(
         failures=failures,
         shortcut_failures=shortcut_failures,
-        n=int(n),
+        n=n,
         seed=stream.seed,
         stream_id=stream.stream_id,
     )

@@ -65,6 +65,14 @@ class TestSampleInverse:
         with pytest.raises(EmptySample):
             sample_inverse(fu, SeededStream(1, 0), 0)
 
+    @pytest.mark.parametrize("n", [2.7, 3.0, "3"])
+    def test_draw_count_must_be_an_integer(self, fu, n):
+        with pytest.raises(ValidationError, match="integer"):
+            sample_inverse(fu, SeededStream(1, 0), n)
+
+    def test_numpy_integer_draw_count(self, fu):
+        assert sample_inverse(fu, SeededStream(1, 0), np.int64(3)).shape == (3,)
+
 
 class TestDistributionalTransform:
     def test_continuous_case_ignores_v(self, fu):
@@ -80,6 +88,11 @@ class TestDistributionalTransform:
         assert (us > 0.0).all() and (us < 0.5).all()
         v = SeededStream(3, 1).uniforms(10_000)
         assert np.array_equal(us, 0.5 * v)
+
+    @pytest.mark.parametrize("xs", [math.nan, [0.5, math.nan, 0.25]])
+    def test_nan_point_is_rejected(self, fm, xs):
+        with pytest.raises(ValidationError, match="NaN"):
+            distributional_transform(fm, xs, SeededStream(1, 1))
 
     def test_transform_lands_in_value_gap(self, fm):
         xs = sample_inverse(fm, SeededStream(4, 0), 5000)
@@ -218,3 +231,11 @@ class TestInversionCheck:
     def test_report_echoes_seed_policy(self, fu):
         rep = inversion_check(fu, SeededStream(9, 4), 100)
         assert (rep.seed, rep.stream_id, rep.n) == (9, 4, 100)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0])
+    def test_draw_count_must_be_an_integer(self, fu, n):
+        with pytest.raises(ValidationError, match="integer"):
+            inversion_check(fu, SeededStream(1, 0), n)
+
+    def test_numpy_integer_draw_count(self, fu):
+        assert inversion_check(fu, SeededStream(1, 0), np.int32(5)).n == 5

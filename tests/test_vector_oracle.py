@@ -437,6 +437,140 @@ def test_one_search_per_point_set(fm, monkeypatch):
     assert len(full) == 6  # sample 1, transform 1, inversion check 4 (sample, F, two quantile passes)
 
 
+# -- sampling in level order ----------------------------------------------------
+#
+# The bodies below are the unsorted forms of sample_inverse,
+# distributional_transform and inversion_check that the level-order kernels
+# replaced: each searched its keys in the order the streams drew them.
+
+
+def sample_unsorted(f, stream, n):
+    return _left_quantiles(f, stream.uniforms(n))
+
+
+def transform_unsorted(f, xs, v_stream):
+    xs = np.asarray(xs, dtype=float)
+    v = v_stream.uniforms(xs.size).reshape(xs.shape)
+    _, left, jump = f.value_parts(xs)
+    return left + v * jump
+
+
+def inversion_unsorted(f, stream, n):
+    xs = sample_unsorted(f, stream, n)
+    fx, left, jump = f.value_parts(xs)
+    u = left + stream.child(1).uniforms(n) * jump
+    del left, jump
+    back = _left_quantiles(f, u)
+    failures = int((np.abs(back - xs) > stochastic.INVERSION_TOL).sum())
+
+    z1 = cdf._left_quantile_unchecked(f, 1.0)
+    shortcut_failures = None
+    if f.jump(z1) == 0.0:
+        ok = (fx > 0.0) & (fx < 1.0)
+        bad = int((~ok).sum())
+        back2 = _left_quantiles(f, fx[ok])
+        bad += int((np.abs(back2 - xs[ok]) > stochastic.INVERSION_TOL).sum())
+        shortcut_failures = bad
+    return stochastic.InversionReport(
+        failures=failures, shortcut_failures=shortcut_failures, n=int(n), seed=stream.seed, stream_id=stream.stream_id
+    )
+
+
+@pytest.fixture(scope="module")
+def large():
+    """A normalized k = 20,000 function: 30 % of breakpoints carry an atom, 25 % of segments are flat."""
+    rng = np.random.default_rng([1, 0, 2])
+    k = 20_000
+    xs = rng.uniform(1.0, 11.0) + np.cumsum(rng.uniform(0.01, 1.0, size=k))
+    atoms = np.where(rng.random(k) < 0.3, rng.uniform(0.05, 1.0, size=k), 0.0)
+    rises = np.where(rng.random(k - 1) < 0.25, 0.0, rng.uniform(0.05, 1.0, size=k - 1))
+    return normalize(sd.MonotoneStepLinear(xs=xs, atoms=atoms, rises=rises))
+
+
+def recorded_search_keys(monkeypatch) -> list:
+    """A list that receives a copy of the keys of every np.searchsorted call."""
+    keys = []
+    search = np.searchsorted
+
+    def recorded(a, v, *args, **kwargs):
+        keys.append(np.array(v, dtype=float).ravel())
+        return search(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", recorded)
+    return keys
+
+
+def bit_multiset(a) -> bytes:
+    """The bit patterns of a's elements, in an order that does not depend on a's."""
+    return np.sort(np.asarray(a, dtype=float).ravel().view(np.int64)).tobytes()
+
+
+def test_level_order_matches_unsorted_bodies(population, fb, fm, fu, large, monkeypatch):
+    keys = recorded_search_keys(monkeypatch)
+    tol = stochastic.INVERSION_TOL
+    exact_misses = 0
+    for j, f in enumerate([*population, fb, fm, fu, large]):
+        n = 100_000 if f is large else 2_000
+        x_stream, v_stream, i_stream = SeededStream(j, 0), SeededStream(j, 1), SeededStream(j, 2)
+        draws = sample_inverse(f, x_stream, n)
+        assert same(draws, sample_unsorted(f, x_stream, n))
+        us = distributional_transform(f, draws, v_stream, x_stream=x_stream)
+        assert same(us, transform_unsorted(f, draws, v_stream))
+        # with no tolerance the counts see every round trip that is off by an ulp
+        for t in (tol, 0.0):
+            monkeypatch.setattr(stochastic, "INVERSION_TOL", t)
+            keys.clear()
+            rep = inversion_check(f, i_stream, n)
+            searched = [bit_multiset(k) for k in keys if k.size > n // 2]
+            keys.clear()
+            assert rep == inversion_unsorted(f, i_stream, n)
+            # the same keys reach each full-size search, only in another order
+            assert searched == [bit_multiset(k) for k in keys if k.size > n // 2]
+        exact_misses += rep.failures
+    assert exact_misses > 0
+
+
+def test_transform_of_any_shape_and_order_matches_unsorted(fb, fm, large):
+    rng = np.random.default_rng(5)
+    v_stream = SeededStream(8, 1)
+    for f in (fb, fm, large):
+        draws = sample_inverse(f, SeededStream(8, 0), 3_000)
+        ties = rng.permutation(np.resize(np.asarray(f.jump_points), 3_000))
+        inputs = [
+            np.empty(0),
+            np.empty((0, 3)),
+            np.asarray(draws[0]),
+            draws[:6].reshape(2, 3),
+            draws[:24].reshape(2, 3, 4),
+            draws[:24].reshape(4, 6).T,
+            ties,
+            np.array([-math.inf, math.inf, *draws[:5], -math.inf, math.inf]),
+            np.sort(draws),
+            np.sort(draws)[::-1],
+            rng.permutation(draws),
+        ]
+        for xs in inputs:
+            assert same(distributional_transform(f, xs, v_stream), transform_unsorted(f, xs, v_stream))
+
+
+def test_sampling_searches_keys_in_level_order(fm, large, monkeypatch):
+    keys = recorded_search_keys(monkeypatch)
+    n = 20_000
+    for f in (fm, large):
+        keys.clear()
+        draws = sample_inverse(f, SeededStream(4, 0), n)
+        full = [k for k in keys if k.size > n // 2]
+        assert len(full) == 1 and (np.diff(full[0]) >= 0.0).all()
+        keys.clear()
+        distributional_transform(f, draws, SeededStream(4, 1))
+        assert len(keys) == 1 and (np.diff(keys[0]) >= 0.0).all()
+        keys.clear()
+        inversion_check(f, SeededStream(4, 2), n)
+        full = [k for k in keys if k.size > n // 2]
+        assert len(full) >= 3  # the sample, F at the draws, the transform's quantiles
+        assert all((np.diff(k) >= 0.0).all() for k in full[:2])
+
+
 # -- construction: the profile and the flat runs -------------------------------
 
 
