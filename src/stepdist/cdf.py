@@ -347,7 +347,8 @@ def sublevel_decomposition(f: Cdf, lam: float, alpha: float):
     # membership of the quantile itself: jump(q) * lam <= alpha - F(q-),
     # evaluated as the transform itself evaluates so the two never disagree
     # on the float boundary
-    t_at = f.value(lo) if lam == 1.0 else f.left_value(lo) + lam * f.jump(lo)
+    fx, left, jump = f._point(lo)
+    t_at = fx if lam == 1.0 else left + lam * jump
     if t_at <= a:
         at = RealSet.point(lo)
     else:

@@ -71,8 +71,17 @@ class RunReport:
         return out
 
 
-def _print_report(report: RunReport, fmt: str):
-    if fmt == "json":
+def _report(args, command: str, start: float, checks: list[CheckResult], seeded: bool = True) -> int:
+    """Print the run's report in ``args.format`` and return its exit code: 0 pass, 1 fail."""
+    report = RunReport(
+        command=command,
+        inputs=[{"path": str(p), "sha256": file_digest(p)} for p in args.dist],
+        seed=args.seed if seeded else None,
+        n=args.n if seeded else None,
+        checks=checks,
+        duration_s=time.perf_counter() - start,
+    )
+    if args.format == "json":
         print(json.dumps(report.body(), sort_keys=True, indent=2))
     else:
         print(f"command: {report.command}")
@@ -89,6 +98,7 @@ def _print_report(report: RunReport, fmt: str):
         done = sum(1 for c in report.checks if c.passed)
         print(f"result: {'PASS' if report.passed else 'FAIL'} ({done}/{len(report.checks)})")
     print(f"elapsed: {report.duration_s:.2f}s", file=sys.stderr)
+    return 0 if report.passed else 1
 
 
 def _emit(fmt: str, pairs: list[tuple[str, object]]):
@@ -97,10 +107,6 @@ def _emit(fmt: str, pairs: list[tuple[str, object]]):
     else:
         for key, val in pairs:
             print(f"{key}: {val}")
-
-
-def _input_records(paths) -> list[dict]:
-    return [{"path": str(p), "sha256": file_digest(p)} for p in paths]
 
 
 def _parse_interval_text(text: str) -> Interval:
@@ -225,16 +231,7 @@ def _cmd_verify(args) -> int:
         for dep in ("independent", "comonotone"):
             suites.append((f"sklar[{dep}]", sklar_checks(marginals, dep, args.n, args.seed)))
     checks = [replace(c, name=f"{tag}:{c.name}") for tag, suite in suites for c in suite]
-    report = RunReport(
-        command="verify",
-        inputs=_input_records(args.dist),
-        seed=args.seed if args.suite != "analytic" else None,
-        n=args.n if args.suite != "analytic" else None,
-        checks=checks,
-        duration_s=time.perf_counter() - start,
-    )
-    _print_report(report, args.format)
-    return 0 if report.passed else 1
+    return _report(args, "verify", start, checks, seeded=args.suite != "analytic")
 
 
 def _cmd_copula_check(args) -> int:
@@ -254,16 +251,7 @@ def _cmd_copula_check(args) -> int:
             raise ValidationError("--grid: no values")
         axes = [axis] * len(marginals)
     checks = sklar_checks(marginals, args.dependence, args.n, args.seed, axes=axes)
-    report = RunReport(
-        command="copula-check",
-        inputs=_input_records(args.dist),
-        seed=args.seed,
-        n=args.n,
-        checks=checks,
-        duration_s=time.perf_counter() - start,
-    )
-    _print_report(report, args.format)
-    return 0 if report.passed else 1
+    return _report(args, "copula-check", start, checks)
 
 
 # -- parser -------------------------------------------------------------------

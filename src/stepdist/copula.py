@@ -23,7 +23,7 @@ from .errors import (
     StreamCollision,
     ValidationError,
 )
-from .stochastic import SeededStream
+from .stochastic import SeededStream, _check_count
 
 __all__ = [
     "CopulaSpec",
@@ -157,11 +157,13 @@ def generate_joint_sample(marginals, dependence: str, n: int, seed: int) -> Join
     independent: one stream per coordinate (ids 0, 1, ...);
     comonotone: a single uniform driven through every left quantile;
     countermonotone (2 marginals): u and 1-u through the two quantiles.
+    A non-integral n raises ValidationError, and n < 1 raises EmptySample.
     """
     marginals = tuple(marginals)
     d = len(marginals)
     if d < 1:
         raise DimensionMismatch("need at least one marginal")
+    n = _check_count(n)
     if dependence == "independent":
         streams = tuple(SeededStream(seed, j) for j in range(d))
         cols = [_left_quantiles(m, s.uniforms(n)) for m, s in zip(marginals, streams)]

@@ -5,13 +5,18 @@ right-continuous value and the left limit) as stored floats, so evaluation,
 jumps and flat-piece levels come out of stored data instead of re-derived
 sums.  That is what makes the downstream identities exact: two points on the
 same flat piece share the identical float level.
+
+Each point is searched once.  One scalar search yields the triple F(x),
+F(x-) and the jump, of which ``value``, ``left_value`` and ``jump`` each
+return one part; one array search (``value_parts``) yields the three arrays,
+which ``values``, ``left_values`` and ``jumps`` read the same way.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -110,45 +115,34 @@ class MonotoneStepLinear:
         """The constant value on [xs[-1], inf); equals base when there are no breakpoints."""
         return float(self._cums[-1]) if len(self.xs) else self.base
 
-    def value(self, x: float) -> float:
-        """G(x), right-continuous: the jump at x is included."""
+    def _point(self, x: float) -> tuple[float, float, float]:
+        """(G(x), G(x-), the jump at x) from one search; the scalar queries each read one part."""
         x = float(x)
         if math.isnan(x):
             raise ValidationError("evaluation point is NaN")
         xs = self.xs
-        k = len(xs)
-        if k == 0 or x < xs[0]:
-            return self.base
+        if not xs or x < xs[0]:
+            return self.base, self.base, 0.0
         i = bisect_right(xs, x) - 1
-        if i >= k - 1:
-            return float(self._cums[k - 1])
-        r = self.rises[i]
-        c = float(self._cums[i])
-        return c + r * ((x - xs[i]) / (xs[i + 1] - xs[i]))
+        fx = self._cums.item(i)
+        if i < len(xs) - 1:
+            fx += self.rises[i] * ((x - xs[i]) / (xs[i + 1] - xs[i]))
+        if xs[i] != x:
+            return fx, fx, 0.0
+        # a breakpoint: its stored left limit and atom
+        return fx, self._lefts.item(i), self.atoms[i]
+
+    def value(self, x: float) -> float:
+        """G(x), right-continuous: the jump at x is included."""
+        return self._point(x)[0]
 
     def left_value(self, x: float) -> float:
         """G(x-), the limit from the left; equals value(x) off the jump points."""
-        x = float(x)
-        if math.isnan(x):
-            raise ValidationError("evaluation point is NaN")
-        xs = self.xs
-        if not xs or x <= xs[0]:
-            return self.base
-        i = bisect_left(xs, x)
-        if i < len(xs) and xs[i] == x:
-            return float(self._lefts[i])
-        return self.value(x)
+        return self._point(x)[1]
 
     def jump(self, x: float) -> float:
         """G(x) - G(x-): the stored atom at breakpoints, 0 elsewhere."""
-        x = float(x)
-        if math.isnan(x):
-            raise ValidationError("evaluation point is NaN")
-        xs = self.xs
-        i = bisect_left(xs, x)
-        if i < len(xs) and xs[i] == x:
-            return self.atoms[i]
-        return 0.0
+        return self._point(x)[2]
 
     # -- vectorized evaluation ------------------------------------------------
     def _locate(self, x: np.ndarray) -> np.ndarray:

@@ -72,15 +72,20 @@ class SeededStream:
             u[zero] = g.random(int(zero.sum()))
 
 
-def _sorted_levels(stream: SeededStream, n) -> tuple[np.ndarray, np.ndarray]:
-    """The permutation that sorts the stream's first n uniforms, and the sorted uniforms."""
+def _check_count(n) -> int:
+    """n as a number of draws: an integer (else ValidationError), at least 1 (else EmptySample)."""
     try:
         n = operator.index(n)
     except TypeError:
         raise ValidationError(f"the number of draws must be an integer, got {n!r}") from None
     if n < 1:
         raise EmptySample("need at least one draw")
-    u = stream.uniforms(n)
+    return n
+
+
+def _sorted_levels(stream: SeededStream, n) -> tuple[np.ndarray, np.ndarray]:
+    """The permutation that sorts the stream's first n uniforms, and the sorted uniforms."""
+    u = stream.uniforms(_check_count(n))
     order = np.argsort(u)
     return order, u[order]
 
@@ -147,14 +152,13 @@ def transform_cdf_exact(f: Cdf, law_of_x: Cdf, alpha: float) -> TransformCdfBrea
     """
     a = _check_alpha(alpha)
     q_pt = _left_quantile_unchecked(f, a)
-    beta = f.jump(q_pt)
-    qv = f.left_value(q_pt)
-    fq = f.value(q_pt)
+    fq, qv, beta = f._point(q_pt)
+    law_fq, _, law_beta = law_of_x._point(q_pt)
     c_beta = 0.0 if beta == 0.0 else (a - fq) / beta
     run = f._flat_runs.get(a)
     term_flat = 0.0 if run is None else measure_interval(law_of_x, run.interval(False))
-    term_atom = c_beta * (law_of_x.jump(q_pt) - beta)
-    term_left = law_of_x.value(q_pt) - fq
+    term_atom = c_beta * (law_beta - beta)
+    term_left = law_fq - fq
     total = a + term_flat + term_atom + term_left
     return TransformCdfBreakdown(
         quantile=q_pt,

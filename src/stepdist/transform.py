@@ -48,30 +48,32 @@ def lambda_transform(f: Cdf, x: float, lam: float) -> float:
     value exactly.
     """
     lam = _check_weight(lam, zero_ok=True)
+    fx, left, jump = f._point(x)
     if lam == 0.0:
-        return f.left_value(x)
+        return left
     if lam == 1.0:
-        return f.value(x)
-    return f.left_value(x) + lam * f.jump(x)
+        return fx
+    return left + lam * jump
 
 
 def lambda_transforms(f: Cdf, x, lam: float) -> np.ndarray:
     """Vector form of :func:`lambda_transform`: the transform at every point of x.
 
-    Takes the same branches as the scalar function (the stored left limits
-    at lam = 0, the values at lam = 1, ``F(x-) + lam * jump(x)`` from one
-    search otherwise), so each entry equals ``lambda_transform(f, x_i, lam)`` bit
-    for bit; the scalar function is the reference the tests compare with.
+    Takes the same branches as the scalar function over the parts of one
+    search (the stored left limits at lam = 0, the values at lam = 1,
+    ``F(x-) + lam * jump(x)`` otherwise), so each entry equals
+    ``lambda_transform(f, x_i, lam)`` bit for bit; the scalar function is the
+    reference the tests compare with.
     """
     lam = _check_weight(lam, zero_ok=True)
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
         raise ValidationError("evaluation point is NaN")
+    fx, left, jump = f.value_parts(x)
     if lam == 0.0:
-        return f.left_values(x)
+        return left
     if lam == 1.0:
-        return f.values(x)
-    _, left, jump = f.value_parts(x)
+        return fx
     return left + lam * jump
 
 
@@ -84,8 +86,7 @@ def quantile_range_of_point(f: Cdf, x: float) -> RealSet:
     endpoint level sits inside (0,1)).
     """
     x = float(x)
-    lo = f.left_value(x)
-    hi = f.value(x)
+    hi, lo, _ = f._point(x)
     xs = f.xs
     # is F constant on some interval (x - eps, x)?
     if x <= xs[0] or x > xs[-1]:
@@ -142,8 +143,8 @@ def jump_gap_weights(f: Cdf, alphas) -> list[float]:
     for n, ((_, lo, hi, _), a) in enumerate(zip(f._jumps, alphas)):
         if math.isnan(a) or not lo < a < hi:
             raise AlphaNotInJumpInterval(n, f"level {a} not inside ({lo}, {hi})")
-        q = _left_quantile_unchecked(f, a)
-        out.append((a - f.left_value(q)) / f.jump(q))
+        _, left, jump = f._point(_left_quantile_unchecked(f, a))
+        out.append((a - left) / jump)
     return out
 
 
@@ -154,13 +155,13 @@ def attained_values(f: Cdf) -> RealSet:
     of the open jump gaps.
     """
     parts = [Interval.point(0.0), Interval.point(1.0)]
-    xs = f.xs
-    for i, x in enumerate(xs):
-        # at a stored breakpoint both return the stored floats
-        lo, hi = f.left_value(x), f.value(x)
+    # at the breakpoints both parts are the stored floats
+    values, lefts, _ = f.value_parts(f.xs)
+    lefts = lefts.tolist()
+    for i, (lo, hi) in enumerate(zip(lefts, values.tolist())):
         parts += [Interval.point(lo), Interval.point(hi)]
-        if i < len(xs) - 1 and f.rises[i] > 0.0:
-            parts.append(Interval.closed(hi, f.left_value(xs[i + 1])))
+        if i < len(lefts) - 1 and f.rises[i] > 0.0:
+            parts.append(Interval.closed(hi, lefts[i + 1]))
     return RealSet(tuple(parts))
 
 

@@ -213,6 +213,14 @@ class TestCopulaCheck:
         code, _, err = run(capsys, "copula-check", "--dist", dists["uniform"])
         assert code == 2
 
+    def test_no_rows_exits_2(self, dists, capsys):
+        code, out, err = run(
+            capsys, "copula-check", "--dist", dists["bernoulli"], "--dist", dists["mixed"], "--n", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert "need at least one draw" in err
+
     def test_custom_grid(self, dists, capsys):
         code, out, _ = run(
             capsys, "copula-check", "--dist", dists["uniform"], "--dist", dists["uniform"],

@@ -6,6 +6,7 @@ import pytest
 from stepdist import (
     CountermonotoneDimension,
     DimensionMismatch,
+    EmptySample,
     NotAFlatLevel,
     StreamCollision,
     ValidationError,
@@ -99,6 +100,24 @@ class TestJointSampleGeneration:
     def test_countermonotone_needs_two(self, fu):
         with pytest.raises(CountermonotoneDimension):
             generate_joint_sample((fu, fu, fu), "countermonotone", 10, seed=1)
+
+    @pytest.mark.parametrize("dep", ["independent", "comonotone", "countermonotone"])
+    @pytest.mark.parametrize("n", [2.7, "3"])
+    def test_row_count_must_be_an_integer(self, fb, fu, dep, n):
+        with pytest.raises(ValidationError, match="integer"):
+            generate_joint_sample((fb, fu), dep, n, seed=1)
+
+    @pytest.mark.parametrize("dep", ["independent", "comonotone", "countermonotone"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_row_count_must_be_positive(self, fb, fu, dep, n):
+        with pytest.raises(EmptySample, match="need at least one draw"):
+            generate_joint_sample((fb, fu), dep, n, seed=1)
+
+    @pytest.mark.parametrize("dep", ["independent", "comonotone", "countermonotone"])
+    def test_numpy_integer_row_count(self, fb, fu, dep):
+        s = generate_joint_sample((fb, fu), dep, np.int64(3), seed=1)
+        assert s.rows.shape == (3, 2)
+        assert s.rows.tobytes() == generate_joint_sample((fb, fu), dep, 3, seed=1).rows.tobytes()
 
     def test_marginals_converge(self, fb, fm):
         s = generate_joint_sample((fb, fm), "independent", N, seed=42)

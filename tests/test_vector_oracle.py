@@ -6,6 +6,7 @@ The scalar functions (``empirical_joint_cdf``, ``sklar_compose``,
 array forms must agree bit for bit.
 """
 
+import bisect
 import itertools
 import math
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import stepdist as sd
-from stepdist import cdf, stochastic
+from stepdist import cdf, monotone, stochastic
 from stepdist.checks import (
     LAMBDA_GRID,
     _check_halfline_sets,
@@ -323,6 +324,103 @@ def test_fused_evaluation_shapes_and_nan(fm, shape):
         old = (values_by_right_search(f, x), left_values_by_two_searches(f, x), jumps_by_left_search(f, x))
         for got, three, single in zip(parts, old, (f.values(x), f.left_values(x), f.jumps(x))):
             assert same(got, three) and same(single, three)
+
+
+# -- one search per scalar point ----------------------------------------------
+#
+# The bodies below are the three scalar kernels that the one-search triple
+# replaced: value with its own bisect_right, left_value with a bisect_left
+# that calls value (and searches again) off the breakpoints, and jump with
+# one more bisect_left.
+
+
+def value_by_right_bisect(f, x):
+    x = float(x)
+    if math.isnan(x):
+        raise sd.ValidationError("evaluation point is NaN")
+    xs = f.xs
+    k = len(xs)
+    if k == 0 or x < xs[0]:
+        return f.base
+    i = bisect.bisect_right(xs, x) - 1
+    if i >= k - 1:
+        return float(f._cums[k - 1])
+    r = f.rises[i]
+    c = float(f._cums[i])
+    return c + r * ((x - xs[i]) / (xs[i + 1] - xs[i]))
+
+
+def left_value_by_left_bisect(f, x):
+    x = float(x)
+    if math.isnan(x):
+        raise sd.ValidationError("evaluation point is NaN")
+    xs = f.xs
+    if not xs or x <= xs[0]:
+        return f.base
+    i = bisect.bisect_left(xs, x)
+    if i < len(xs) and xs[i] == x:
+        return float(f._lefts[i])
+    return value_by_right_bisect(f, x)
+
+
+def jump_by_left_bisect(f, x):
+    x = float(x)
+    if math.isnan(x):
+        raise sd.ValidationError("evaluation point is NaN")
+    xs = f.xs
+    i = bisect.bisect_left(xs, x)
+    if i < len(xs) and xs[i] == x:
+        return f.atoms[i]
+    return 0.0
+
+
+def scalar_points(f) -> list[float]:
+    """The evaluation points, a point below the support and one above it."""
+    ends = [f.xs[0] - 1.0, f.xs[-1] + 1.0] if f.xs else [-1.0, 1.0]
+    return eval_points(f).tolist() + ends
+
+
+def test_scalar_queries_match_the_three_kernels(population, fb, fm, fu):
+    for f in eval_functions(population, fb, fm, fu):
+        for x in scalar_points(f):
+            for query, oracle in (
+                (f.value, value_by_right_bisect),
+                (f.left_value, left_value_by_left_bisect),
+                (f.jump, jump_by_left_bisect),
+            ):
+                got, ref = query(x), oracle(f, x)
+                assert type(got) is float and bits(got) == bits(ref), (query.__name__, x)
+
+
+def test_scalar_queries_reject_nan(population, fb, fm, fu):
+    for f in eval_functions(population[:3], fb, fm, fu):
+        for query in (f.value, f.left_value, f.jump):
+            with pytest.raises(sd.ValidationError, match="NaN"):
+                query(math.nan)
+
+
+def test_one_search_per_scalar_point(fm, monkeypatch):
+    """Each scalar query, and each lambda_transform, searches the breakpoints once."""
+    searches = []
+
+    def counted(search):
+        def run(*args, **kwargs):
+            searches.append(search.__name__)
+            return search(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(monotone, "bisect_right", counted(bisect.bisect_right))
+    monkeypatch.setattr(monotone, "bisect_left", counted(bisect.bisect_left), raising=False)
+    monkeypatch.setattr(np, "searchsorted", counted(np.searchsorted))
+    queries = [fm.value, fm.left_value, fm.jump]
+    queries += [lambda x, lam=lam: lambda_transform(fm, x, lam) for lam in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    for x in scalar_points(fm):
+        for query in queries:
+            searches.clear()
+            query(x)
+            # below the support the value is the base, found without a search
+            assert searches == ([] if x < fm.xs[0] else ["bisect_right"]), x
 
 
 # -- the ramp check of _left_quantiles -----------------------------------------
