@@ -24,7 +24,6 @@ from .cdf import (
     normalize,
     quantile_pair,
     right_quantile,
-    sublevel_decomposition,
 )
 from .checks import CheckResult, analytic_checks, sklar_checks, stochastic_checks
 from .copula import (
@@ -78,6 +77,7 @@ from .transform import (
     lambda_transform,
     lambda_transforms,
     quantile_range_of_point,
+    sublevel_decomposition,
 )
 
 __version__ = "0.1.0"

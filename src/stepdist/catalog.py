@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cdf import Cdf
+from .cdf import Cdf, normalize
 from .monotone import MonotoneStepLinear
 
 __all__ = [
@@ -55,8 +55,6 @@ def random_cdf(
     exact-identity checks exercise real structure rather than degenerate
     slivers.  Always produces at least one positive mass.
     """
-    from .cdf import normalize
-
     n_atoms = int(rng.integers(0, max_atoms + 1))
     n_rises = int(rng.integers(0, max_segments + 1))
     n_flats = int(rng.integers(0, max_plateaus + 1))

@@ -4,7 +4,9 @@ Quantiles are computed by a structural scan of the stored breakpoint values,
 with at most one linear solve inside a rising segment.  Levels that are
 attained at a breakpoint (atoms, flat pieces) always come back as the stored
 breakpoint abscissa, so set endpoints downstream are float-identical rather
-than merely close.
+than merely close.  Level sets are read off the table of flat pieces built
+at construction.  Nothing here knows about transform weights: the
+jump-interpolating transform and its sublevel sets live in transform.py.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, DegenerateRange, LambdaOutOfRange, ValidationError
+from .errors import AlphaOutOfRange, DegenerateRange, ValidationError
 from .monotone import MonotoneStepLinear
 from .realset import Interval, RealSet
 
@@ -30,7 +32,6 @@ __all__ = [
     "right_quantile",
     "quantile_pair",
     "level_set",
-    "sublevel_decomposition",
     "jump_set",
 ]
 
@@ -156,13 +157,6 @@ def _check_alpha(alpha: float) -> float:
     if math.isnan(alpha) or not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(f"level must lie in (0, 1), got {alpha}")
     return alpha
-
-
-def _check_weight(lam: float, zero_ok: bool = False) -> float:
-    lam = float(lam)
-    if not (0.0 < lam <= 1.0 or zero_ok and lam == 0.0):
-        raise LambdaOutOfRange(f"weight must lie in {'[' if zero_ok else '('}0, 1], got {lam}")
-    return lam
 
 
 # -- quantile scans ----------------------------------------------------------
@@ -305,7 +299,7 @@ def _left_quantiles(f: Cdf, a: np.ndarray) -> np.ndarray:
     return out
 
 
-# -- level sets and the sublevel split ---------------------------------------
+# -- level sets --------------------------------------------------------------
 
 
 def _level_set_unchecked(f: Cdf, a: float) -> RealSet:
@@ -325,36 +319,6 @@ def level_set(f: Cdf, alpha: float) -> RealSet:
     [lo, hi) if F(hi) > alpha and [lo, hi] if F(hi) == alpha.
     """
     return _level_set_unchecked(f, _check_alpha(alpha))
-
-
-def sublevel_decomposition(f: Cdf, lam: float, alpha: float):
-    """Split {x : F(x-) + lam * jump(x) <= alpha} around the left quantile.
-
-    Returns ``(beyond, at, below)``: the part strictly right of the left
-    quantile q (a flat piece of F, possibly empty), the singleton {q} when
-    jump(q) * lam <= alpha - F(q-), and the always-present (-inf, q).
-    Requires 0 < lam <= 1 and 0 < alpha < 1.
-    """
-    lam = _check_weight(lam)
-    a = _check_alpha(alpha)
-    run = f._flat_runs.get(a)
-    if run is None:
-        lo = _left_quantile_unchecked(f, a)
-        beyond = RealSet.empty()
-    else:
-        lo = run.lo
-        beyond = RealSet.of(run.interval(False))
-    # membership of the quantile itself: jump(q) * lam <= alpha - F(q-),
-    # evaluated as the transform itself evaluates so the two never disagree
-    # on the float boundary
-    fx, left, jump = f._point(lo)
-    t_at = fx if lam == 1.0 else left + lam * jump
-    if t_at <= a:
-        at = RealSet.point(lo)
-    else:
-        at = RealSet.empty()
-    below = RealSet.of(Interval.open(-math.inf, lo))
-    return beyond, at, below
 
 
 def jump_set(f: Cdf) -> list[tuple[float, float]]:

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdf import (
-    Cdf,
-    jump_set,
-    left_quantile,
-    level_set,
-    quantile_pair,
-    sublevel_decomposition,
-)
+from .cdf import Cdf, jump_set, left_quantile, level_set, quantile_pair
 from .copula import (
     dt_copula,
     copula_at_flat_alpha,
@@ -53,6 +46,7 @@ from .transform import (
     lambda_transform,
     lambda_transforms,
     quantile_range_of_point,
+    sublevel_decomposition,
 )
 
 __all__ = ["CheckResult", "analytic_checks", "stochastic_checks", "sklar_checks", "KS_CRIT"]
@@ -138,15 +132,14 @@ def _analytic(name: str, threshold: float):
 @_analytic("transform_sandwich", EXACT_TOL)
 def _check_transform_sandwich(f: Cdf, grid):
     worst = 0.0
-    for x in grid:
-        lo, hi = f.left_value(x), f.value(x)
-        for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-            t = lambda_transform(f, x, lam)
+    his, los, jumps = (p.tolist() for p in f.value_parts(grid))
+    for x, lo, hi, jump in zip(grid, los, his, jumps):
+        ts = [lambda_transform(f, x, lam) for lam in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        for t in ts:
             worst = max(worst, lo - t, t - hi)
-        worst = max(worst, abs(lambda_transform(f, x, 0.0) - lo))
-        worst = max(worst, abs(lambda_transform(f, x, 1.0) - hi))
-        if f.jump(x) == 0.0:
-            vals = {lambda_transform(f, x, lam) for lam in (0.0, 0.3, 0.7, 1.0)}
+        worst = max(worst, abs(ts[0] - lo), abs(ts[-1] - hi))
+        if jump == 0.0:
+            vals = {ts[0], lambda_transform(f, x, 0.3), lambda_transform(f, x, 0.7), ts[-1]}
             if len(vals) > 1:
                 worst = max(worst, max(vals) - min(vals))
     return worst
@@ -235,8 +228,8 @@ def _check_sublevel_union(f: Cdf, rows, grid):
 def _check_quantile_ranges(f: Cdf, grid):
     bad = 0
     bps = set(f.xs)
-    for x in grid:
-        lo, hi = f.left_value(x), f.value(x)
+    his, los, _ = (p.tolist() for p in f.value_parts(grid))
+    for x, lo, hi in zip(grid, los, his):
         s = quantile_range_of_point(f, x)
         for iv in s.components:
             if iv.lo < lo or iv.hi > hi:
@@ -300,6 +293,7 @@ def _check_phi_roundtrip(f: Cdf):
 def _check_null_sets(f: Cdf, grid):
     worst = 0.0
     bad = 0
+    jumps = f.jumps(grid).tolist()
     for lam in LAMBDA_GRID:
         rep = inversion_null_set(f, lam)
         worst = max(worst, abs(measure_set(f, rep.plateau_union)))
@@ -307,8 +301,8 @@ def _check_null_sets(f: Cdf, grid):
         if boundary == 0.0:
             worst = max(worst, abs(rep.total_measure))
         exceptional = rep.union().contains_many(grid).tolist()
-        for x, excepted in zip(grid, exceptional):
-            t = lambda_transform(f, x, lam)
+        ts = lambda_transforms(f, grid, lam).tolist()
+        for x, t, jump, excepted in zip(grid, ts, jumps, exceptional):
             if t == 0.0 or t == 1.0:
                 if not excepted:
                     bad += 1
@@ -317,7 +311,7 @@ def _check_null_sets(f: Cdf, grid):
             if y > x + EXACT_TOL:
                 bad += 1
             if not excepted:
-                tol = 0.0 if f.jump(x) > 0.0 else INVERSION_TOL
+                tol = 0.0 if jump > 0.0 else INVERSION_TOL
                 if abs(y - x) > tol:
                     bad += 1
     return worst + bad

@@ -16,7 +16,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 from .cdf import level_set, quantile_pair
 from .checks import CheckResult, analytic_checks, sklar_checks, stochastic_checks
@@ -33,26 +33,16 @@ DEFAULT_N = 100_000
 DEFAULT_SEED = 42
 
 
-@dataclass
-class RunReport:
-    """Everything a verification run decided, in deterministic order."""
-
-    command: str
-    inputs: list[dict]
-    seed: int | None
-    n: int | None
-    checks: list[CheckResult] = field(default_factory=list)
-    duration_s: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def body(self) -> dict:
-        out = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "result": "pass" if self.passed else "fail",
+def _report(args, command: str, start: float, checks: list[CheckResult], seeded: bool = True) -> int:
+    """Print the run's report in ``args.format`` and return its exit code: 0 pass, 1 fail."""
+    inputs = [{"path": str(p), "sha256": file_digest(p)} for p in args.dist]
+    duration_s = time.perf_counter() - start
+    passed = all(c.passed for c in checks)
+    if args.format == "json":
+        body = {
+            "command": command,
+            "inputs": inputs,
+            "result": "pass" if passed else "fail",
             "checks": [
                 {
                     "name": c.name,
@@ -61,44 +51,27 @@ class RunReport:
                     "threshold": c.threshold,
                     "detail": c.detail,
                 }
-                for c in self.checks
+                for c in checks
             ],
         }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.n is not None:
-            out["n"] = self.n
-        return out
-
-
-def _report(args, command: str, start: float, checks: list[CheckResult], seeded: bool = True) -> int:
-    """Print the run's report in ``args.format`` and return its exit code: 0 pass, 1 fail."""
-    report = RunReport(
-        command=command,
-        inputs=[{"path": str(p), "sha256": file_digest(p)} for p in args.dist],
-        seed=args.seed if seeded else None,
-        n=args.n if seeded else None,
-        checks=checks,
-        duration_s=time.perf_counter() - start,
-    )
-    if args.format == "json":
-        print(json.dumps(report.body(), sort_keys=True, indent=2))
+        if seeded:
+            body["seed"], body["n"] = args.seed, args.n
+        print(json.dumps(body, sort_keys=True, indent=2))
     else:
-        print(f"command: {report.command}")
-        for item in report.inputs:
+        print(f"command: {command}")
+        for item in inputs:
             print(f"input: {item['path']} sha256={item['sha256']}")
-        if report.seed is not None:
-            print(f"seed: {report.seed}")
-        if report.n is not None:
-            print(f"n: {report.n}")
-        for c in report.checks:
+        if seeded:
+            print(f"seed: {args.seed}")
+            print(f"n: {args.n}")
+        for c in checks:
             status = "PASS" if c.passed else "FAIL"
             extra = f"  ({c.detail})" if c.detail else ""
             print(f"{status} {c.name:<28} value={c.value:.6g} threshold={c.threshold:.6g}{extra}")
-        done = sum(1 for c in report.checks if c.passed)
-        print(f"result: {'PASS' if report.passed else 'FAIL'} ({done}/{len(report.checks)})")
-    print(f"elapsed: {report.duration_s:.2f}s", file=sys.stderr)
-    return 0 if report.passed else 1
+        done = sum(1 for c in checks if c.passed)
+        print(f"result: {'PASS' if passed else 'FAIL'} ({done}/{len(checks)})")
+    print(f"elapsed: {duration_s:.2f}s", file=sys.stderr)
+    return 0 if passed else 1
 
 
 def _emit(fmt: str, pairs: list[tuple[str, object]]):

@@ -24,6 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .stochastic import SeededStream, _check_count
+from .transform import _transform_parts
 
 __all__ = [
     "CopulaSpec",
@@ -139,6 +140,8 @@ class JointSample:
         n = len(self.marginals)
         if rows.ndim != 2 or rows.shape[1] != n:
             raise DimensionMismatch(f"rows must be N x {n}")
+        if np.isnan(rows).any():
+            raise ValidationError("row coordinate is NaN")
         if len(self.provenance) != n:
             raise DimensionMismatch("one provenance stream per coordinate")
 
@@ -196,10 +199,7 @@ def dt_copula(sample: JointSample, v_stream: SeededStream) -> CopulaSpec:
         )
     rows = sample.rows
     v = v_stream.uniforms(rows.size).reshape(rows.shape)
-    cols = []
-    for j, m in enumerate(sample.marginals):
-        _, left, jump = m.value_parts(rows[:, j])
-        cols.append(left + v[:, j] * jump)
+    cols = [_transform_parts(m, rows[:, j], v[:, j])[1] for j, m in enumerate(sample.marginals)]
     return CopulaSpec.empirical(np.column_stack(cols))
 
 

@@ -214,30 +214,27 @@ class DfConditionReport:
 
 
 def _probe_levels(g: MonotoneStepLinear) -> list[float]:
-    """Every level in (0,1) at which a set condition could change, plus
-    midpoints between consecutive critical levels and a coarse grid.
+    """The levels in (0,1) among {0, 1, base, top} and the midpoints between
+    consecutive ones.
 
-    The function has finitely many attained levels, so conditions quantified
-    over all levels in (0,1) are constant between critical levels; probing
-    criticals and midpoints decides them completely.
+    Each condition is quantified over all levels a in (0,1), and the only
+    level facts it reads are ``top >= a`` and ``base < a``, which can change
+    only at base or top; so it is constant between consecutive critical
+    levels, and probing the criticals and midpoints decides it completely.
     """
-    crit = {0.0, 1.0, g.base, g.top}
-    crit.update(float(v) for v in g._cums)
-    crit.update(float(v) for v in g._lefts)
-    levels = sorted(c for c in crit if 0.0 <= c <= 1.0)
+    levels = sorted(c for c in {0.0, 1.0, g.base, g.top} if 0.0 <= c <= 1.0)
     probes = set(levels)
     for a, b in zip(levels, levels[1:]):
         probes.add(a + 0.5 * (b - a))
-    probes.update(i / 100.0 for i in range(1, 100))
     return sorted(p for p in probes if 0.0 < p < 1.0)
 
 
 def df_condition_report(g: MonotoneStepLinear) -> DfConditionReport:
     """Evaluate the four distribution-function conditions independently.
 
-    Requires range(g) within [0, 1].  The conditions are decided from the
-    finite breakpoint structure over critical levels and midpoints, not by
-    numeric search.
+    Requires range(g) within [0, 1].  The conditions are decided from base
+    and top at the critical levels and their midpoints (:func:`_probe_levels`),
+    not by numeric search.
     """
     if g.base < 0.0 or g.top > 1.0:
         raise ValidationError("range must be contained in [0, 1]")

@@ -25,6 +25,7 @@ import numpy as np
 from .cdf import Cdf, _check_alpha, _left_quantile_unchecked, _left_quantiles
 from .errors import EmptySample, StreamCollision, ValidationError
 from .measure import measure_interval
+from .transform import _transform_parts
 
 __all__ = [
     "SeededStream",
@@ -116,9 +117,8 @@ def distributional_transform(
     if np.isnan(xs).any():
         raise ValidationError("evaluation point is NaN")
     order = np.argsort(xs, axis=None)
-    u, jump = f.value_parts(xs.take(order))[1:]  # u starts as F(x-)
-    jump *= v_stream.uniforms(xs.size)[order]  # each x keeps its own V
-    u += jump
+    v = v_stream.uniforms(xs.size)[order]  # each x keeps its own V
+    u = _transform_parts(f, xs.take(order), v)[1]
     out = np.empty(xs.size)
     out[order] = u
     return out.reshape(xs.shape)
@@ -221,10 +221,8 @@ def inversion_check(f: Cdf, stream: SeededStream, n: int) -> InversionReport:
     # the transform too, except among the draws that share an atom
     xs = _left_quantiles(f, levels)
     del levels
-    fx, u, jump = f.value_parts(xs)  # u starts as F(x-)
-    jump *= v
-    u += jump
-    del jump, v
+    fx, u = _transform_parts(f, xs, v)
+    del v
     back = _left_quantiles(f, u)
     failures = int((np.abs(back - xs) > INVERSION_TOL).sum())
 

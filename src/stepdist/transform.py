@@ -6,6 +6,13 @@ and to F(x) at lam=1.  Left-composing the left quantile undoes the transform
 everywhere outside an explicit exceptional set: the points transported to 0
 or 1 plus the flat pieces of F, a set of F-mass zero whenever the transform
 stays strictly inside (0, 1) F-almost everywhere.
+
+This module is the one place the rule is written: :func:`lambda_transform`
+at one point, and one array kernel that returns F(x) and F(x-) + v * jump(x)
+for a weight v per point (or one weight for all).  The array transform, the
+sublevel split, the distributional transform and its inversion check
+(stochastic.py) and the transform of each copula coordinate (copula.py) all
+call one of the two.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdf import Cdf, _check_weight, _left_quantile_unchecked, _level_set_unchecked
+from .cdf import Cdf, _check_alpha, _left_quantile_unchecked, _level_set_unchecked
 from .errors import (
     AlphaNotInJumpInterval,
     LambdaOutOfRange,
@@ -30,6 +37,7 @@ from .realset import Interval, RealSet
 __all__ = [
     "lambda_transform",
     "lambda_transforms",
+    "sublevel_decomposition",
     "quantile_range_of_point",
     "jump_gap_values",
     "jump_gap_weights",
@@ -38,6 +46,13 @@ __all__ = [
     "inversion_null_set",
     "invert_transform",
 ]
+
+
+def _check_weight(lam: float, zero_ok: bool = False) -> float:
+    lam = float(lam)
+    if not (0.0 < lam <= 1.0 or zero_ok and lam == 0.0):
+        raise LambdaOutOfRange(f"weight must lie in {'[' if zero_ok else '('}0, 1], got {lam}")
+    return lam
 
 
 def lambda_transform(f: Cdf, x: float, lam: float) -> float:
@@ -56,6 +71,16 @@ def lambda_transform(f: Cdf, x: float, lam: float) -> float:
     return left + lam * jump
 
 
+def _transform_parts(f: Cdf, x: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
+    """(F(x), F(x-) + v * jump(x)) from one ``value_parts`` call; v is one weight
+    or one per point.  The sum is formed in place in the arrays of the search,
+    so it allocates no array of its own."""
+    fx, u, jump = f.value_parts(x)  # u starts as F(x-)
+    jump *= v
+    u += jump
+    return fx, u
+
+
 def lambda_transforms(f: Cdf, x, lam: float) -> np.ndarray:
     """Vector form of :func:`lambda_transform`: the transform at every point of x.
 
@@ -69,12 +94,32 @@ def lambda_transforms(f: Cdf, x, lam: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
         raise ValidationError("evaluation point is NaN")
-    fx, left, jump = f.value_parts(x)
     if lam == 0.0:
-        return left
-    if lam == 1.0:
-        return fx
-    return left + lam * jump
+        return f.left_values(x)
+    fx, u = _transform_parts(f, x, lam)
+    return fx if lam == 1.0 else u
+
+
+def sublevel_decomposition(f: Cdf, lam: float, alpha: float):
+    """Split {x : F(x-) + lam * jump(x) <= alpha} around the left quantile.
+
+    Returns ``(beyond, at, below)``: the part strictly right of the left
+    quantile q (a flat piece of F, possibly empty), the singleton {q} when
+    the transform at q is at most alpha, and the always-present (-inf, q).
+    Requires 0 < lam <= 1 and 0 < alpha < 1.
+    """
+    lam = _check_weight(lam)
+    a = _check_alpha(alpha)
+    run = f._flat_runs.get(a)
+    if run is None:
+        q = _left_quantile_unchecked(f, a)
+        beyond = RealSet.empty()
+    else:
+        q = run.lo
+        beyond = RealSet.of(run.interval(False))
+    at = RealSet.point(q) if lambda_transform(f, q, lam) <= a else RealSet.empty()
+    below = RealSet.of(Interval.open(-math.inf, q))
+    return beyond, at, below
 
 
 def quantile_range_of_point(f: Cdf, x: float) -> RealSet:

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from stepdist.cdf import level_set, quantile_pair, sublevel_decomposition
+from stepdist.cdf import level_set, quantile_pair
 from stepdist.checks import alpha_population, default_copula_grid
 from stepdist.copula import (
     CopulaSpec,
@@ -39,6 +39,7 @@ from stepdist.transform import (
     jump_gap_weights,
     lambda_transform,
     quantile_range_of_point,
+    sublevel_decomposition,
 )
 
 TOL = 1e-12

@@ -13,9 +13,9 @@ from stepdist.cdf import (
     level_set,
     quantile_pair,
     right_quantile,
-    sublevel_decomposition,
 )
 from stepdist.realset import Interval, RealSet
+from stepdist.transform import sublevel_decomposition
 
 
 class TestLeftQuantile:

@@ -10,9 +10,12 @@ from stepdist.checks import (
     alpha_population,
     analytic_checks,
     default_copula_grid,
+    probe_grid,
     sklar_checks,
     stochastic_checks,
 )
+from stepdist.monotone import MonotoneStepLinear
+from stepdist.transform import lambda_transforms
 
 
 class TestAlphaPopulation:
@@ -63,6 +66,52 @@ class TestAnalyticSuite:
                 for lam in LAMBDA_GRID:
                     expected["sublevel_decomposition", (lam, a)] = 1
             assert calls == expected
+
+    def test_null_set_check_evaluates_each_pair_once(self, fm, monkeypatch):
+        # inside the null-set check, outside the null sets and their measures,
+        # the only scalar evaluation is the one invert_transform makes: t comes
+        # from one array transform per weight and the jumps from one array pass
+        grid = probe_grid(fm)
+        pairs = [
+            (x, lam)
+            for lam in LAMBDA_GRID
+            for x, t in zip(grid, lambda_transforms(fm, grid, lam))
+            if 0.0 < t < 1.0
+        ]
+        assert len(grid) * len(LAMBDA_GRID) == 76 and len(pairs) == 44
+        counting = [False]
+        points = [0]
+        inverted = Counter()
+        point = MonotoneStepLinear._point
+        invert = checks.invert_transform
+
+        def counted_point(self, x):
+            points[0] += counting[0]
+            return point(self, x)
+
+        def counted_invert(f, x, lam):
+            inverted[x, lam] += 1
+            return invert(f, x, lam)
+
+        def with_counting(fn, on):
+            def run(*args):
+                before, counting[0] = counting[0], on
+                try:
+                    return fn(*args)
+                finally:
+                    counting[0] = before
+
+            return run
+
+        monkeypatch.setattr(MonotoneStepLinear, "_point", counted_point)
+        monkeypatch.setattr(checks, "invert_transform", counted_invert)
+        monkeypatch.setattr(checks, "_check_null_sets", with_counting(checks._check_null_sets, True))
+        for name in ("inversion_null_set", "measure_set"):
+            monkeypatch.setattr(checks, name, with_counting(getattr(checks, name), False))
+        failed = [c for c in analytic_checks(fm) if not c.passed]
+        assert not failed, failed
+        assert inverted == Counter(pairs)
+        assert points[0] <= len(pairs)
 
     @pytest.mark.parametrize(
         "f",

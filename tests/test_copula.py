@@ -13,6 +13,7 @@ from stepdist import (
 )
 from stepdist.copula import (
     CopulaSpec,
+    JointSample,
     copula_at_flat_alpha,
     copula_eval,
     dt_copula,
@@ -161,6 +162,14 @@ class TestDtCopula:
         c = dt_copula(s, SeededStream(42, 1))
         for g in (0.2, 0.5, 0.8):
             assert abs(copula_eval(c, (g,)) - g) < 0.01
+
+    def test_nan_row_is_rejected(self, fb, fm):
+        # the transform would send the NaN coordinate to U = 1.0, and
+        # empirical_joint_cdf would never count that row: the Sklar identity
+        # would break without an error
+        rows = [[0.0, 0.3], [math.nan, 0.6], [1.0, 0.9]]
+        with pytest.raises(ValidationError):
+            JointSample(rows, (fb, fm), (SeededStream(1, 0), SeededStream(1, 1)))
 
 
 class TestSklarIdentity:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from stepdist import AlphaOutOfRange, MalformedInterval
-from stepdist.cdf import level_set, quantile_pair, sublevel_decomposition
+from stepdist.cdf import level_set, quantile_pair
 from stepdist.measure import measure_interval, measure_level_set, measure_set, measure_value_level
 from stepdist.realset import Interval, RealSet
+from stepdist.transform import sublevel_decomposition
 
 INF = math.inf
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import stepdist as sd
-from stepdist import cdf, monotone, stochastic
+from stepdist import cdf, copula, monotone, stochastic, transform
 from stepdist.checks import (
     LAMBDA_GRID,
     _check_halfline_sets,
@@ -33,7 +33,6 @@ from stepdist.cdf import (
     normalize,
     quantile_pair,
     right_quantile,
-    sublevel_decomposition,
 )
 from stepdist.copula import (
     CopulaSpec,
@@ -52,7 +51,12 @@ from stepdist.stochastic import (
     sample_inverse,
     transform_cdf_exact,
 )
-from stepdist.transform import inversion_null_set, lambda_transform, lambda_transforms
+from stepdist.transform import (
+    inversion_null_set,
+    lambda_transform,
+    lambda_transforms,
+    sublevel_decomposition,
+)
 
 
 def bits(x) -> bytes:
@@ -533,6 +537,46 @@ def test_one_search_per_point_set(fm, monkeypatch):
     assert rep.shortcut_failures == 0  # the shortcut branch ran: its levels were searched too
     full = [s for s in sizes if s > n // 2]
     assert len(full) == 6  # sample 1, transform 1, inversion check 4 (sample, F, two quantile passes)
+
+
+def test_one_transform_kernel_call_per_point_set(fm, monkeypatch):
+    """The distributional transform, its inversion check and the copula transform
+    each form F(x-) + v * jump(x) in the one kernel, once per point set (per column
+    for the copula), and call value_parts nowhere else."""
+    kernel_sizes = []
+    evaluations = []
+    kernel = transform._transform_parts
+    parts = monotone.MonotoneStepLinear.value_parts
+
+    def counted_kernel(f, x, v):
+        kernel_sizes.append(np.size(x))
+        return kernel(f, x, v)
+
+    def counted_parts(self, x):
+        evaluations.append(np.size(x))
+        return parts(self, x)
+
+    monkeypatch.setattr(stochastic, "_transform_parts", counted_kernel)
+    monkeypatch.setattr(copula, "_transform_parts", counted_kernel)
+    monkeypatch.setattr(monotone.MonotoneStepLinear, "value_parts", counted_parts)
+    stream = SeededStream(3)
+    draws = sample_inverse(fm, stream, 600)
+    for run, expected in (
+        (lambda: distributional_transform(fm, draws.reshape(20, 30), stream.child(1)), [600]),
+        (lambda: inversion_check(fm, stream.child(2), 400), [400]),
+        (
+            lambda: dt_copula(
+                generate_joint_sample((fm, sd.bernoulli_half(), fm), "independent", 300, seed=5),
+                SeededStream(5, 3),
+            ),
+            [300, 300, 300],
+        ),
+    ):
+        kernel_sizes.clear()
+        evaluations.clear()
+        run()
+        assert kernel_sizes == expected
+        assert evaluations == expected
 
 
 # -- sampling in level order ----------------------------------------------------
