@@ -301,14 +301,28 @@ def _left_quantiles(f: Cdf, a: np.ndarray) -> np.ndarray:
 
 # -- level sets --------------------------------------------------------------
 
+_EMPTY = RealSet.empty()
+
+
+def _flat_or_point(run: _FlatRun | None, closed_lo: bool, point: RealSet, attained: bool) -> RealSet:
+    """A set read off the flat piece at a level: the piece ``run`` (its left end
+    included iff ``closed_lo``) where the level is flat, else ``point``, the set
+    {q} at the left quantile q, if ``attained``, else the empty set.
+
+    The level set is the closed-left piece, or {q} when F(q) equals the level;
+    the part of a sublevel split right of q is the open-left piece, or empty.
+    The scalar readers and the analytic suite's level rows all build them here.
+    """
+    if run is not None:
+        return RealSet.of(run.interval(closed_lo))
+    return point if attained else _EMPTY
+
 
 def _level_set_unchecked(f: Cdf, a: float) -> RealSet:
     # requires 0 <= a < 1, as the quantile pair does
     run = f._flat_runs.get(a)
-    if run is not None:
-        return RealSet.of(run.interval(True))
-    lo = _left_quantile_unchecked(f, a)
-    return RealSet.point(lo) if f.value(lo) == a else RealSet.empty()
+    q = _left_quantile_unchecked(f, a) if run is None else run.lo
+    return _flat_or_point(run, True, RealSet.point(q), run is None and f.value(q) == a)
 
 
 def level_set(f: Cdf, alpha: float) -> RealSet:

@@ -4,8 +4,9 @@ Each check pins one identity of the library to a named pass/fail result
 with a measured value and a threshold.  Exact identities use the arithmetic
 tolerance 1e-12 (or an outright mismatch count with threshold 0); sampled
 statements use their stated statistical bounds.  The analytic suite decides
-each level once, in one row per level, and evaluates one probe grid; every
-check reads those, and still calls the public function it verifies.
+every level in one row, all rows from array passes, and evaluates one probe
+grid; every check reads those, and still calls the public function it
+verifies.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdf import Cdf, jump_set, left_quantile, level_set, quantile_pair
+from .cdf import Cdf, _flat_or_point, _left_quantiles, jump_set, left_quantile
 from .copula import (
     dt_copula,
     copula_at_flat_alpha,
@@ -38,6 +39,8 @@ from .stochastic import (
     transform_cdf_exact,
 )
 from .transform import (
+    _split,
+    _split_parts,
     attained_values,
     inversion_null_set,
     invert_transform,
@@ -46,7 +49,6 @@ from .transform import (
     lambda_transform,
     lambda_transforms,
     quantile_range_of_point,
-    sublevel_decomposition,
 )
 
 __all__ = ["CheckResult", "analytic_checks", "stochastic_checks", "sklar_checks", "KS_CRIT"]
@@ -94,12 +96,34 @@ def probe_grid(f: Cdf) -> np.ndarray:
 def _level_rows(f: Cdf, alphas) -> list[tuple]:
     """One row ``(a, lo, hi, level_set, splits)`` per level, ``splits[lam]`` its sublevel
     split at each weight of LAMBDA_GRID.  Built outside the checks' guard: no call
-    raises for a level in (0, 1), whose left quantile is a finite float in [xs[0], xs[-1]]."""
+    raises for a level in (0, 1), whose left quantile is a finite float in [xs[0], xs[-1]].
+
+    Each row equals what ``quantile_pair``, ``level_set`` and
+    ``sublevel_decomposition`` return at its level, bit for bit, from array
+    passes instead: one left-quantile pass over the levels that are not flat
+    (a flat level's quantiles are the ends of its flat piece), one evaluation
+    of F and one transform per weight at the left quantiles.  A row's sets are
+    built once by the helpers those functions use, and its splits share them.
+    """
+    runs = list(map(f._flat_runs.get, alphas))
+    scan = [a for a, run in zip(alphas, runs) if run is None]
+    scanned = iter(_left_quantiles(f, np.array(scan, dtype=float)).tolist())
+    qs = [next(scanned) if run is None else run.lo for run in runs]
+    fqs = f.values(qs).tolist()
+    ts = [lambda_transforms(f, qs, lam).tolist() for lam in LAMBDA_GRID]
     rows = []
-    for a in alphas:
-        splits = {lam: sublevel_decomposition(f, lam, a) for lam in LAMBDA_GRID}
-        rows.append((a, *quantile_pair(f, a), level_set(f, a), splits))
+    for a, run, q, fq, *t in zip(alphas, runs, qs, fqs, *ts):
+        parts = _split_parts(run, q)
+        level = _flat_or_point(run, True, parts[1], run is None and fq == a)
+        splits = {lam: _split(parts, t_lam, a) for lam, t_lam in zip(LAMBDA_GRID, t)}
+        rows.append((a, q, q if run is None else run.hi, level, splits))
     return rows
+
+
+def _nondecreasing(v: np.ndarray) -> bool:
+    """Whether v never decreases along its axis (a NaN counts as a decrease): on
+    the sorted probe grid, each set {v < a} and {v <= a} is then a prefix."""
+    return bool(np.all(v[1:] >= v[:-1]))
 
 
 # -- analytic suite -----------------------------------------------------------
@@ -162,10 +186,18 @@ def _check_quantile_sandwich(f: Cdf, rows):
 
 @_analytic("halfline_sets", 0)
 def _check_halfline_sets(f: Cdf, rows, grid):
+    # on the grid {F >= a} and [xi, inf) are the complements of {F < a} and
+    # (-inf, xi), so the two comparisons mismatch at the same points; where F
+    # never decreases on the sorted grid, both of the latter are prefixes, and
+    # they mismatch at as many points as their lengths differ
     fx = f.values(grid)
+    levels = [a for a, *_ in rows]
+    xis = [left_quantile(f, a) for a in levels]  # the scan, which the rows skip at flat levels
+    if _nondecreasing(fx):
+        below = np.searchsorted(fx, levels, side="left")
+        return 2 * int(np.abs(below - np.searchsorted(grid, xis, side="left")).sum())
     bad = 0
-    for a, *_ in rows:
-        xi = left_quantile(f, a)  # the scan, which quantile_pair skips at flat levels
+    for a, xi in zip(levels, xis):
         bad += int(np.count_nonzero((fx >= a) != (grid >= xi)))
         bad += int(np.count_nonzero((fx < a) != (grid < xi)))
     return bad
@@ -210,17 +242,31 @@ def _check_flat_mass(f: Cdf, rows):
 
 @_analytic("sublevel_union", 0)
 def _check_sublevel_union(f: Cdf, rows, grid):
-    transforms = {lam: lambda_transforms(f, grid, lam) for lam in LAMBDA_GRID}
+    # where the transform never decreases on the sorted grid, {t <= a} is a
+    # prefix, and so is a union that is one left half-line (-inf, e) or
+    # (-inf, e]: the latter is (-inf, e') with e' the float after e.  Two such
+    # prefixes mismatch at as many points as their lengths differ; any other
+    # union is compared point by point
     bad = 0
-    for a, _, _, _, splits in rows:
-        for lam, (beyond, at, below) in splits.items():
+    for lam in LAMBDA_GRID:
+        t = lambda_transforms(f, grid, lam)
+        prefix = _nondecreasing(t)
+        levels, ends = [], []
+        for a, _, _, _, splits in rows:
+            beyond, at, below = splits[lam]
             if not beyond.intersect(at).is_empty() or not at.intersect(below).is_empty():
                 bad += 1
             if not beyond.intersect(below).is_empty():
                 bad += 1
             union = beyond.union(at).union(below)
-            member = transforms[lam] <= a
-            bad += int(np.count_nonzero(member != union.contains_many(grid)))
+            half = union.components[0]
+            if prefix and len(union.components) == 1 and half.lo == -math.inf:
+                levels.append(a)
+                ends.append(math.nextafter(half.hi, math.inf) if half.closed_hi else half.hi)
+            else:
+                bad += int(np.count_nonzero((t <= a) != union.contains_many(grid)))
+        member = np.searchsorted(t, levels, side="right")
+        bad += int(np.abs(member - np.searchsorted(grid, ends, side="left")).sum())
     return bad
 
 

@@ -85,6 +85,8 @@ class CopulaSpec:
     @staticmethod
     def empirical(sample) -> "CopulaSpec":
         u = np.asarray(sample, dtype=float)
+        if u.ndim != 2:  # the dimension is read off a matrix's columns
+            raise ValidationError(f"sample must be an N x d matrix, got shape {u.shape}")
         return CopulaSpec("empirical", u.shape[1], u)
 
 

@@ -23,7 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdf import Cdf, _check_alpha, _left_quantile_unchecked, _level_set_unchecked
+from .cdf import (
+    _EMPTY,
+    Cdf,
+    _check_alpha,
+    _flat_or_point,
+    _left_quantile_unchecked,
+    _level_set_unchecked,
+)
 from .errors import (
     AlphaNotInJumpInterval,
     LambdaOutOfRange,
@@ -100,6 +107,22 @@ def lambda_transforms(f: Cdf, x, lam: float) -> np.ndarray:
     return fx if lam == 1.0 else u
 
 
+def _split_parts(run, q: float) -> tuple[RealSet, RealSet, RealSet]:
+    """The parts every sublevel split at one level is made of, given the flat
+    piece ``run`` there (or None) and the left quantile q: the piece right of q
+    (or the empty set), {q} and (-inf, q).  They are frozen, so the splits at
+    several weights can share them."""
+    point = RealSet.point(q)
+    return _flat_or_point(run, False, point, False), point, RealSet.of(Interval.open(-math.inf, q))
+
+
+def _split(parts, t: float, a: float) -> tuple[RealSet, RealSet, RealSet]:
+    """The split ``(beyond, at, below)`` at level a from its :func:`_split_parts`:
+    {q} belongs iff the transform t at the left quantile q is at most a."""
+    beyond, point, below = parts
+    return beyond, point if t <= a else _EMPTY, below
+
+
 def sublevel_decomposition(f: Cdf, lam: float, alpha: float):
     """Split {x : F(x-) + lam * jump(x) <= alpha} around the left quantile.
 
@@ -111,15 +134,8 @@ def sublevel_decomposition(f: Cdf, lam: float, alpha: float):
     lam = _check_weight(lam)
     a = _check_alpha(alpha)
     run = f._flat_runs.get(a)
-    if run is None:
-        q = _left_quantile_unchecked(f, a)
-        beyond = RealSet.empty()
-    else:
-        q = run.lo
-        beyond = RealSet.of(run.interval(False))
-    at = RealSet.point(q) if lambda_transform(f, q, lam) <= a else RealSet.empty()
-    below = RealSet.of(Interval.open(-math.inf, q))
-    return beyond, at, below
+    q = _left_quantile_unchecked(f, a) if run is None else run.lo
+    return _split(_split_parts(run, q), lambda_transform(f, q, lam), a)
 
 
 def quantile_range_of_point(f: Cdf, x: float) -> RealSet:

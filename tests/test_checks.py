@@ -42,31 +42,6 @@ class TestAnalyticSuite:
             failed = [c for c in analytic_checks(f) if not c.passed]
             assert not failed, failed
 
-    def test_each_level_decided_once(self, fm, small_population, monkeypatch):
-        calls = Counter()
-
-        def counted(name):
-            inner = getattr(checks, name)
-
-            def fn(f, *args):
-                calls[name, args] += 1
-                return inner(f, *args)
-
-            monkeypatch.setattr(checks, name, fn)
-
-        for name in ("quantile_pair", "level_set", "sublevel_decomposition", "probe_grid"):
-            counted(name)
-        for f in (fm, small_population[3]):
-            calls.clear()
-            analytic_checks(f)
-            alphas = alpha_population(f)
-            expected = Counter({("probe_grid", ()): 1})
-            for a in alphas:
-                expected["quantile_pair", (a,)] = expected["level_set", (a,)] = 1
-                for lam in LAMBDA_GRID:
-                    expected["sublevel_decomposition", (lam, a)] = 1
-            assert calls == expected
-
     def test_null_set_check_evaluates_each_pair_once(self, fm, monkeypatch):
         # inside the null-set check, outside the null sets and their measures,
         # the only scalar evaluation is the one invert_transform makes: t comes

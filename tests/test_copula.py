@@ -68,6 +68,15 @@ class TestCopulaEval:
                 assert volume >= -1e-12
 
 
+    @pytest.mark.parametrize("sample", [[0.1, 0.2], [], 0.5, [[[0.1, 0.2]]]])
+    def test_empirical_needs_a_matrix(self, sample):
+        # the dimension is read off the sample's columns, so a sample that is
+        # not a matrix is rejected like the constructor rejects it
+        with pytest.raises(ValidationError, match="N x d matrix"):
+            CopulaSpec.empirical(sample)
+        assert CopulaSpec.empirical([[0.1, 0.2]]).dim == 2
+
+
 class TestSklarCompose:
     def test_independent_uniforms(self, fu):
         assert sklar_compose(CopulaSpec.independence(2), (fu, fu), (0.5, 0.5)) == 0.25

@@ -9,12 +9,13 @@ array forms must agree bit for bit.
 import bisect
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import stepdist as sd
-from stepdist import cdf, copula, monotone, stochastic, transform
+from stepdist import cdf, checks, copula, monotone, stochastic, transform
 from stepdist.checks import (
     LAMBDA_GRID,
     _check_halfline_sets,
@@ -171,22 +172,193 @@ class TestSklarIdentity:
 # -- the half-line and sublevel checks ---------------------------------------
 
 
+def halfline_by_level(f, rows, grid) -> int:
+    """The half-line check's body before prefix counts: the whole grid once per level."""
+    fx = f.values(grid)
+    bad = 0
+    for a, *_ in rows:
+        xi = left_quantile(f, a)
+        bad += int(np.count_nonzero((fx >= a) != (grid >= xi)))
+        bad += int(np.count_nonzero((fx < a) != (grid < xi)))
+    return bad
+
+
+def sublevel_by_level(f, rows, grid) -> int:
+    """The sublevel check's body before prefix counts: each union over the whole grid."""
+    transforms = {lam: checks.lambda_transforms(f, grid, lam) for lam in LAMBDA_GRID}
+    bad = 0
+    for a, _, _, _, splits in rows:
+        for lam, (beyond, at, below) in splits.items():
+            if not beyond.intersect(at).is_empty() or not at.intersect(below).is_empty():
+                bad += 1
+            if not beyond.intersect(below).is_empty():
+                bad += 1
+            union = beyond.union(at).union(below)
+            member = transforms[lam] <= a
+            bad += int(np.count_nonzero(member != union.contains_many(grid)))
+    return bad
+
+
+def decimal_uniforms(rng, count):
+    """Uniform laws on [x0, x1] with three-decimal endpoints.  Their ramp solves
+    can land a few floats above the least float reaching the level, so the
+    half-line and sublevel checks count mismatches on many of them."""
+    out = []
+    while len(out) < count:
+        x0, x1 = np.round(np.sort(rng.uniform(-5.0, 5.0, 2)), 3).tolist()
+        if x0 < x1:
+            out.append(sd.Cdf(xs=(x0, x1), atoms=(0.0, 0.0), rises=(1.0,)))
+    return out
+
+
+# its left quantile at 0.5 is two floats above the least float with F >= 0.5
+OVERSHOOTING_UNIFORM = sd.Cdf(xs=(-1.311, 0.756), atoms=(0.0, 0.0), rises=(1.0,))
+
+
 def _check_population(small_population, fb, fm, fu):
-    return list(small_population) + [fb, fm, fu]
+    """The seeded laws, then laws whose quantile overshoot gives nonzero counts
+    (until ROADMAP item 1 makes every left quantile the least float)."""
+    return [*small_population, fb, fm, fu, OVERSHOOTING_UNIFORM, *decimal_uniforms(np.random.default_rng(31), 40)]
+
+
+def rows_and_grid(f):
+    return _level_rows(f, alpha_population(f)), probe_grid(f)
+
+
+def without_point(rows):
+    """The rows with {q} left out of every split: at a level that is not flat
+    the union is then (-inf, q), whose count is off wherever q is on the grid."""
+    return [
+        (a, lo, hi, ls, {lam: (beyond, RealSet.empty(), below) for lam, (beyond, _, below) in splits.items()})
+        for a, lo, hi, ls, splits in rows
+    ]
 
 
 def test_halfline_counts(small_population, fb, fm, fu):
+    nonzero = 0
     for f in _check_population(small_population, fb, fm, fu):
         alphas = alpha_population(f)
-        res = _check_halfline_sets(f, _level_rows(f, alphas), probe_grid(f))
-        assert res.value == halfline_by_point(f, alphas)
+        rows, grid = _level_rows(f, alphas), probe_grid(f)
+        res = _check_halfline_sets(f, rows, grid)
+        assert res.value == halfline_by_point(f, alphas) == halfline_by_level(f, rows, grid)
+        nonzero += res.value > 0
+    assert _check_halfline_sets(OVERSHOOTING_UNIFORM, *rows_and_grid(OVERSHOOTING_UNIFORM)).value == 2
+    assert nonzero > 0
 
 
 def test_sublevel_counts(small_population, fb, fm, fu):
-    for f in _check_population(small_population, fb, fm, fu):
+    # the scalar loop judges the laws up to OVERSHOOTING_UNIFORM, the loop over
+    # levels the rest; there, leaving {q} out of the splits gives nonzero
+    # counts that do not depend on the overshoot
+    nonzero = holed_nonzero = 0
+    for n, f in enumerate(_check_population(small_population, fb, fm, fu)):
         alphas = alpha_population(f)
-        res = _check_sublevel_union(f, _level_rows(f, alphas), probe_grid(f))
-        assert res.value == sublevel_by_point(f, alphas)
+        rows, grid = _level_rows(f, alphas), probe_grid(f)
+        res = _check_sublevel_union(f, rows, grid)
+        nonzero += res.value > 0
+        if n <= len(small_population) + 3:
+            assert res.value == sublevel_by_point(f, alphas)
+            continue
+        assert res.value == sublevel_by_level(f, rows, grid)
+        holed = without_point(rows)
+        res = _check_sublevel_union(f, holed, grid)
+        assert res.value == sublevel_by_level(f, holed, grid)
+        holed_nonzero += res.value > 0
+    assert nonzero > 0 and holed_nonzero > 0
+
+
+def reversed_on(grid, fn):
+    """``fn`` that returns its vector reversed when it is evaluated on ``grid``."""
+
+    def run(f, x, *args):
+        out = fn(f, x, *args)
+        return out[::-1].copy() if x is grid else out
+
+    return run
+
+
+def test_counts_fall_back_where_the_prefix_argument_fails(small_population, fm, monkeypatch):
+    # F or the transform out of order on the grid: both checks compare point
+    # by point, and so count what the element-wise bodies count
+    for f in [fm, small_population[3], OVERSHOOTING_UNIFORM]:
+        rows, grid = rows_and_grid(f)
+        holed = without_point(rows)
+        with monkeypatch.context() as m:
+            m.setattr(sd.Cdf, "values", reversed_on(grid, sd.Cdf.values))
+            got = _check_halfline_sets(f, rows, grid).value
+            assert got == halfline_by_level(f, rows, grid) > 0
+        with monkeypatch.context() as m:
+            m.setattr(checks, "lambda_transforms", reversed_on(grid, checks.lambda_transforms))
+            got = _check_sublevel_union(f, rows, grid).value
+            assert got == sublevel_by_level(f, rows, grid) > 0
+        # at a flat level, a split without {q} is not one left half-line
+        if f.plateau_levels:
+            assert any(len(beyond.union(below).components) == 2 for *_, sp in holed for beyond, _, below in sp.values())
+        assert _check_sublevel_union(f, holed, grid).value == sublevel_by_level(f, holed, grid)
+    assert _check_sublevel_union(fm, *rows_and_grid(fm)).value == 0
+
+
+# -- the level rows -----------------------------------------------------------
+
+
+def rows_by_scalar_readers(f, alphas):
+    """The rows as the scalar readers give them, level by level."""
+    return [
+        (a, *quantile_pair(f, a), level_set(f, a), {lam: sublevel_decomposition(f, lam, a) for lam in LAMBDA_GRID})
+        for a in alphas
+    ]
+
+
+# a span that overflows and a ramp narrower than the float grid; SUB_ULP_CASES
+# holds the third float-resolution law, a sub-ulp atom, and rises too small to move F
+FLOAT_RESOLUTION_LAWS = [
+    sd.Cdf(xs=(-1e308, 1e308), atoms=(0.0, 0.0), rises=(1.0,)),
+    sd.Cdf(xs=(1e15, 1e15 + 1.0), atoms=(0.0, 0.0), rises=(1.0,)),
+]
+
+
+def test_level_rows_are_array_passes_equal_to_the_scalar_readers(population, fb, fm, fu, monkeypatch, scan_once):
+    # one array pass each for the left quantiles and the transform at every
+    # weight, and no scalar scan
+    calls = Counter()
+
+    def counted(m, module, name):
+        inner = getattr(module, name, None)
+
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        m.setattr(module, name, run, raising=False)
+
+    with monkeypatch.context() as m:
+        counted(m, checks, "_left_quantiles")
+        counted(m, checks, "lambda_transforms")
+        for module in (cdf, transform):
+            counted(m, module, "_left_quantile_unchecked")
+        for f in (fm, population[3], OVERSHOOTING_UNIFORM):
+            calls.clear()
+            _level_rows(f, alpha_population(f))
+            assert calls == {"_left_quantiles": 1, "lambda_transforms": len(LAMBDA_GRID)}
+
+    # bit for bit what the scalar readers return, whose scans scan_once caches
+    rng = np.random.default_rng(37)
+    functions = [
+        *population,
+        fb,
+        fm,
+        fu,
+        *rescaled_functions(rng, 50),
+        *decimal_uniforms(rng, 50),
+        *FLOAT_RESOLUTION_LAWS,
+        *SUB_ULP_CASES,
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # the span that overflows
+        for f in functions:
+            alphas = alpha_population(f)
+            for got, ref in zip(_level_rows(f, alphas), rows_by_scalar_readers(f, alphas), strict=True):
+                assert [bits(v) for v in got[:3]] == [bits(v) for v in ref[:3]]
+                assert got[3] == ref[3] and got[4] == ref[4]
 
 
 # -- lambda_transforms and contains_many --------------------------------------
@@ -980,7 +1152,7 @@ def scan_once(monkeypatch):
             done[key] = scan(f, a)
         return done[key]
 
-    for module in (cdf, stochastic):
+    for module in (cdf, stochastic, transform):
         monkeypatch.setattr(module, "_left_quantile_unchecked", cached)
 
 
