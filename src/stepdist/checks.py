@@ -94,9 +94,10 @@ def probe_grid(f: Cdf) -> np.ndarray:
 
 
 def _level_rows(f: Cdf, alphas) -> list[tuple]:
-    """One row ``(a, lo, hi, level_set, splits)`` per level, ``splits[lam]`` its sublevel
-    split at each weight of LAMBDA_GRID.  Built outside the checks' guard: no call
-    raises for a level in (0, 1), whose left quantile is a finite float in [xs[0], xs[-1]].
+    """One row ``(a, lo, hi, level_set, splits)`` per level; ``splits`` maps each distinct
+    sublevel split to the weights of LAMBDA_GRID that give it, in grid order (at most two
+    splits: with {q} and without).  Built outside the checks' guard: no call raises for a
+    level in (0, 1), whose left quantile is a finite float in [xs[0], xs[-1]].
 
     Each row equals what ``quantile_pair``, ``level_set`` and
     ``sublevel_decomposition`` return at its level, bit for bit, from array
@@ -115,7 +116,9 @@ def _level_rows(f: Cdf, alphas) -> list[tuple]:
     for a, run, q, fq, *t in zip(alphas, runs, qs, fqs, *ts):
         parts = _split_parts(run, q)
         level = _flat_or_point(run, True, parts[1], run is None and fq == a)
-        splits = {lam: _split(parts, t_lam, a) for lam, t_lam in zip(LAMBDA_GRID, t)}
+        splits = {}
+        for lam, t_lam in zip(LAMBDA_GRID, t):
+            splits.setdefault(_split(parts, t_lam, a), []).append(lam)
         rows.append((a, q, q if run is None else run.hi, level, splits))
     return rows
 
@@ -231,7 +234,7 @@ def _check_level_set_cases(f: Cdf, rows):
 def _check_flat_mass(f: Cdf, rows):
     worst = 0.0
     for a, lo, hi, ls, splits in rows:
-        for beyond, _, _ in splits.values():
+        for beyond, _, _ in splits:
             worst = max(worst, abs(measure_set(f, beyond)))
         m = measure_level_set(f, a)
         worst = max(worst, abs(m - measure_set(f, ls)))
@@ -248,24 +251,24 @@ def _check_sublevel_union(f: Cdf, rows, grid):
     # prefixes mismatch at as many points as their lengths differ; any other
     # union is compared point by point
     bad = 0
-    for lam in LAMBDA_GRID:
-        t = lambda_transforms(f, grid, lam)
-        prefix = _nondecreasing(t)
-        levels, ends = [], []
-        for a, _, _, _, splits in rows:
-            beyond, at, below = splits[lam]
+    ts = {lam: lambda_transforms(f, grid, lam) for lam in LAMBDA_GRID}
+    prefixes = {lam: ([], []) for lam, t in ts.items() if _nondecreasing(t)}
+    for a, _, _, _, splits in rows:
+        for (beyond, at, below), lams in splits.items():
             if not beyond.intersect(at).is_empty() or not at.intersect(below).is_empty():
-                bad += 1
+                bad += len(lams)
             if not beyond.intersect(below).is_empty():
-                bad += 1
+                bad += len(lams)
             union = beyond.union(at).union(below)
             half = union.components[0]
-            if prefix and len(union.components) == 1 and half.lo == -math.inf:
-                levels.append(a)
-                ends.append(math.nextafter(half.hi, math.inf) if half.closed_hi else half.hi)
-            else:
-                bad += int(np.count_nonzero((t <= a) != union.contains_many(grid)))
-        member = np.searchsorted(t, levels, side="right")
+            for lam in lams:
+                if lam in prefixes and len(union.components) == 1 and half.lo == -math.inf:
+                    prefixes[lam][0].append(a)
+                    prefixes[lam][1].append(math.nextafter(half.hi, math.inf) if half.closed_hi else half.hi)
+                else:
+                    bad += int(np.count_nonzero((ts[lam] <= a) != union.contains_many(grid)))
+    for lam, (levels, ends) in prefixes.items():
+        member = np.searchsorted(ts[lam], levels, side="right")
         bad += int(np.abs(member - np.searchsorted(grid, ends, side="left")).sum())
     return bad
 
@@ -391,7 +394,8 @@ def _check_jump_characterization(f: Cdf, rows):
     jump_set(f)  # raises if the stored atoms and the quantile scans disagree
     bad = 0
     for _, lo, hi, _, splits in rows:
-        if (hi > lo) != (not splits[1.0][0].is_empty()):  # the lam = 1 split's beyond part
+        beyond = next(split[0] for split, lams in splits.items() if 1.0 in lams)
+        if (hi > lo) != (not beyond.is_empty()):  # the lam = 1 split's beyond part
             bad += 1
     return bad
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,13 @@ class CopulaSpec:
     def __post_init__(self):
         if self.kind not in _ANALYTIC_KINDS + ("empirical",):
             raise ValidationError(f"unknown copula kind {self.kind!r}")
+        try:
+            dim = operator.index(self.dim)
+        except TypeError:
+            raise ValidationError(f"copula dimension must be an integer, got {self.dim!r}") from None
+        if dim < 1:
+            raise ValidationError(f"copula dimension must be at least 1, got {dim}")
+        object.__setattr__(self, "dim", dim)
         if self.kind == "countermonotone" and self.dim != 2:
             raise CountermonotoneDimension("countermonotone copula needs dimension 2")
         if self.kind == "empirical":

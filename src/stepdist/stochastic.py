@@ -49,14 +49,21 @@ class SeededStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 2**64:
+        # stored as Python ints: a float or a string is rejected, never truncated
+        for field in ("seed", "stream_id"):
+            value = getattr(self, field)
+            try:
+                object.__setattr__(self, field, operator.index(value))
+            except TypeError:
+                raise ValidationError(f"{field} must be an integer, got {value!r}") from None
+        if not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if int(self.stream_id) < 0:
+        if self.stream_id < 0:
             raise ValidationError(f"stream_id must be nonnegative, got {self.stream_id}")
 
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""
-        ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.stream_id),))
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         return np.random.Generator(np.random.PCG64(ss))
 
     def child(self, offset: int = 1) -> "SeededStream":

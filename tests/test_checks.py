@@ -15,6 +15,7 @@ from stepdist.checks import (
     stochastic_checks,
 )
 from stepdist.monotone import MonotoneStepLinear
+from stepdist.realset import RealSet
 from stepdist.transform import lambda_transforms
 
 
@@ -87,6 +88,51 @@ class TestAnalyticSuite:
         assert not failed, failed
         assert inverted == Counter(pairs)
         assert points[0] <= len(pairs)
+
+    def test_set_algebra_once_per_distinct_split(self, fm, small_population, monkeypatch):
+        # a row keeps each distinct sublevel split once, with the weights that
+        # give it: the sublevel check forms at most three intersections and two
+        # unions per distinct split, and the flat-mass check measures each
+        # split's beyond part once (and the level set once per row)
+        calls = Counter()
+        inside = [None]
+
+        def counted(owner, name):
+            inner = getattr(owner, name)
+
+            def run(*args):
+                calls[inside[0], name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(owner, name, run)
+
+        def marked(check):
+            inner = getattr(checks, check)
+
+            def run(*args):
+                before, inside[0] = inside[0], check
+                try:
+                    return inner(*args)
+                finally:
+                    inside[0] = before
+
+            monkeypatch.setattr(checks, check, run)
+
+        counted(RealSet, "intersect")
+        counted(RealSet, "union")
+        counted(checks, "measure_set")
+        marked("_check_sublevel_union")
+        marked("_check_flat_mass")
+        for f in (fm, *small_population[:4]):
+            rows = checks._level_rows(f, alpha_population(f))
+            distinct = sum(len(splits) for *_, splits in rows)
+            assert len(rows) < distinct < 2 * len(rows)
+            calls.clear()
+            failed = [c for c in analytic_checks(f) if not c.passed]
+            assert not failed, failed
+            assert calls["_check_sublevel_union", "intersect"] <= 3 * distinct
+            assert calls["_check_sublevel_union", "union"] == 2 * distinct
+            assert calls["_check_flat_mass", "measure_set"] == distinct + len(rows)
 
     @pytest.mark.parametrize(
         "f",

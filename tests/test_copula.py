@@ -45,6 +45,16 @@ class TestCopulaEval:
         with pytest.raises(CountermonotoneDimension):
             CopulaSpec("countermonotone", 3)
 
+    @pytest.mark.parametrize("dim", [2.5, 0, -1, "2", None])
+    def test_dimension_is_a_positive_integer(self, dim):
+        with pytest.raises(ValidationError, match="copula dimension"):
+            CopulaSpec("independence", dim)
+
+    def test_one_dimensional_copula(self):
+        cop = CopulaSpec.independence(np.int64(1))
+        assert type(cop.dim) is int and cop.dim == 1
+        assert copula_eval(cop, (0.3,)) == 0.3
+
     def test_boundary_grounding_and_marginals(self):
         for cop in (CopulaSpec.independence(2), CopulaSpec.comonotone(2), CopulaSpec.countermonotone()):
             assert copula_eval(cop, (0.0, 0.7)) == 0.0

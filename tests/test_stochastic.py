@@ -41,6 +41,18 @@ class TestSeededStream:
         with pytest.raises(ValidationError):
             SeededStream(1, -2)
 
+    @pytest.mark.parametrize("seed, stream_id", [(7, 0.5), (7.9, 0), ("7", 0), (7, "0"), (None, 0), (7, 1.0)])
+    def test_fields_must_be_integers(self, seed, stream_id):
+        # truncating would give SeededStream(7, 0.5) the draws of stream 0
+        with pytest.raises(ValidationError, match="must be an integer"):
+            SeededStream(seed, stream_id)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        s = SeededStream(np.uint64(7), np.int64(2))
+        assert type(s.seed) is int and type(s.stream_id) is int
+        assert s == SeededStream(7, 2)
+        assert np.array_equal(s.uniforms(100), SeededStream(7, 2).uniforms(100))
+
 
 class TestSampleInverse:
     def test_bernoulli_atom_frequency(self, fb):

@@ -183,12 +183,26 @@ def halfline_by_level(f, rows, grid) -> int:
     return bad
 
 
+def grouped(pairs) -> dict:
+    """``(lam, split)`` pairs in the rows' shape: each distinct split with the weights that give it."""
+    splits = {}
+    for lam, split in pairs:
+        splits.setdefault(split, []).append(lam)
+    return splits
+
+
+def per_weight(splits) -> list:
+    """A row's splits back as one ``(lam, split)`` pair per weight, in grid order."""
+    return sorted((lam, split) for split, lams in splits.items() for lam in lams)
+
+
 def sublevel_by_level(f, rows, grid) -> int:
-    """The sublevel check's body before prefix counts: each union over the whole grid."""
+    """The sublevel check's body before prefix counts: each union over the whole
+    grid, and every set operation once per weight."""
     transforms = {lam: checks.lambda_transforms(f, grid, lam) for lam in LAMBDA_GRID}
     bad = 0
     for a, _, _, _, splits in rows:
-        for lam, (beyond, at, below) in splits.items():
+        for lam, (beyond, at, below) in per_weight(splits):
             if not beyond.intersect(at).is_empty() or not at.intersect(below).is_empty():
                 bad += 1
             if not beyond.intersect(below).is_empty():
@@ -225,13 +239,18 @@ def rows_and_grid(f):
     return _level_rows(f, alpha_population(f)), probe_grid(f)
 
 
+def resplit(rows, change):
+    """The rows with each split replaced by ``change(*split)``, regrouped by value."""
+    out = []
+    for a, lo, hi, ls, sp in rows:
+        out.append((a, lo, hi, ls, grouped((lam, change(*split)) for lam, split in per_weight(sp))))
+    return out
+
+
 def without_point(rows):
     """The rows with {q} left out of every split: at a level that is not flat
     the union is then (-inf, q), whose count is off wherever q is on the grid."""
-    return [
-        (a, lo, hi, ls, {lam: (beyond, RealSet.empty(), below) for lam, (beyond, _, below) in splits.items()})
-        for a, lo, hi, ls, splits in rows
-    ]
+    return resplit(rows, lambda beyond, at, below: (beyond, RealSet.empty(), below))
 
 
 def test_halfline_counts(small_population, fb, fm, fu):
@@ -293,18 +312,41 @@ def test_counts_fall_back_where_the_prefix_argument_fails(small_population, fm, 
             assert got == sublevel_by_level(f, rows, grid) > 0
         # at a flat level, a split without {q} is not one left half-line
         if f.plateau_levels:
-            assert any(len(beyond.union(below).components) == 2 for *_, sp in holed for beyond, _, below in sp.values())
+            assert any(len(beyond.union(below).components) == 2 for *_, sp in holed for beyond, _, below in sp)
         assert _check_sublevel_union(f, holed, grid).value == sublevel_by_level(f, holed, grid)
     assert _check_sublevel_union(fm, *rows_and_grid(fm)).value == 0
+
+
+def test_overlaps_count_once_per_weight(small_population, fm):
+    # (-inf, q) added to {q} (or to the empty set), or to the part beyond q,
+    # overlaps (-inf, q): every weight counts that overlap once, however many
+    # weights share its split, and the unions stay as they were
+    widenings = (
+        lambda beyond, at, below: (beyond, at.union(below), below),
+        lambda beyond, at, below: (beyond.union(below), at, below),
+    )
+    for f in [fm, *small_population[:5]]:
+        rows, grid = rows_and_grid(f)
+        overlaps = len(LAMBDA_GRID) * len(rows)
+        for widened in (resplit(rows, widen) for widen in widenings):
+            assert any(len(lams) > 1 for *_, sp in widened for lams in sp.values())
+            got = _check_sublevel_union(f, widened, grid).value
+            assert got == sublevel_by_level(f, widened, grid) == sublevel_by_level(f, rows, grid) + overlaps
 
 
 # -- the level rows -----------------------------------------------------------
 
 
 def rows_by_scalar_readers(f, alphas):
-    """The rows as the scalar readers give them, level by level."""
+    """The rows as the scalar readers give them, level by level, the splits
+    grouped by value as the rows group them."""
     return [
-        (a, *quantile_pair(f, a), level_set(f, a), {lam: sublevel_decomposition(f, lam, a) for lam in LAMBDA_GRID})
+        (
+            a,
+            *quantile_pair(f, a),
+            level_set(f, a),
+            grouped((lam, sublevel_decomposition(f, lam, a)) for lam in LAMBDA_GRID),
+        )
         for a in alphas
     ]
 
