@@ -168,7 +168,8 @@ def _check_alpha(alpha: float) -> float:
 # ramp.  A solve that lands a few ulps short (F(x) < a in floats), or that
 # rounds to or past x1 although F(x1-) > a, is moved up to the least float
 # with F >= a, from x0 in the second case: the defining inequality always
-# holds and the result stays on the segment.
+# holds and the result stays on the segment.  Only the array kernel
+# corrects; the scalar scan passes it the levels whose solve needs it.
 #
 # Right quantile at a in [0, 1): it differs from the left one only where F
 # is flat at level a, and then it is the right end of that flat piece.
@@ -236,23 +237,19 @@ def _left_quantile_unchecked(f: Cdf, a: float) -> float:
         return f.xs[0]
     if a >= float(f._lefts[i]):
         return f.xs[i]
-    x0, x1 = f.xs[i - 1], f.xs[i]
-    x, fx = _ramp_solve(a, x0, x1, float(f._cums[i - 1]), f.rises[i - 1])
-    if not x < x1:
-        x = x0  # the solve reached x1: correct it from x0, where F = c0 < a
-    elif fx >= a:
+    x1 = f.xs[i]
+    x, fx = _ramp_solve(a, f.xs[i - 1], x1, float(f._cums[i - 1]), f.rises[i - 1])
+    if x < x1 and fx >= a:
         return x
-    return float(_raise_to_level(f, np.array([x]), np.array([a]), np.array([x1]))[0])
+    # a solve to correct: the array kernel is the one place that corrects
+    return float(_left_quantiles(f, np.array([a]))[0])
 
 
 def _quantile_pair_unchecked(f: Cdf, a: float) -> QuantilePair:
-    # requires 0 <= a < 1: the flat pieces are tabled below level 1 only;
-    # at a flat level the scan would stop at the piece's left end
+    # requires 0 <= a < 1: the flat pieces are tabled below level 1 only
+    lo = _left_quantile_unchecked(f, a)
     run = f._flat_runs.get(a)
-    if run is None:
-        lo = _left_quantile_unchecked(f, a)
-        return QuantilePair(lo, lo)
-    return QuantilePair(run.lo, run.hi)
+    return QuantilePair(lo, lo if run is None else run.hi)
 
 
 def _right_quantile_unchecked(f: Cdf, a: float) -> float:
@@ -278,7 +275,8 @@ def quantile_pair(f: Cdf, alpha: float) -> QuantilePair:
 
 
 def _left_quantiles(f: Cdf, a: np.ndarray) -> np.ndarray:
-    """Vectorized left quantile for levels already inside (0, 1)."""
+    """Vectorized left quantile for levels already inside (0, 1]: the one kernel
+    that corrects a ramp solve (the scalar scan hands its solves to correct here)."""
     cums = f._cums
     xs = f._xs_arr
     i = np.searchsorted(cums, a, side="left")
@@ -321,7 +319,7 @@ def _flat_or_point(run: _FlatRun | None, closed_lo: bool, point: RealSet, attain
 def _level_set_unchecked(f: Cdf, a: float) -> RealSet:
     # requires 0 <= a < 1, as the quantile pair does
     run = f._flat_runs.get(a)
-    q = _left_quantile_unchecked(f, a) if run is None else run.lo
+    q = _left_quantile_unchecked(f, a)
     return _flat_or_point(run, True, RealSet.point(q), run is None and f.value(q) == a)
 
 

@@ -5,8 +5,8 @@ with a measured value and a threshold.  Exact identities use the arithmetic
 tolerance 1e-12 (or an outright mismatch count with threshold 0); sampled
 statements use their stated statistical bounds.  The analytic suite decides
 every level in one row, all rows from array passes, and evaluates one probe
-grid; every check reads those, and still calls the public function it
-verifies.
+grid; every check reads those, and calls the public function it verifies
+only where the rows do not carry its result.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdf import Cdf, _flat_or_point, _left_quantiles, jump_set, left_quantile
+from .cdf import _EMPTY, Cdf, _flat_or_point, _left_quantiles, jump_set, left_quantile
 from .copula import (
     dt_copula,
     copula_at_flat_alpha,
@@ -39,7 +39,6 @@ from .stochastic import (
     transform_cdf_exact,
 )
 from .transform import (
-    _split,
     _split_parts,
     attained_values,
     inversion_null_set,
@@ -94,32 +93,30 @@ def probe_grid(f: Cdf) -> np.ndarray:
 
 
 def _level_rows(f: Cdf, alphas) -> list[tuple]:
-    """One row ``(a, lo, hi, level_set, splits)`` per level; ``splits`` maps each distinct
-    sublevel split to the weights of LAMBDA_GRID that give it, in grid order (at most two
-    splits: with {q} and without).  Built outside the checks' guard: no call raises for a
-    level in (0, 1), whose left quantile is a finite float in [xs[0], xs[-1]].
+    """One row ``(a, lo, hi, level_set, splits)`` per level; ``splits`` is at most two
+    ``(split, weights)`` pairs: the sublevel split with {q} and the weights of LAMBDA_GRID
+    whose transform at q is at most a, then the split without {q} and the other weights.
+    Built outside the checks' guard: no call raises for a level in (0, 1), whose left
+    quantile is a finite float in [xs[0], xs[-1]].
 
     Each row equals what ``quantile_pair``, ``level_set`` and
     ``sublevel_decomposition`` return at its level, bit for bit, from array
-    passes instead: one left-quantile pass over the levels that are not flat
-    (a flat level's quantiles are the ends of its flat piece), one evaluation
-    of F and one transform per weight at the left quantiles.  A row's sets are
+    passes instead: one left-quantile pass over all levels, one evaluation of
+    F and one transform per weight at the left quantiles.  A row's sets are
     built once by the helpers those functions use, and its splits share them.
     """
-    runs = list(map(f._flat_runs.get, alphas))
-    scan = [a for a, run in zip(alphas, runs) if run is None]
-    scanned = iter(_left_quantiles(f, np.array(scan, dtype=float)).tolist())
-    qs = [next(scanned) if run is None else run.lo for run in runs]
+    qs = _left_quantiles(f, np.array(alphas, dtype=float))
     fqs = f.values(qs).tolist()
     ts = [lambda_transforms(f, qs, lam).tolist() for lam in LAMBDA_GRID]
     rows = []
-    for a, run, q, fq, *t in zip(alphas, runs, qs, fqs, *ts):
-        parts = _split_parts(run, q)
-        level = _flat_or_point(run, True, parts[1], run is None and fq == a)
-        splits = {}
-        for lam, t_lam in zip(LAMBDA_GRID, t):
-            splits.setdefault(_split(parts, t_lam, a), []).append(lam)
-        rows.append((a, q, q if run is None else run.hi, level, splits))
+    for a, q, fq, *t in zip(alphas, qs.tolist(), fqs, *ts):
+        run = f._flat_runs.get(a)
+        beyond, point, below = _split_parts(run, q)
+        level = _flat_or_point(run, True, point, run is None and fq == a)
+        with_q = tuple(lam for lam, t_lam in zip(LAMBDA_GRID, t) if t_lam <= a)
+        without_q = tuple(lam for lam, t_lam in zip(LAMBDA_GRID, t) if not t_lam <= a)
+        splits = ((beyond, point, below), with_q), ((beyond, _EMPTY, below), without_q)
+        rows.append((a, q, q if run is None else run.hi, level, tuple(sp for sp in splits if sp[1])))
     return rows
 
 
@@ -195,7 +192,7 @@ def _check_halfline_sets(f: Cdf, rows, grid):
     # they mismatch at as many points as their lengths differ
     fx = f.values(grid)
     levels = [a for a, *_ in rows]
-    xis = [left_quantile(f, a) for a in levels]  # the scan, which the rows skip at flat levels
+    xis = [xi for _, xi, *_ in rows]
     if _nondecreasing(fx):
         below = np.searchsorted(fx, levels, side="left")
         return 2 * int(np.abs(below - np.searchsorted(grid, xis, side="left")).sum())
@@ -234,7 +231,7 @@ def _check_level_set_cases(f: Cdf, rows):
 def _check_flat_mass(f: Cdf, rows):
     worst = 0.0
     for a, lo, hi, ls, splits in rows:
-        for beyond, _, _ in splits:
+        for (beyond, _, _), _ in splits:
             worst = max(worst, abs(measure_set(f, beyond)))
         m = measure_level_set(f, a)
         worst = max(worst, abs(m - measure_set(f, ls)))
@@ -254,7 +251,7 @@ def _check_sublevel_union(f: Cdf, rows, grid):
     ts = {lam: lambda_transforms(f, grid, lam) for lam in LAMBDA_GRID}
     prefixes = {lam: ([], []) for lam, t in ts.items() if _nondecreasing(t)}
     for a, _, _, _, splits in rows:
-        for (beyond, at, below), lams in splits.items():
+        for (beyond, at, below), lams in splits:
             if not beyond.intersect(at).is_empty() or not at.intersect(below).is_empty():
                 bad += len(lams)
             if not beyond.intersect(below).is_empty():
@@ -394,7 +391,7 @@ def _check_jump_characterization(f: Cdf, rows):
     jump_set(f)  # raises if the stored atoms and the quantile scans disagree
     bad = 0
     for _, lo, hi, _, splits in rows:
-        beyond = next(split[0] for split, lams in splits.items() if 1.0 in lams)
+        beyond = next(split[0] for split, lams in splits if 1.0 in lams)
         if (hi > lo) != (not beyond.is_empty()):  # the lam = 1 split's beyond part
             bad += 1
     return bad

@@ -101,8 +101,15 @@ def _parse_interval_text(text: str) -> Interval:
 # -- commands -----------------------------------------------------------------
 
 
+def _load_one(args):
+    """The distribution of a command that reads one --dist file; a second one is an error."""
+    if len(args.dist) > 1:
+        raise ValidationError(f"{args.cmd} takes one --dist file, got {len(args.dist)}")
+    return load_distribution(args.dist[0])
+
+
 def _cmd_eval(args) -> int:
-    f = load_distribution(args.dist[0])
+    f = _load_one(args)
     x = args.x
     _emit(args.format, [
         ("value", f.value(x)),
@@ -114,7 +121,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_level_set(args) -> int:
     """``quantile`` (alias ``levelset``): the quantile pair and the level set."""
-    f = load_distribution(args.dist[0])
+    f = _load_one(args)
     lo, hi = quantile_pair(f, args.alpha)
     ls = level_set(f, args.alpha)
     if ls.is_empty():
@@ -135,7 +142,7 @@ def _cmd_level_set(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    f = load_distribution(args.dist[0])
+    f = _load_one(args)
     _emit(args.format, [
         ("transform", lambda_transform(f, args.x, args.lam)),
         ("left_value", f.left_value(args.x)),
@@ -145,7 +152,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    f = load_distribution(args.dist[0])
+    f = _load_one(args)
     iv = _parse_interval_text(args.interval)
     _emit(args.format, [
         ("interval", str(iv)),
@@ -155,7 +162,7 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    f = load_distribution(args.dist[0])
+    f = _load_one(args)
     xs = sample_inverse(f, SeededStream(args.seed, args.stream_id), args.n)
     if args.format == "json":
         print(json.dumps({
@@ -171,7 +178,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_transform_cdf(args) -> int:
-    f = load_distribution(args.dist[0])
+    f = _load_one(args)
     law = load_distribution(args.law) if args.law else f
     br = transform_cdf_exact(f, law, args.alpha)
     _emit(args.format, [

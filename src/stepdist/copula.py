@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdf import Cdf, _check_alpha, _left_quantiles
+from .cdf import Cdf, _left_quantiles, quantile_pair
 from .errors import (
     CountermonotoneDimension,
     DimensionMismatch,
@@ -302,11 +302,10 @@ def copula_at_flat_alpha(sample: JointSample, c_hat: CopulaSpec, alphas) -> tupl
         raise DimensionMismatch(f"expected {sample.dim} levels")
     q = np.empty(sample.dim)
     for j, (m, a) in enumerate(zip(sample.marginals, alphas)):
-        a = _check_alpha(a)
-        run = m._flat_runs.get(a)
-        if run is None:
+        lo, hi = quantile_pair(m, a)
+        if lo == hi:
             raise NotAFlatLevel(j, f"coordinate {j}: level {a} is not on a flat piece")
-        q[j] = run.lo
+        q[j] = lo
     lhs = copula_eval(c_hat, alphas)
     rhs = empirical_joint_cdf(sample, q)
     return lhs, rhs

@@ -41,6 +41,14 @@ __all__ = [
 INVERSION_TOL = 1e-9  # covers the float round trip through segment inversion
 
 
+def _integer(value, name: str) -> int:
+    """value as a Python int: a float or a string is rejected, never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SeededStream:
     """A reproducible uniform stream: (seed, stream_id) fixes every draw."""
@@ -49,13 +57,8 @@ class SeededStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        # stored as Python ints: a float or a string is rejected, never truncated
         for field in ("seed", "stream_id"):
-            value = getattr(self, field)
-            try:
-                object.__setattr__(self, field, operator.index(value))
-            except TypeError:
-                raise ValidationError(f"{field} must be an integer, got {value!r}") from None
+            object.__setattr__(self, field, _integer(getattr(self, field), field))
         if not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.stream_id < 0:
@@ -70,9 +73,13 @@ class SeededStream:
         return SeededStream(self.seed, self.stream_id + offset)
 
     def uniforms(self, n: int) -> np.ndarray:
-        """n draws from the open interval (0, 1); exact 0s are redrawn."""
+        """n draws from the open interval (0, 1); exact 0s are redrawn.  n must be
+        an integer (else ValidationError) and nonnegative: n = 0 gives no draws."""
+        n = _integer(n, "the number of draws")
+        if n < 0:
+            raise ValidationError(f"the number of draws must be nonnegative, got {n}")
         g = self.generator()
-        u = g.random(int(n))
+        u = g.random(n)
         while True:
             zero = u == 0.0
             if not zero.any():
@@ -82,10 +89,7 @@ class SeededStream:
 
 def _check_count(n) -> int:
     """n as a number of draws: an integer (else ValidationError), at least 1 (else EmptySample)."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValidationError(f"the number of draws must be an integer, got {n!r}") from None
+    n = _integer(n, "the number of draws")
     if n < 1:
         raise EmptySample("need at least one draw")
     return n

@@ -116,13 +116,6 @@ def _split_parts(run, q: float) -> tuple[RealSet, RealSet, RealSet]:
     return _flat_or_point(run, False, point, False), point, RealSet.of(Interval.open(-math.inf, q))
 
 
-def _split(parts, t: float, a: float) -> tuple[RealSet, RealSet, RealSet]:
-    """The split ``(beyond, at, below)`` at level a from its :func:`_split_parts`:
-    {q} belongs iff the transform t at the left quantile q is at most a."""
-    beyond, point, below = parts
-    return beyond, point if t <= a else _EMPTY, below
-
-
 def sublevel_decomposition(f: Cdf, lam: float, alpha: float):
     """Split {x : F(x-) + lam * jump(x) <= alpha} around the left quantile.
 
@@ -133,9 +126,9 @@ def sublevel_decomposition(f: Cdf, lam: float, alpha: float):
     """
     lam = _check_weight(lam)
     a = _check_alpha(alpha)
-    run = f._flat_runs.get(a)
-    q = _left_quantile_unchecked(f, a) if run is None else run.lo
-    return _split(_split_parts(run, q), lambda_transform(f, q, lam), a)
+    q = _left_quantile_unchecked(f, a)
+    beyond, point, below = _split_parts(f._flat_runs.get(a), q)
+    return beyond, point if lambda_transform(f, q, lam) <= a else _EMPTY, below
 
 
 def quantile_range_of_point(f: Cdf, x: float) -> RealSet:

@@ -38,6 +38,7 @@ from stepdist.transform import (
     jump_gap_values,
     jump_gap_weights,
     lambda_transform,
+    lambda_transforms,
     quantile_range_of_point,
     sublevel_decomposition,
 )
@@ -183,12 +184,8 @@ def test_criterion_3_ae_inversion(population, fb):
             if rep.total_measure != 0.0:
                 bad += 1
                 continue
-            exceptional = rep.union()
-            pool = [
-                x
-                for x in candidates
-                if not exceptional.contains(x) and 0.0 < lambda_transform(f, x, lam) < 1.0
-            ]
+            ts = lambda_transforms(f, candidates, lam)
+            pool = candidates[~rep.union().contains_many(candidates) & (0.0 < ts) & (ts < 1.0)]
             draws = rng.choice(len(pool), size=1000, replace=True)
             for k in draws:
                 x = float(pool[k])

@@ -130,6 +130,24 @@ class TestOtherCommands:
         assert code == 0
         assert out == run(capsys, "quantile", *args)[1]
 
+    @pytest.mark.parametrize(
+        "cmd, extra",
+        [
+            ("eval", ("--x", "0")),
+            ("quantile", ("--alpha", "0.5")),
+            ("levelset", ("--alpha", "0.5")),
+            ("transform", ("--x", "0", "--lam", "0.4")),
+            ("measure", ("--interval", "(0.25,0.5]")),
+            ("sample", ("--n", "5")),
+            ("transform-cdf", ("--alpha", "0.3")),
+        ],
+    )
+    def test_second_dist_exits_2(self, dists, capsys, cmd, extra):
+        # the command reads one distribution: a second --dist would be ignored
+        code, out, err = run(capsys, cmd, "--dist", dists["bernoulli"], "--dist", dists["mixed"], *extra)
+        assert code == 2 and out == ""
+        assert f"{cmd} takes one --dist file" in err
+
 
 class TestVerify:
     def test_analytic_passes(self, dists, capsys):

@@ -53,6 +53,20 @@ class TestSeededStream:
         assert s == SeededStream(7, 2)
         assert np.array_equal(s.uniforms(100), SeededStream(7, 2).uniforms(100))
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+    def test_uniforms_count_must_be_an_integer(self, n):
+        # truncating would give uniforms(2.5) the draws of uniforms(2)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            SeededStream(7).uniforms(n)
+
+    def test_uniforms_count_must_be_nonnegative(self):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            SeededStream(7).uniforms(-1)
+
+    def test_uniforms_count_zero_and_numpy_integers(self):
+        assert SeededStream(7).uniforms(0).shape == (0,)
+        assert np.array_equal(SeededStream(7).uniforms(np.int64(5)), SeededStream(7).uniforms(5))
+
 
 class TestSampleInverse:
     def test_bernoulli_atom_frequency(self, fb):

@@ -183,17 +183,22 @@ def halfline_by_level(f, rows, grid) -> int:
     return bad
 
 
-def grouped(pairs) -> dict:
-    """``(lam, split)`` pairs in the rows' shape: each distinct split with the weights that give it."""
-    splits = {}
-    for lam, split in pairs:
-        splits.setdefault(split, []).append(lam)
-    return splits
+def grouped(pairs) -> tuple:
+    """``(lam, split)`` pairs in the rows' shape: each distinct split with the weights
+    that give it, the split with {q} first, as ``(split, weights)`` pairs."""
+    splits = []
+    for lam, split in sorted(pairs, key=lambda pair: pair[1][1].is_empty()):
+        same = [lams for seen, lams in splits if seen == split]
+        if same:
+            same[0].append(lam)
+        else:
+            splits.append((split, [lam]))
+    return tuple((split, tuple(lams)) for split, lams in splits)
 
 
 def per_weight(splits) -> list:
     """A row's splits back as one ``(lam, split)`` pair per weight, in grid order."""
-    return sorted((lam, split) for split, lams in splits.items() for lam in lams)
+    return sorted((lam, split) for split, lams in splits for lam in lams)
 
 
 def sublevel_by_level(f, rows, grid) -> int:
@@ -265,6 +270,28 @@ def test_halfline_counts(small_population, fb, fm, fu):
     assert nonzero > 0
 
 
+def test_halfline_check_reads_the_rows_left_quantiles(small_population, fm, monkeypatch):
+    # the rows carry every left quantile: the check scans no level again,
+    # neither with the scalar scan nor with the array kernel
+    scans = Counter()
+
+    def counted(name, inner):
+        def run(*args):
+            scans[name] += 1
+            return inner(*args)
+
+        return run
+
+    for f in (fm, *small_population[:5], OVERSHOOTING_UNIFORM):
+        rows, grid = rows_and_grid(f)
+        expected = halfline_by_level(f, rows, grid)
+        with monkeypatch.context() as m:
+            m.setattr(cdf, "_left_quantile_unchecked", counted("scalar", cdf._left_quantile_unchecked))
+            m.setattr(checks, "_left_quantiles", counted("array", checks._left_quantiles))
+            assert _check_halfline_sets(f, rows, grid).value == expected
+        assert not scans
+
+
 def test_sublevel_counts(small_population, fb, fm, fu):
     # the scalar loop judges the laws up to OVERSHOOTING_UNIFORM, the loop over
     # levels the rest; there, leaving {q} out of the splits gives nonzero
@@ -312,7 +339,7 @@ def test_counts_fall_back_where_the_prefix_argument_fails(small_population, fm, 
             assert got == sublevel_by_level(f, rows, grid) > 0
         # at a flat level, a split without {q} is not one left half-line
         if f.plateau_levels:
-            assert any(len(beyond.union(below).components) == 2 for *_, sp in holed for beyond, _, below in sp)
+            assert any(len(beyond.union(below).components) == 2 for *_, sp in holed for (beyond, _, below), _ in sp)
         assert _check_sublevel_union(f, holed, grid).value == sublevel_by_level(f, holed, grid)
     assert _check_sublevel_union(fm, *rows_and_grid(fm)).value == 0
 
@@ -329,7 +356,7 @@ def test_overlaps_count_once_per_weight(small_population, fm):
         rows, grid = rows_and_grid(f)
         overlaps = len(LAMBDA_GRID) * len(rows)
         for widened in (resplit(rows, widen) for widen in widenings):
-            assert any(len(lams) > 1 for *_, sp in widened for lams in sp.values())
+            assert any(len(lams) > 1 for *_, sp in widened for _, lams in sp)
             got = _check_sublevel_union(f, widened, grid).value
             assert got == sublevel_by_level(f, widened, grid) == sublevel_by_level(f, rows, grid) + overlaps
 
@@ -1130,6 +1157,50 @@ def test_solves_below_left_limits_stay_on_segment():
                 assert bits(lo) == bits(hi) == bits(xi)
         reached_x1 += int(reached.sum())
     assert reached_x1 > 0
+
+
+def test_ramp_solves_are_corrected_by_one_kernel(fm, monkeypatch):
+    # _raise_to_level runs only inside _left_quantiles: a scalar scan whose
+    # solve needs correcting hands its level to the array kernel once, and
+    # returns its answer bit for bit; a scan that corrects nothing never calls it
+    calls = Counter()
+    inside = [False]
+    kernel, raise_to_level = cdf._left_quantiles, cdf._raise_to_level
+
+    def counted_kernel(f, a):
+        calls["_left_quantiles"] += 1
+        before, inside[0] = inside[0], True
+        try:
+            return kernel(f, a)
+        finally:
+            inside[0] = before
+
+    def counted_raise(*args):
+        calls["_raise_to_level", inside[0]] += 1
+        return raise_to_level(*args)
+
+    for module in (cdf, checks, copula, stochastic):
+        monkeypatch.setattr(module, "_left_quantiles", counted_kernel)
+    monkeypatch.setattr(cdf, "_raise_to_level", counted_raise)
+    rng = np.random.default_rng(13)
+    corrected = 0
+    for f in [*rescaled_functions(rng, 150), *decimal_uniforms(rng, 20)]:
+        below_lefts = np.nextafter(f._lefts[1:], -math.inf)
+        for a in [*below_lefts[(below_lefts > 0.0) & (below_lefts < 1.0)].tolist(), *alpha_population(f)]:
+            calls.clear()
+            x = left_quantile(f, a)
+            if calls:
+                assert calls == {"_left_quantiles": 1, ("_raise_to_level", True): 1}
+                assert bits(x) == bits(kernel(f, np.array([a]))[0])
+                corrected += 1
+    assert corrected > 0
+    # nor does any other reader reach it from outside the kernel
+    calls.clear()
+    for f in (fm, OVERSHOOTING_UNIFORM, *rescaled_functions(rng, 5)):
+        checks.analytic_checks(f)
+        sample_inverse(f, SeededStream(3), 2000)
+        inversion_check(f, SeededStream(4), 2000)
+    assert calls["_raise_to_level", True] > 0 and calls["_raise_to_level", False] == 0
 
 
 # -- level sets, splits, flat masses and null sets: read off the flat-piece table
