@@ -1,12 +1,14 @@
 """Executable verification suites over a distribution function.
 
-Each check pins one identity of the library to a named pass/fail result
-with a measured value and a threshold.  Exact identities use the arithmetic
-tolerance 1e-12 (or an outright mismatch count with threshold 0); sampled
-statements use their stated statistical bounds.  The analytic suite decides
-every level in one row, all rows from array passes, and evaluates one probe
-grid; every check reads those, and calls the public function it verifies
-only where the rows do not carry its result.
+Each check pins one identity of the library to a named pass/fail result with a
+measured value and a threshold.  Exact identities use the arithmetic tolerance 1e-12
+(or an outright mismatch count with threshold 0); sampled statements use their stated
+statistical bounds.  The analytic suite decides every level in one row, all rows from
+array passes, and evaluates the probe grid once into a table: F, F(x-), the jump and
+the four transforms, from one search plus one per weight.  The null-set check inverts
+the transforms in one ``_left_quantiles`` pass per weight (tier-1 pins
+``invert_transform`` to it).  Single points are evaluated only to verify the function
+called there: ``lambda_transform``, ``quantile_range_of_point`` and ``left_quantile``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .transform import (
     _split_parts,
     attained_values,
     inversion_null_set,
-    invert_transform,
     jump_gap_values,
     jump_gap_weights,
     lambda_transform,
@@ -120,6 +121,11 @@ def _level_rows(f: Cdf, alphas) -> list[tuple]:
     return rows
 
 
+def _grid_parts(f: Cdf, grid: np.ndarray) -> tuple:
+    """The grid's table (F, F(x-), jump, ts), ts one transform per weight of LAMBDA_GRID."""
+    return *f.value_parts(grid), tuple(lambda_transforms(f, grid, lam) for lam in LAMBDA_GRID)
+
+
 def _nondecreasing(v: np.ndarray) -> bool:
     """Whether v never decreases along its axis (a NaN counts as a decrease): on
     the sorted probe grid, each set {v < a} and {v <= a} is then a prefix."""
@@ -154,9 +160,9 @@ def _analytic(name: str, threshold: float):
 
 
 @_analytic("transform_sandwich", EXACT_TOL)
-def _check_transform_sandwich(f: Cdf, grid):
+def _check_transform_sandwich(f: Cdf, grid, parts):
     worst = 0.0
-    his, los, jumps = (p.tolist() for p in f.value_parts(grid))
+    his, los, jumps = (p.tolist() for p in parts[:3])
     for x, lo, hi, jump in zip(grid, los, his, jumps):
         ts = [lambda_transform(f, x, lam) for lam in (0.0, 0.25, 0.5, 0.75, 1.0)]
         for t in ts:
@@ -185,12 +191,12 @@ def _check_quantile_sandwich(f: Cdf, rows):
 
 
 @_analytic("halfline_sets", 0)
-def _check_halfline_sets(f: Cdf, rows, grid):
+def _check_halfline_sets(f: Cdf, rows, grid, parts):
     # on the grid {F >= a} and [xi, inf) are the complements of {F < a} and
     # (-inf, xi), so the two comparisons mismatch at the same points; where F
     # never decreases on the sorted grid, both of the latter are prefixes, and
     # they mismatch at as many points as their lengths differ
-    fx = f.values(grid)
+    fx = parts[0]
     levels = [a for a, *_ in rows]
     xis = [xi for _, xi, *_ in rows]
     if _nondecreasing(fx):
@@ -241,14 +247,14 @@ def _check_flat_mass(f: Cdf, rows):
 
 
 @_analytic("sublevel_union", 0)
-def _check_sublevel_union(f: Cdf, rows, grid):
+def _check_sublevel_union(f: Cdf, rows, grid, parts):
     # where the transform never decreases on the sorted grid, {t <= a} is a
     # prefix, and so is a union that is one left half-line (-inf, e) or
     # (-inf, e]: the latter is (-inf, e') with e' the float after e.  Two such
     # prefixes mismatch at as many points as their lengths differ; any other
     # union is compared point by point
     bad = 0
-    ts = {lam: lambda_transforms(f, grid, lam) for lam in LAMBDA_GRID}
+    ts = dict(zip(LAMBDA_GRID, parts[3]))
     prefixes = {lam: ([], []) for lam, t in ts.items() if _nondecreasing(t)}
     for a, _, _, _, splits in rows:
         for (beyond, at, below), lams in splits:
@@ -271,10 +277,10 @@ def _check_sublevel_union(f: Cdf, rows, grid):
 
 
 @_analytic("quantile_range_of_point", 0)
-def _check_quantile_ranges(f: Cdf, grid):
+def _check_quantile_ranges(f: Cdf, grid, parts):
     bad = 0
     bps = set(f.xs)
-    his, los, _ = (p.tolist() for p in f.value_parts(grid))
+    his, los = (p.tolist() for p in parts[:2])
     for x, lo, hi in zip(grid, los, his):
         s = quantile_range_of_point(f, x)
         for iv in s.components:
@@ -336,30 +342,23 @@ def _check_phi_roundtrip(f: Cdf):
 
 
 @_analytic("null_set_inversion", EXACT_TOL)
-def _check_null_sets(f: Cdf, grid):
+def _check_null_sets(f: Cdf, grid, parts):
+    # t = 0 or 1 lies in the exceptional set, and no t is NaN; a t in (0, 1) inverts
+    # to at most x, and to x off that set (within INVERSION_TOL where F has no jump)
     worst = 0.0
     bad = 0
-    jumps = f.jumps(grid).tolist()
-    for lam in LAMBDA_GRID:
+    tol = np.where(parts[2] > 0.0, 0.0, INVERSION_TOL)
+    for lam, t in zip(LAMBDA_GRID, parts[3]):
         rep = inversion_null_set(f, lam)
         worst = max(worst, abs(measure_set(f, rep.plateau_union)))
-        boundary = measure_set(f, rep.zero_set.union(rep.one_set))
-        if boundary == 0.0:
+        if measure_set(f, rep.zero_set.union(rep.one_set)) == 0.0:
             worst = max(worst, abs(rep.total_measure))
-        exceptional = rep.union().contains_many(grid).tolist()
-        ts = lambda_transforms(f, grid, lam).tolist()
-        for x, t, jump, excepted in zip(grid, ts, jumps, exceptional):
-            if t == 0.0 or t == 1.0:
-                if not excepted:
-                    bad += 1
-                continue
-            y = invert_transform(f, x, lam)
-            if y > x + EXACT_TOL:
-                bad += 1
-            if not excepted:
-                tol = 0.0 if jump > 0.0 else INVERSION_TOL
-                if abs(y - x) > tol:
-                    bad += 1
+        excepted = rep.union().contains_many(grid)
+        edge = (t == 0.0) | (t == 1.0)
+        inside = (0.0 < t) & (t < 1.0)
+        x, y = grid[inside], _left_quantiles(f, t[inside])
+        wrong = (y > x + EXACT_TOL, ~excepted[inside] & (np.abs(y - x) > tol[inside]))
+        bad += sum(map(np.count_nonzero, (edge & ~excepted, ~(edge | inside), *wrong)))
     return worst + bad
 
 
@@ -421,17 +420,18 @@ def analytic_checks(f: Cdf) -> list[CheckResult]:
     """
     rows = _level_rows(f, alpha_population(f))
     grid = probe_grid(f)
+    parts = _grid_parts(f, grid)
     return [
-        _check_transform_sandwich(f, grid),
+        _check_transform_sandwich(f, grid, parts),
         _check_quantile_sandwich(f, rows),
-        _check_halfline_sets(f, rows, grid),
+        _check_halfline_sets(f, rows, grid, parts),
         _check_level_set_cases(f, rows),
         _check_flat_mass(f, rows),
-        _check_sublevel_union(f, rows, grid),
-        _check_quantile_ranges(f, grid),
+        _check_sublevel_union(f, rows, grid, parts),
+        _check_quantile_ranges(f, grid, parts),
         _check_jump_gaps(f),
         _check_phi_roundtrip(f),
-        _check_null_sets(f, grid),
+        _check_null_sets(f, grid, parts),
         _check_transform_cdf(f, rows),
         _check_uniformity_displays(f, rows),
         _check_jump_characterization(f, rows),

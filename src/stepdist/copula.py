@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import (
     StreamCollision,
     ValidationError,
 )
-from .stochastic import SeededStream, _check_count
+from .stochastic import SeededStream, _check_count, _integer
 from .transform import _transform_parts
 
 __all__ = [
@@ -57,10 +56,7 @@ class CopulaSpec:
     def __post_init__(self):
         if self.kind not in _ANALYTIC_KINDS + ("empirical",):
             raise ValidationError(f"unknown copula kind {self.kind!r}")
-        try:
-            dim = operator.index(self.dim)
-        except TypeError:
-            raise ValidationError(f"copula dimension must be an integer, got {self.dim!r}") from None
+        dim = _integer(self.dim, "copula dimension")
         if dim < 1:
             raise ValidationError(f"copula dimension must be at least 1, got {dim}")
         object.__setattr__(self, "dim", dim)
@@ -298,8 +294,10 @@ def copula_at_flat_alpha(sample: JointSample, c_hat: CopulaSpec, alphas) -> tupl
     empirical joint CDF at the quantile vector).
     """
     alphas = np.asarray(alphas, dtype=float)
-    if alphas.size != sample.dim or c_hat.dim != sample.dim:
-        raise DimensionMismatch(f"expected {sample.dim} levels")
+    if c_hat.dim != sample.dim:
+        raise DimensionMismatch(f"copula dimension {c_hat.dim} vs sample {sample.dim}")
+    if alphas.size != sample.dim:
+        raise DimensionMismatch(f"{alphas.size} levels for dimension {sample.dim}")
     q = np.empty(sample.dim)
     for j, (m, a) in enumerate(zip(sample.marginals, alphas)):
         lo, hi = quantile_pair(m, a)

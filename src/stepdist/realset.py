@@ -37,9 +37,9 @@ class Interval:
         if lo > hi:
             raise MalformedInterval(f"lower bound {lo} exceeds upper bound {hi}")
         if math.isinf(lo) and (self.closed_lo or lo > 0):
-            raise MalformedInterval("lower endpoint -inf must be open")
+            raise MalformedInterval(f"lower endpoint {lo} must be finite or an open -inf")
         if math.isinf(hi) and (self.closed_hi or hi < 0):
-            raise MalformedInterval("upper endpoint +inf must be open")
+            raise MalformedInterval(f"upper endpoint {hi} must be finite or an open +inf")
 
     # -- constructors ------------------------------------------------------
     @staticmethod

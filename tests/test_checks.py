@@ -16,7 +16,6 @@ from stepdist.checks import (
 )
 from stepdist.monotone import MonotoneStepLinear
 from stepdist.realset import RealSet
-from stepdist.transform import lambda_transforms
 
 
 class TestAlphaPopulation:
@@ -43,51 +42,72 @@ class TestAnalyticSuite:
             failed = [c for c in analytic_checks(f) if not c.passed]
             assert not failed, failed
 
-    def test_null_set_check_evaluates_each_pair_once(self, fm, monkeypatch):
-        # inside the null-set check, outside the null sets and their measures,
-        # the only scalar evaluation is the one invert_transform makes: t comes
-        # from one array transform per weight and the jumps from one array pass
-        grid = probe_grid(fm)
-        pairs = [
-            (x, lam)
-            for lam in LAMBDA_GRID
-            for x, t in zip(grid, lambda_transforms(fm, grid, lam))
-            if 0.0 < t < 1.0
-        ]
-        assert len(grid) * len(LAMBDA_GRID) == 76 and len(pairs) == 44
-        counting = [False]
-        points = [0]
-        inverted = Counter()
-        point = MonotoneStepLinear._point
-        invert = checks.invert_transform
+    def test_probe_grid_is_searched_once_per_table_column(self, fm, small_population, monkeypatch):
+        # one run builds one grid table: F, F(x-) and the jump from one
+        # value_parts search, and one transform search per weight.  The null-set
+        # check inverts each weight's transforms in one left-quantile pass and,
+        # outside the null sets and their measures, evaluates F at no single point
+        grids = []
+        calls = Counter()
+        inside = [False]
 
-        def counted_point(self, x):
-            points[0] += counting[0]
-            return point(self, x)
+        def on_grid(x):
+            return bool(grids) and x is grids[-1]
 
-        def counted_invert(f, x, lam):
-            inverted[x, lam] += 1
-            return invert(f, x, lam)
+        def wrapped(owner, name, key):
+            inner = getattr(owner, name)
 
-        def with_counting(fn, on):
             def run(*args):
-                before, counting[0] = counting[0], on
+                calls[key(*args)] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(owner, name, run)
+
+        def flagged(name, on):
+            inner = getattr(checks, name)
+
+            def run(*args):
+                before, inside[0] = inside[0], on
                 try:
-                    return fn(*args)
+                    return inner(*args)
                 finally:
-                    counting[0] = before
+                    inside[0] = before
 
-            return run
+            monkeypatch.setattr(checks, name, run)
 
-        monkeypatch.setattr(MonotoneStepLinear, "_point", counted_point)
-        monkeypatch.setattr(checks, "invert_transform", counted_invert)
-        monkeypatch.setattr(checks, "_check_null_sets", with_counting(checks._check_null_sets, True))
+        probe = checks.probe_grid
+        monkeypatch.setattr(checks, "probe_grid", lambda f: grids.append(probe(f)) or grids[-1])
+        wrapped(MonotoneStepLinear, "_locate", lambda self, x: ("search", on_grid(x)))
+        wrapped(MonotoneStepLinear, "value_parts", lambda self, x: ("value_parts", on_grid(x)))
+        wrapped(checks, "lambda_transforms", lambda f, x, lam: ("transform", on_grid(x), lam))
+        wrapped(checks, "_left_quantiles", lambda f, a: ("left quantiles", inside[0]))
+        wrapped(MonotoneStepLinear, "_point", lambda self, x: ("point", inside[0]))
+        flagged("_check_null_sets", True)
         for name in ("inversion_null_set", "measure_set"):
-            monkeypatch.setattr(checks, name, with_counting(getattr(checks, name), False))
-        failed = [c for c in analytic_checks(fm) if not c.passed]
-        assert not failed, failed
-        assert inverted == Counter(pairs)
-        assert points[0] <= len(pairs)
+            flagged(name, False)
+        for f in (fm, *small_population[:4]):
+            calls.clear()
+            failed = [c for c in analytic_checks(f) if not c.passed]
+            assert not failed, failed
+            assert calls["search", True] == 1 + len(LAMBDA_GRID)
+            # the four transform searches are value_parts calls inside lambda_transforms
+            assert calls["value_parts", True] == 1 + len(LAMBDA_GRID)
+            assert all(calls["transform", True, lam] == 1 for lam in LAMBDA_GRID)
+            assert calls["left quantiles", True] == len(LAMBDA_GRID)
+            assert calls["left quantiles", False] == 1  # the level rows
+            assert calls["point", True] == 0 and calls["point", False] > 0
+
+    def test_null_set_check_counts_a_nan_transform_as_one_bad_point(self, fm):
+        # a NaN transform has no left quantile: the check counts it and does
+        # not hand it to the array kernel, where it would index past xs
+        grid = probe_grid(fm)
+        fx, left, jump, ts = checks._grid_parts(fm, grid)
+        assert checks._check_null_sets(fm, grid, (fx, left, jump, ts)).value == 0
+        for k in range(len(grid)):
+            t = ts[0].copy()
+            t[k] = np.nan
+            res = checks._check_null_sets(fm, grid, (fx, left, jump, (t, *ts[1:])))
+            assert res.value == 1 and not res.detail
 
     def test_set_algebra_once_per_distinct_split(self, fm, small_population, monkeypatch):
         # a row keeps each distinct sublevel split once, with the weights that

@@ -99,6 +99,8 @@ class TestOtherCommands:
     def test_measure_bad_interval(self, dists, capsys):
         code, _, err = run(capsys, "measure", "--dist", dists["mixed"], "--interval", "oops")
         assert code == 2 and "interval" in err
+        code, _, err = run(capsys, "measure", "--dist", dists["mixed"], "--interval", "[inf,inf]")
+        assert code == 2 and "lower endpoint inf must be finite or an open -inf" in err
 
     def test_sample_reproducible(self, dists, capsys):
         code, out1, _ = run(capsys, "sample", "--dist", dists["mixed"], "--n", "50", "--seed", "7")

@@ -258,6 +258,13 @@ class TestFlatAlpha:
             copula_at_flat_alpha(s, c, (0.5, 0.3))
         assert err.value.index == 1
 
+    def test_dimension_mismatch_names_both_dimensions(self, fb):
+        s = generate_joint_sample((fb, fb), "independent", 100, seed=1)
+        with pytest.raises(DimensionMismatch, match="^copula dimension 3 vs sample 2$"):
+            copula_at_flat_alpha(s, CopulaSpec.independence(3), (0.5, 0.5))
+        with pytest.raises(DimensionMismatch, match="^1 levels for dimension 2$"):
+            copula_at_flat_alpha(s, CopulaSpec.independence(2), (0.5,))
+
     def test_mixed_pair(self, fm):
         s = generate_joint_sample((fm, fm), "independent", N, seed=42)
         c = dt_copula(s, SeededStream(42, 2))

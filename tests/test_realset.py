@@ -27,6 +27,13 @@ class TestInterval:
         with pytest.raises(MalformedInterval):
             Interval(0.0, INF, False, True)
 
+    def test_infinite_end_on_the_wrong_side_is_named(self):
+        # the message names the endpoint that is wrong, with its value
+        with pytest.raises(MalformedInterval, match=r"^upper endpoint -inf must be finite or an open \+inf$"):
+            Interval(-INF, -INF, False, False)
+        with pytest.raises(MalformedInterval, match=r"^lower endpoint inf must be finite or an open -inf$"):
+            Interval(INF, INF, False, False)
+
     def test_reversed_bounds_rejected(self):
         with pytest.raises(MalformedInterval):
             Interval.closed(1.0, 0.0)

@@ -20,6 +20,7 @@ from stepdist.checks import (
     LAMBDA_GRID,
     _check_halfline_sets,
     _check_sublevel_union,
+    _grid_parts,
     _level_rows,
     alpha_population,
     default_copula_grid,
@@ -54,6 +55,7 @@ from stepdist.stochastic import (
 )
 from stepdist.transform import (
     inversion_null_set,
+    invert_transform,
     lambda_transform,
     lambda_transforms,
     sublevel_decomposition,
@@ -172,9 +174,9 @@ class TestSklarIdentity:
 # -- the half-line and sublevel checks ---------------------------------------
 
 
-def halfline_by_level(f, rows, grid) -> int:
+def halfline_by_level(f, rows, grid, parts) -> int:
     """The half-line check's body before prefix counts: the whole grid once per level."""
-    fx = f.values(grid)
+    fx = parts[0]
     bad = 0
     for a, *_ in rows:
         xi = left_quantile(f, a)
@@ -201,10 +203,10 @@ def per_weight(splits) -> list:
     return sorted((lam, split) for split, lams in splits for lam in lams)
 
 
-def sublevel_by_level(f, rows, grid) -> int:
+def sublevel_by_level(f, rows, grid, parts) -> int:
     """The sublevel check's body before prefix counts: each union over the whole
     grid, and every set operation once per weight."""
-    transforms = {lam: checks.lambda_transforms(f, grid, lam) for lam in LAMBDA_GRID}
+    transforms = dict(zip(LAMBDA_GRID, parts[3]))
     bad = 0
     for a, _, _, _, splits in rows:
         for lam, (beyond, at, below) in per_weight(splits):
@@ -240,8 +242,10 @@ def _check_population(small_population, fb, fm, fu):
     return [*small_population, fb, fm, fu, OVERSHOOTING_UNIFORM, *decimal_uniforms(np.random.default_rng(31), 40)]
 
 
-def rows_and_grid(f):
-    return _level_rows(f, alpha_population(f)), probe_grid(f)
+def suite_inputs(f):
+    """The level rows, the probe grid and the grid's table, as ``analytic_checks`` builds them."""
+    grid = probe_grid(f)
+    return _level_rows(f, alpha_population(f)), grid, _grid_parts(f, grid)
 
 
 def resplit(rows, change):
@@ -262,11 +266,11 @@ def test_halfline_counts(small_population, fb, fm, fu):
     nonzero = 0
     for f in _check_population(small_population, fb, fm, fu):
         alphas = alpha_population(f)
-        rows, grid = _level_rows(f, alphas), probe_grid(f)
-        res = _check_halfline_sets(f, rows, grid)
-        assert res.value == halfline_by_point(f, alphas) == halfline_by_level(f, rows, grid)
+        rows, grid, parts = suite_inputs(f)
+        res = _check_halfline_sets(f, rows, grid, parts)
+        assert res.value == halfline_by_point(f, alphas) == halfline_by_level(f, rows, grid, parts)
         nonzero += res.value > 0
-    assert _check_halfline_sets(OVERSHOOTING_UNIFORM, *rows_and_grid(OVERSHOOTING_UNIFORM)).value == 2
+    assert _check_halfline_sets(OVERSHOOTING_UNIFORM, *suite_inputs(OVERSHOOTING_UNIFORM)).value == 2
     assert nonzero > 0
 
 
@@ -283,12 +287,12 @@ def test_halfline_check_reads_the_rows_left_quantiles(small_population, fm, monk
         return run
 
     for f in (fm, *small_population[:5], OVERSHOOTING_UNIFORM):
-        rows, grid = rows_and_grid(f)
-        expected = halfline_by_level(f, rows, grid)
+        rows, grid, parts = suite_inputs(f)
+        expected = halfline_by_level(f, rows, grid, parts)
         with monkeypatch.context() as m:
             m.setattr(cdf, "_left_quantile_unchecked", counted("scalar", cdf._left_quantile_unchecked))
             m.setattr(checks, "_left_quantiles", counted("array", checks._left_quantiles))
-            assert _check_halfline_sets(f, rows, grid).value == expected
+            assert _check_halfline_sets(f, rows, grid, parts).value == expected
         assert not scans
 
 
@@ -299,49 +303,42 @@ def test_sublevel_counts(small_population, fb, fm, fu):
     nonzero = holed_nonzero = 0
     for n, f in enumerate(_check_population(small_population, fb, fm, fu)):
         alphas = alpha_population(f)
-        rows, grid = _level_rows(f, alphas), probe_grid(f)
-        res = _check_sublevel_union(f, rows, grid)
+        rows, grid, parts = suite_inputs(f)
+        res = _check_sublevel_union(f, rows, grid, parts)
         nonzero += res.value > 0
         if n <= len(small_population) + 3:
             assert res.value == sublevel_by_point(f, alphas)
             continue
-        assert res.value == sublevel_by_level(f, rows, grid)
+        assert res.value == sublevel_by_level(f, rows, grid, parts)
         holed = without_point(rows)
-        res = _check_sublevel_union(f, holed, grid)
-        assert res.value == sublevel_by_level(f, holed, grid)
+        res = _check_sublevel_union(f, holed, grid, parts)
+        assert res.value == sublevel_by_level(f, holed, grid, parts)
         holed_nonzero += res.value > 0
     assert nonzero > 0 and holed_nonzero > 0
 
 
-def reversed_on(grid, fn):
-    """``fn`` that returns its vector reversed when it is evaluated on ``grid``."""
-
-    def run(f, x, *args):
-        out = fn(f, x, *args)
-        return out[::-1].copy() if x is grid else out
-
-    return run
+def reversed_table(parts):
+    """The grid table with F and every transform reversed, so that none is in order."""
+    fx, left, jump, ts = parts
+    return fx[::-1], left, jump, tuple(t[::-1] for t in ts)
 
 
-def test_counts_fall_back_where_the_prefix_argument_fails(small_population, fm, monkeypatch):
+def test_counts_fall_back_where_the_prefix_argument_fails(small_population, fm):
     # F or the transform out of order on the grid: both checks compare point
     # by point, and so count what the element-wise bodies count
     for f in [fm, small_population[3], OVERSHOOTING_UNIFORM]:
-        rows, grid = rows_and_grid(f)
+        rows, grid, parts = suite_inputs(f)
         holed = without_point(rows)
-        with monkeypatch.context() as m:
-            m.setattr(sd.Cdf, "values", reversed_on(grid, sd.Cdf.values))
-            got = _check_halfline_sets(f, rows, grid).value
-            assert got == halfline_by_level(f, rows, grid) > 0
-        with monkeypatch.context() as m:
-            m.setattr(checks, "lambda_transforms", reversed_on(grid, checks.lambda_transforms))
-            got = _check_sublevel_union(f, rows, grid).value
-            assert got == sublevel_by_level(f, rows, grid) > 0
+        backwards = reversed_table(parts)
+        got = _check_halfline_sets(f, rows, grid, backwards).value
+        assert got == halfline_by_level(f, rows, grid, backwards) > 0
+        got = _check_sublevel_union(f, rows, grid, backwards).value
+        assert got == sublevel_by_level(f, rows, grid, backwards) > 0
         # at a flat level, a split without {q} is not one left half-line
         if f.plateau_levels:
             assert any(len(beyond.union(below).components) == 2 for *_, sp in holed for (beyond, _, below), _ in sp)
-        assert _check_sublevel_union(f, holed, grid).value == sublevel_by_level(f, holed, grid)
-    assert _check_sublevel_union(fm, *rows_and_grid(fm)).value == 0
+        assert _check_sublevel_union(f, holed, grid, parts).value == sublevel_by_level(f, holed, grid, parts)
+    assert _check_sublevel_union(fm, *suite_inputs(fm)).value == 0
 
 
 def test_overlaps_count_once_per_weight(small_population, fm):
@@ -353,12 +350,13 @@ def test_overlaps_count_once_per_weight(small_population, fm):
         lambda beyond, at, below: (beyond.union(below), at, below),
     )
     for f in [fm, *small_population[:5]]:
-        rows, grid = rows_and_grid(f)
+        rows, grid, parts = suite_inputs(f)
         overlaps = len(LAMBDA_GRID) * len(rows)
         for widened in (resplit(rows, widen) for widen in widenings):
             assert any(len(lams) > 1 for *_, sp in widened for _, lams in sp)
-            got = _check_sublevel_union(f, widened, grid).value
-            assert got == sublevel_by_level(f, widened, grid) == sublevel_by_level(f, rows, grid) + overlaps
+            got = _check_sublevel_union(f, widened, grid, parts).value
+            expected = sublevel_by_level(f, rows, grid, parts) + overlaps
+            assert got == sublevel_by_level(f, widened, grid, parts) == expected
 
 
 # -- the level rows -----------------------------------------------------------
@@ -440,6 +438,36 @@ def test_lambda_transforms(small_population, fb, fm, fu):
             vec = lambda_transforms(f, grid, lam)
             ref = np.array([lambda_transform(f, x, lam) for x in grid])
             assert vec.tobytes() == ref.tobytes()
+
+
+def test_invert_transform_equals_the_null_set_checks_pass(population, fb, fm, fu):
+    # the null-set check inverts each weight's grid transforms t in (0, 1) in
+    # one _left_quantiles pass; invert_transform returns the same float at every
+    # such point.  No grid transform is NaN here, so none is left out of the pass
+    rng = np.random.default_rng(41)
+    functions = [
+        *population,
+        fb,
+        fm,
+        fu,
+        *rescaled_functions(rng, 50),
+        *decimal_uniforms(rng, 50),
+        *FLOAT_RESOLUTION_LAWS,
+        *SUB_ULP_CASES,
+    ]
+    pairs = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # the span that overflows
+        for f in functions:
+            grid = probe_grid(f)
+            for lam in LAMBDA_GRID:
+                t = lambda_transforms(f, grid, lam)
+                assert not np.isnan(t).any()
+                inside = (0.0 < t) & (t < 1.0)
+                got = _left_quantiles(f, t[inside])
+                ref = [invert_transform(f, x, lam) for x in grid[inside].tolist()]
+                assert [bits(v) for v in got] == [bits(v) for v in ref]
+                pairs += len(ref)
+    assert pairs > 10 * len(functions)
 
 
 def test_lambda_transforms_rejects_like_the_scalar(fb):
