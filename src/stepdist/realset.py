@@ -84,21 +84,8 @@ class Interval:
 
     def intersect(self, other: "Interval") -> "Interval | None":
         """Exact intersection, or None when empty."""
-        if self.lo > other.lo:
-            lo, clo = self.lo, self.closed_lo
-        elif other.lo > self.lo:
-            lo, clo = other.lo, other.closed_lo
-        else:
-            lo, clo = self.lo, self.closed_lo and other.closed_lo
-        if self.hi < other.hi:
-            hi, chi = self.hi, self.closed_hi
-        elif other.hi < self.hi:
-            hi, chi = other.hi, other.closed_hi
-        else:
-            hi, chi = self.hi, self.closed_hi and other.closed_hi
-        if lo > hi or (lo == hi and not (clo and chi)):
-            return None
-        return Interval(lo, hi, clo, chi)
+        both = _sweep((self,), (other,))
+        return both[0] if both else None
 
     def __str__(self):
         if self.is_point():
@@ -108,11 +95,48 @@ class Interval:
         return f"{left}{self.lo:g}, {self.hi:g}{right}"
 
 
-def _touches(a: Interval, b: Interval) -> bool:
-    # a.lo <= b.lo assumed; union of a and b is connected?
-    if b.lo < a.hi:
-        return True
-    return b.lo == a.hi and (a.closed_hi or b.closed_lo)
+def _cuts(components) -> list:
+    """Each interval's start cut ``(lo, not closed_lo)``, then its end cut ``(hi, closed_hi)``.
+    A cut ``(v, False)`` lies just below v, ``(v, True)`` just above it: tuple order is
+    the order on the line, and an interval is empty unless its start < its end."""
+    return [c for iv in components for c in ((iv.lo, not iv.closed_lo), (iv.hi, iv.closed_hi))]
+
+
+def _sweep(*families) -> tuple:
+    """The merged, sorted intervals of the points covered by every family: one family
+    gives the union of its intervals, two disjoint ones their intersection.
+
+    Coverage is counted over the cut events of the nonempty intervals, starts before
+    ends at an equal cut, so touching intervals merge; ``_float`` picks the sign of a
+    zero endpoint.
+    """
+    if not all(families):
+        return ()
+    if len(families) == 1 and len(families[0]) == 1 and not families[0][0].is_empty():
+        return families[0]  # one nonempty interval is already merged
+    events = []
+    for fam, ivs in enumerate(families):
+        for i, iv in enumerate(ivs):
+            if not iv.is_empty():
+                events += [(iv.lo, not iv.closed_lo, False, fam, i), (iv.hi, iv.closed_hi, True, fam, i)]
+    events.sort()
+    out, depth, k = [], 0, len(families)
+    for v, above, end, _, _ in events:
+        if end and depth == k and lo < (v, above):
+            out.append(Interval(_float(events, False, lo[0]), _float(events, True, v), not lo[1], above))
+        depth += -1 if end else 1
+        if not end and depth == k:
+            lo = (v, above)
+    return tuple(out)
+
+
+def _float(events, end: bool, v: float) -> float:
+    # 0.0 and -0.0 are the one value with two floats: a zero endpoint takes the float of
+    # the first family's, then of the one whose interval starts first in the sorted events
+    if v:
+        return v
+    first = {e[3:]: n for n, e in enumerate(events) if not e[2]}
+    return min((e[3], first[e[3:]], e[0]) for e in events if e[2] == end and e[0] == 0.0)[2]
 
 
 @dataclass(frozen=True)
@@ -122,22 +146,7 @@ class RealSet:
     components: tuple[Interval, ...]
 
     def __post_init__(self):
-        parts = [iv for iv in self.components if not iv.is_empty()]
-        parts.sort(key=lambda iv: (iv.lo, not iv.closed_lo))
-        merged: list[Interval] = []
-        for iv in parts:
-            if merged and _touches(merged[-1], iv):
-                cur = merged.pop()
-                if iv.hi > cur.hi:
-                    hi, chi = iv.hi, iv.closed_hi
-                elif iv.hi < cur.hi:
-                    hi, chi = cur.hi, cur.closed_hi
-                else:
-                    hi, chi = cur.hi, cur.closed_hi or iv.closed_hi
-                merged.append(Interval(cur.lo, hi, cur.closed_lo, chi))
-            else:
-                merged.append(iv)
-        object.__setattr__(self, "components", tuple(merged))
+        object.__setattr__(self, "components", _sweep(tuple(self.components)))
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -166,45 +175,28 @@ class RealSet:
     def contains_many(self, x) -> np.ndarray:
         """Vector form of :meth:`contains`: a bool array, one entry per point of x.
 
-        Each component makes the same exact comparisons as
-        :meth:`Interval.contains`, so every entry equals ``contains(x_i)``;
-        the scalar method is the reference the tests compare with.
+        x lies in the set iff an odd number of cuts lie below it: one search counts
+        those of value < x, and a cut ``(x, False)`` is below x too.  NaN sorts past
+        the closing NaN cut, so it lies in no set.  Every entry equals ``contains(x_i)``.
         """
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=bool)
-        for iv in self.components:
-            inside = (x >= iv.lo) & (x <= iv.hi)
-            if not iv.closed_lo:
-                inside &= x != iv.lo
-            if not iv.closed_hi:
-                inside &= x != iv.hi
-            out |= inside
-        return out
+        cuts = _cuts(self.components) + [(math.nan, True)]
+        values = np.array([v for v, _ in cuts])
+        below = np.array([not above for _, above in cuts])
+        i = np.searchsorted(values, x)
+        return np.asarray((i + ((values[i] == x) & below[i])) % 2 == 1)
 
     def union(self, other: "RealSet") -> "RealSet":
-        return RealSet(self.components + other.components)
+        return _merged(_sweep(self.components + other.components))
 
     def intersect(self, other: "RealSet") -> "RealSet":
-        out = []
-        for a in self.components:
-            for b in other.components:
-                iv = a.intersect(b)
-                if iv is not None:
-                    out.append(iv)
-        return RealSet(tuple(out))
+        return _merged(_sweep(self.components, other.components))
 
     def complement(self) -> "RealSet":
-        """The complement within the whole real line."""
-        out = []
-        lo, clo = -_INF, False
-        for iv in self.components:
-            gap_hi, gap_chi = iv.lo, not iv.closed_lo
-            if lo < gap_hi or (lo == gap_hi and clo and gap_chi):
-                out.append(Interval(lo, gap_hi, clo, gap_chi))
-            lo, clo = iv.hi, not iv.closed_hi
-        if lo < _INF:
-            out.append(Interval(lo, _INF, clo, False))
-        return RealSet(tuple(out))
+        """The complement within the whole real line: the gaps between the cuts."""
+        cuts = [(-_INF, True), *_cuts(self.components), (_INF, False)]
+        gaps = [(*a, *b) for a, b in zip(cuts[::2], cuts[1::2]) if a < b]
+        return _merged(tuple(Interval(lo, hi, not above, closed) for lo, above, hi, closed in gaps))
 
     def difference(self, other: "RealSet") -> "RealSet":
         return self.intersect(other.complement())
@@ -214,3 +206,9 @@ class RealSet:
             return "(empty)"
         return " U ".join(str(iv) for iv in self.components)
 
+
+def _merged(components: tuple) -> RealSet:
+    """A RealSet of components that are already sorted and merged, without a sweep."""
+    s = object.__new__(RealSet)
+    object.__setattr__(s, "components", components)
+    return s

@@ -109,6 +109,16 @@ class TestAnalyticSuite:
             res = checks._check_null_sets(fm, grid, (fx, left, jump, (t, *ts[1:])))
             assert res.value == 1 and not res.detail
 
+    def test_overlapping_jump_gaps_are_counted(self):
+        # the gaps of successive jumps must be disjoint; rows whose gaps (0, 0.6) and
+        # (0.4, 1) overlap count once for the overlap, beside the complement mismatch
+        # (their merged set (0, 1) has no gap at the attained 0.5)
+        f = Cdf(xs=(0.0, 1.0), atoms=(0.5, 0.5), rises=(0.0,))
+        assert checks._check_jump_gaps(f).value == 0
+        rows = (f._jumps[0]._replace(hi=0.6), f._jumps[1]._replace(lo=0.4))
+        object.__setattr__(f, "_jump_rows", rows)
+        assert checks._check_jump_gaps(f).value == 2
+
     def test_set_algebra_once_per_distinct_split(self, fm, small_population, monkeypatch):
         # a row keeps each distinct sublevel split once, with the weights that
         # give it: the sublevel check forms at most three intersections and two
