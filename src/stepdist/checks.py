@@ -5,10 +5,14 @@ measured value and a threshold.  Exact identities use the arithmetic tolerance 1
 (or an outright mismatch count with threshold 0); sampled statements use their stated
 statistical bounds.  The analytic suite decides every level in one row, all rows from
 array passes, and evaluates the probe grid once into a table: F, F(x-), the jump and
-the four transforms, from one search plus one per weight.  The null-set check inverts
-the transforms in one ``_left_quantiles`` pass per weight (tier-1 pins
-``invert_transform`` to it).  Single points are evaluated only to verify the function
-called there: ``lambda_transform``, ``quantile_range_of_point`` and ``left_quantile``.
+the four transforms, from one search plus one per weight.  A check that verifies a
+function runs that function's array form on the whole grid or on every level: the
+transform at weights 0, 0.3 and 0.7 (``lambda_transforms``), the quantile range of each
+point (``_quantile_ranges``, mapped back in one ``_left_quantiles`` pass), the exact law
+of the transform (``_transform_cdf_totals``) and its inversion (one ``_left_quantiles``
+pass per weight).  Tier-1 pins ``lambda_transform``, ``quantile_range_of_point``,
+``left_quantile``, ``transform_cdf_exact`` and ``invert_transform`` to those array
+forms bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdf import _EMPTY, Cdf, _flat_or_point, _left_quantiles, jump_set, left_quantile
+from .cdf import _EMPTY, Cdf, _flat_or_point, _left_quantiles, jump_set
 from .copula import (
     dt_copula,
     copula_at_flat_alpha,
@@ -34,21 +38,20 @@ from .realset import Interval, RealSet
 from .stochastic import (
     INVERSION_TOL,
     SeededStream,
+    _transform_cdf_totals,
     distributional_transform,
     inversion_check,
     ks_uniformity,
     sample_inverse,
-    transform_cdf_exact,
 )
 from .transform import (
+    _quantile_ranges,
     _split_parts,
     attained_values,
     inversion_null_set,
     jump_gap_values,
     jump_gap_weights,
-    lambda_transform,
     lambda_transforms,
-    quantile_range_of_point,
 )
 
 __all__ = ["CheckResult", "analytic_checks", "stochastic_checks", "sklar_checks", "KS_CRIT"]
@@ -132,6 +135,14 @@ def _nondecreasing(v: np.ndarray) -> bool:
     return bool(np.all(v[1:] >= v[:-1]))
 
 
+def _worst(*deviations: np.ndarray) -> float:
+    """The largest deviation above 0.0, else 0.0: what a loop of ``worst = max(worst, d)``
+    from 0.0 returns over the same deviations, in any order (a NaN never wins)."""
+    d = np.concatenate([np.ravel(v) for v in deviations])
+    d = d[d > 0.0]
+    return float(d.max()) if d.size else 0.0
+
+
 # -- analytic suite -----------------------------------------------------------
 
 
@@ -161,33 +172,38 @@ def _analytic(name: str, threshold: float):
 
 @_analytic("transform_sandwich", EXACT_TOL)
 def _check_transform_sandwich(f: Cdf, grid, parts):
-    worst = 0.0
-    his, los, jumps = (p.tolist() for p in parts[:3])
-    for x, lo, hi, jump in zip(grid, los, his, jumps):
-        ts = [lambda_transform(f, x, lam) for lam in (0.0, 0.25, 0.5, 0.75, 1.0)]
-        for t in ts:
-            worst = max(worst, lo - t, t - hi)
-        worst = max(worst, abs(ts[0] - lo), abs(ts[-1] - hi))
-        if jump == 0.0:
-            vals = {ts[0], lambda_transform(f, x, 0.3), lambda_transform(f, x, 0.7), ts[-1]}
-            if len(vals) > 1:
-                worst = max(worst, max(vals) - min(vals))
-    return worst
+    # the transform at weights 0, 0.25, ..., 1 lies in [F(x-), F(x)] and equals its
+    # ends at 0 and 1; where F does not jump it takes one value at 0, 0.3, 0.7 and 1
+    fx, left, jump, ts = parts
+    t0 = lambda_transforms(f, grid, 0.0)
+    flat = jump == 0.0
+    x = grid[flat]
+    four = (t0[flat], lambda_transforms(f, x, 0.3), lambda_transforms(f, x, 0.7), ts[-1][flat])
+    return _worst(
+        *(d for t in (t0, *ts) for d in (left - t, t - fx)),
+        np.abs(t0 - left),
+        np.abs(ts[-1] - fx),
+        np.maximum.reduce(four) - np.minimum.reduce(four),
+    )
 
 
 @_analytic("quantile_sandwich", EXACT_TOL)
 def _check_quantile_sandwich(f: Cdf, rows):
-    worst = 0.0
-    for a, lo, hi, _, _ in rows:
-        if lo > hi:
-            worst = max(worst, lo - hi)
-        worst = max(worst, f.left_value(lo) - a, a - f.value(lo))
-        worst = max(worst, f.left_value(hi) - a, a - f.value(hi))
-        for d in (1e-6, 1e-3, 0.25):
-            if not f.value(lo - d) < a:  # strict part of the sandwich
-                worst = max(worst, f.value(lo - d) - a + 2.0 * EXACT_TOL)
-            worst = max(worst, a - f.value(lo + d))
-    return worst
+    # F(q-) <= a <= F(q) at both quantiles; F < a strictly left of lo, F >= a right of it
+    a, lo, hi = np.array([row[:3] for row in rows]).T
+    ds = (1e-6, 1e-3, 0.25)
+    points = (lo, hi, *(lo - d for d in ds), *(lo + d for d in ds))
+    f_lo, f_hi, *shifted = np.split(f.values(np.concatenate(points)), len(points))
+    left_lo, left_hi = np.split(f.left_values(np.concatenate(points[:2])), 2)
+    return _worst(
+        (lo - hi)[lo > hi],
+        left_lo - a,
+        a - f_lo,
+        left_hi - a,
+        a - f_hi,
+        *((v - a + 2.0 * EXACT_TOL)[~(v < a)] for v in shifted[: len(ds)]),  # the strict part
+        *(a - v for v in shifted[len(ds) :]),
+    )
 
 
 @_analytic("halfline_sets", 0)
@@ -278,34 +294,33 @@ def _check_sublevel_union(f: Cdf, rows, grid, parts):
 
 @_analytic("quantile_range_of_point", 0)
 def _check_quantile_ranges(f: Cdf, grid, parts):
-    bad = 0
-    bps = set(f.xs)
-    his, los = (p.tolist() for p in parts[:2])
-    for x, lo, hi in zip(grid, los, his):
-        s = quantile_range_of_point(f, x)
-        for iv in s.components:
-            if iv.lo < lo or iv.hi > hi:
-                bad += 1
-        if hi > lo:
-            if len(s.components) != 1:
-                bad += 1
-            else:
-                iv = s.components[0]
-                if iv.lo != lo or iv.hi != hi:
-                    bad += 1
-            for frac in (0.25, 0.5, 0.75):
-                a = lo + frac * (hi - lo)
-                if lo < a < hi and left_quantile(f, a) != x:
-                    bad += 1
-        if x in bps:
-            # endpoint membership round-trips exactly at breakpoints; inside
-            # rising segments the scan may land an ulp off, which the set
-            # semantics must not depend on
-            for a in (lo, hi):
-                if 0.0 < a < 1.0:
-                    if s.contains(a) != (left_quantile(f, a) == x):
-                        bad += 1
-    return bad
+    # each point's range lies in [F(x-), F(x)], and is that interval where F jumps at x;
+    # levels inside a jump map back to x, and at breakpoints an end belongs to the range
+    # iff it maps back to x (inside rising segments a round trip may land an ulp off,
+    # which the set semantics must not depend on)
+    fx, left = parts[0], parts[1]
+    lo, hi, closed_lo, closed_hi = _quantile_ranges(f, grid)
+    nonempty = (lo < hi) | (closed_lo & closed_hi)
+    jumped = fx > left
+    bad = np.count_nonzero(nonempty & ((lo < left) | (hi > fx)))
+    bad += np.count_nonzero(jumped & (~nonempty | (lo != left) | (hi != fx)))
+    # the levels to map back, each with the index of its point: 1/4, 1/2 and 3/4 of
+    # the way across each jump, and the ends F(x-) and F(x) at breakpoints
+    j = np.flatnonzero(jumped)
+    inner_at = np.tile(j, 3)
+    inner = np.concatenate([left[j] + frac * (fx[j] - left[j]) for frac in (0.25, 0.5, 0.75)])
+    keep = (left[inner_at] < inner) & (inner < fx[inner_at])
+    inner, inner_at = inner[keep], inner_at[keep]
+    b = np.flatnonzero(np.isin(grid, f.xs))
+    ends_at = np.tile(b, 2)
+    ends = np.concatenate([left[b], fx[b]])
+    keep = (0.0 < ends) & (ends < 1.0)
+    ends, i = ends[keep], ends_at[keep]
+    back_inner, back_ends = np.split(_left_quantiles(f, np.concatenate([inner, ends])), [inner.size])
+    bad += np.count_nonzero(back_inner != grid[inner_at])
+    member = (lo[i] <= ends) & (ends <= hi[i]) & ((ends != lo[i]) | closed_lo[i]) & ((ends != hi[i]) | closed_hi[i])
+    bad += np.count_nonzero(member != (back_ends == grid[i]))
+    return int(bad)
 
 
 @_analytic("jump_gap_complement", 0)
@@ -314,11 +329,10 @@ def _check_jump_gaps(f: Cdf):
     unit = RealSet.of(Interval.open(0.0, 1.0))
     expected = unit.difference(attained_values(f))
     bad = 0 if RealSet(tuple(raw)).intersect(unit) == expected else 1
-    # the gaps of successive jumps are disjoint (the merged set would hide an overlap)
-    for a, b in zip(raw, raw[1:]):
-        if a.intersect(b) is not None:
-            bad += 1
-    return bad
+    # the gaps of successive jumps are disjoint (the merged set would hide an overlap):
+    # two open gaps meet iff the larger left end lies below the smaller right end
+    lo, hi = np.array([iv.lo for iv in raw]), np.array([iv.hi for iv in raw])
+    return bad + int(np.count_nonzero(np.maximum(lo[:-1], lo[1:]) < np.minimum(hi[:-1], hi[1:])))
 
 
 @_analytic("jump_gap_roundtrip", EXACT_TOL)
@@ -363,11 +377,8 @@ def _check_null_sets(f: Cdf, grid, parts):
 
 @_analytic("transform_cdf_uniform", EXACT_TOL)
 def _check_transform_cdf(f: Cdf, rows):
-    worst = 0.0
-    for a, *_ in rows:
-        br = transform_cdf_exact(f, f, a)
-        worst = max(worst, abs(br.total - a))
-    return worst
+    a = np.array([row[0] for row in rows])
+    return _worst(np.abs(_transform_cdf_totals(f, f, a) - a))
 
 
 @_analytic("uniformity_displays", EXACT_TOL)
@@ -461,8 +472,8 @@ def stochastic_checks(f: Cdf, seed: int, n: int) -> list[CheckResult]:
     out.append(_result("inversion_failures", fails, 0))
 
     worst = 0.0
-    for a in (0.25, 0.5, 0.75):
-        exact = transform_cdf_exact(f, f, a).total
+    levels = np.array([0.25, 0.5, 0.75])
+    for a, exact in zip(levels.tolist(), _transform_cdf_totals(f, f, levels).tolist()):
         est = float((us <= a).mean())
         se = math.sqrt(max(exact * (1.0 - exact), 1e-12) / n)
         worst = max(worst, abs(est - exact) / (4.0 * se))

@@ -183,6 +183,27 @@ def transform_cdf_exact(f: Cdf, law_of_x: Cdf, alpha: float) -> TransformCdfBrea
     )
 
 
+def _transform_cdf_totals(f: Cdf, law_of_x: Cdf, a: np.ndarray) -> np.ndarray:
+    """Array form of ``transform_cdf_exact(f, law_of_x, a_i).total`` for levels already
+    inside (0, 1): the same terms from one left-quantile pass and array evaluations,
+    summed in the scalar's order, so each total equals the scalar's bit for bit."""
+    q = _left_quantiles(f, a)
+    fq, beta = f.values(q), f.jumps(q)
+    coef = np.zeros(a.shape)
+    np.divide(a - fq, beta, out=coef, where=beta != 0.0)
+    term_flat = np.zeros(a.shape)
+    runs = list(map(f._flat_runs.get, a.tolist()))
+    flat = [n for n, run in enumerate(runs) if run is not None]
+    if flat:
+        # the law's mass on each flat piece right of its left end, read as measure_interval reads it
+        lo, hi, closed = zip(*(runs[n] for n in flat))
+        top = np.where(closed, law_of_x.values(hi), law_of_x.left_values(hi))
+        term_flat[flat] = top - law_of_x.values(lo)
+    term_atom = coef * (law_of_x.jumps(q) - beta)
+    term_left = law_of_x.values(q) - fq
+    return a + term_flat + term_atom + term_left
+
+
 def ks_uniformity(us) -> float:
     """Two-sided Kolmogorov-Smirnov statistic of a sample against U(0,1)."""
     us = np.asarray(us, dtype=float)

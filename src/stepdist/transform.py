@@ -158,6 +158,35 @@ def quantile_range_of_point(f: Cdf, x: float) -> RealSet:
     return RealSet.empty()
 
 
+def _quantile_ranges(f: Cdf, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Array form of :func:`quantile_range_of_point`: ``(lo, hi, closed_lo, closed_hi)``,
+    one interval per point, whose ``RealSet`` equals the scalar's bit for bit.
+
+    The interval is (F(x-), F(x)) with the scalar's endpoint flags where F jumps
+    at x, else {F(x)} (both flags set) or the empty set (F(x) at both ends, both
+    flags clear).  Whether F is flat just left of x is read off the breakpoint
+    values from one ``value_parts`` call, F(x_i-) == F(x_{i-1}), as the scalar
+    reads it.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise ValidationError("evaluation point is NaN")
+    hi, lo, _ = f.value_parts(x)
+    xs = np.asarray(f.xs)
+    at, left_at, _ = f.value_parts(xs)
+    # segment i-1 is flat where F(xs[i]-) == F(xs[i-1]); x sits in (xs[i-1], xs[i]]
+    flat_segment = left_at[1:] == at[:-1]
+    i = np.searchsorted(xs, x, side="left")
+    inside = (xs[0] < x) & (x <= xs[-1])
+    flat_left = ~inside
+    flat_left[inside] = flat_segment[i[inside] - 1]
+    jumped = hi > lo
+    point = ~jumped & ~flat_left & (0.0 < hi) & (hi < 1.0)
+    closed_lo = (jumped & ~flat_left & (lo > 0.0)) | point
+    closed_hi = (jumped & (hi < 1.0)) | point
+    return np.where(jumped, lo, hi), hi, closed_lo, closed_hi
+
+
 def jump_gap_values(f: Cdf, lams) -> list[float]:
     """Map one interior weight per jump to a level inside that jump's value gap.
 

@@ -1,0 +1,271 @@
+"""The analytic checks that run as array passes, pinned to the loops they replaced.
+
+The oracle bodies below are the earlier point-by-point checks, kept verbatim in
+substance: they call the public scalar functions (``lambda_transform``,
+``quantile_range_of_point``, ``left_quantile``, ``transform_cdf_exact``) once per
+point or level, and compare successive jump gaps with ``Interval.intersect``.
+Each array check must return the same ``CheckResult``: the bits of its value and
+its detail.  The scalar functions themselves are pinned to the array kernels the
+checks call, bit for bit.
+"""
+
+import copy
+import math
+import struct
+
+import numpy as np
+import pytest
+
+import stepdist as sd
+from stepdist import checks
+from stepdist.cdf import _Jump, left_quantile
+from stepdist.checks import EXACT_TOL, _analytic, alpha_population, probe_grid
+from stepdist.realset import Interval, RealSet
+from stepdist.stochastic import _transform_cdf_totals, transform_cdf_exact
+from stepdist.transform import _quantile_ranges, attained_values, lambda_transform, quantile_range_of_point
+from test_vector_oracle import (
+    FLOAT_RESOLUTION_LAWS,
+    OVERSHOOTING_UNIFORM,
+    SUB_ULP_CASES,
+    decimal_uniforms,
+    rescaled_functions,
+    suite_inputs,
+)
+
+# -- the oracle ----------------------------------------------------------------
+
+
+@_analytic("transform_sandwich", EXACT_TOL)
+def sandwich_by_point(f, grid, parts):
+    worst = 0.0
+    his, los, jumps = (p.tolist() for p in parts[:3])
+    for x, lo, hi, jump in zip(grid, los, his, jumps):
+        ts = [lambda_transform(f, x, lam) for lam in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        for t in ts:
+            worst = max(worst, lo - t, t - hi)
+        worst = max(worst, abs(ts[0] - lo), abs(ts[-1] - hi))
+        if jump == 0.0:
+            vals = {ts[0], lambda_transform(f, x, 0.3), lambda_transform(f, x, 0.7), ts[-1]}
+            if len(vals) > 1:
+                worst = max(worst, max(vals) - min(vals))
+    return worst
+
+
+@_analytic("quantile_sandwich", EXACT_TOL)
+def quantile_sandwich_by_level(f, rows):
+    worst = 0.0
+    for a, lo, hi, _, _ in rows:
+        if lo > hi:
+            worst = max(worst, lo - hi)
+        worst = max(worst, f.left_value(lo) - a, a - f.value(lo))
+        worst = max(worst, f.left_value(hi) - a, a - f.value(hi))
+        for d in (1e-6, 1e-3, 0.25):
+            if not f.value(lo - d) < a:
+                worst = max(worst, f.value(lo - d) - a + 2.0 * EXACT_TOL)
+            worst = max(worst, a - f.value(lo + d))
+    return worst
+
+
+@_analytic("quantile_range_of_point", 0)
+def quantile_ranges_by_point(f, grid, parts):
+    bad = 0
+    bps = set(f.xs)
+    his, los = (p.tolist() for p in parts[:2])
+    for x, lo, hi in zip(grid, los, his):
+        s = quantile_range_of_point(f, x)
+        for iv in s.components:
+            if iv.lo < lo or iv.hi > hi:
+                bad += 1
+        if hi > lo:
+            if len(s.components) != 1:
+                bad += 1
+            else:
+                iv = s.components[0]
+                if iv.lo != lo or iv.hi != hi:
+                    bad += 1
+            for frac in (0.25, 0.5, 0.75):
+                a = lo + frac * (hi - lo)
+                if lo < a < hi and left_quantile(f, a) != x:
+                    bad += 1
+        if x in bps:
+            for a in (lo, hi):
+                if 0.0 < a < 1.0:
+                    if s.contains(a) != (left_quantile(f, a) == x):
+                        bad += 1
+    return bad
+
+
+@_analytic("jump_gap_complement", 0)
+def jump_gaps_by_pair(f):
+    raw = [Interval.open(j.lo, j.hi) for j in f._jumps]
+    unit = RealSet.of(Interval.open(0.0, 1.0))
+    expected = unit.difference(attained_values(f))
+    bad = 0 if RealSet(tuple(raw)).intersect(unit) == expected else 1
+    for a, b in zip(raw, raw[1:]):
+        if a.intersect(b) is not None:
+            bad += 1
+    return bad
+
+
+@_analytic("transform_cdf_uniform", EXACT_TOL)
+def transform_cdf_by_level(f, rows):
+    worst = 0.0
+    for a, *_ in rows:
+        br = transform_cdf_exact(f, f, a)
+        worst = max(worst, abs(br.total - a))
+    return worst
+
+
+# -- comparison ------------------------------------------------------------------
+
+
+def bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+def same_result(got, ref) -> bool:
+    return got == ref and bits(got.value) == bits(ref.value) and got.detail == ref.detail
+
+
+def mixed(k):
+    """Breakpoints 0, 1, ..., k-1 with about half of them atoms and 60 % of the segments rising."""
+    r = np.random.default_rng(0)
+    atoms = np.where(r.random(k) < 0.5, r.uniform(0.05, 1.0, k), 0.0)
+    rises = np.where(r.random(k - 1) < 0.6, r.uniform(0.05, 1.0, k - 1), 0.0)
+    return sd.normalize(sd.MonotoneStepLinear(xs=np.arange(k, dtype=float), atoms=atoms, rises=rises))
+
+
+@pytest.fixture(scope="module")
+def oracle_laws(small_population, fb, fm, fu):
+    """A slice of the seeded population, the canonical laws, three-decimal uniform laws
+    (the overshooting one FAILs the suite), the float-resolution laws and one large law.
+    The old loops cost about 5 ms per small law, so the whole population would add a
+    second to tier-1."""
+    return [
+        *small_population,
+        fb,
+        fm,
+        fu,
+        OVERSHOOTING_UNIFORM,
+        *decimal_uniforms(np.random.default_rng(12), 20),
+        *FLOAT_RESOLUTION_LAWS,
+        *SUB_ULP_CASES,
+        mixed(2000),
+    ]
+
+
+PAIRS = [
+    (checks._check_transform_sandwich, sandwich_by_point, "grid"),
+    (checks._check_quantile_sandwich, quantile_sandwich_by_level, "rows"),
+    (checks._check_quantile_ranges, quantile_ranges_by_point, "grid"),
+    (checks._check_transform_cdf, transform_cdf_by_level, "rows"),
+]
+
+
+def assert_same_checks(f, rows, grid, parts) -> set:
+    """Each array check returns the loop's result; the names of the nonzero ones."""
+    nonzero = set()
+    for check, oracle, reads in PAIRS:
+        args = (f, grid, parts) if reads == "grid" else (f, rows)
+        got, ref = check(*args), oracle(*args)
+        assert same_result(got, ref), (f, got, ref)
+        if ref.value:
+            nonzero.add(ref.name)
+    return nonzero
+
+
+def test_array_checks_equal_the_point_loops(oracle_laws):
+    nonzero = set()
+    with np.errstate(over="ignore", invalid="ignore"):  # the span that overflows
+        for f in oracle_laws:
+            nonzero |= assert_same_checks(f, *suite_inputs(f))
+    # rounding-sized sandwich deviations on most laws, and the FAILs of the span that
+    # overflows and the unresolvable ramp
+    assert nonzero == {"quantile_sandwich"}
+
+
+def test_array_checks_equal_the_point_loops_on_wrong_tables(small_population, fb, fm, fu):
+    # tables that disagree with F give nonzero values of every kind.  Grid tables:
+    # F and F(x-) exchanged; F one float high; F and the transform at weight 1 one
+    # float high, which only the spread of the weights where F does not jump shows;
+    # F(x-) halved, whose levels inside the made-up jumps map back left of x.  Rows:
+    # the two quantiles exchanged; the left quantile moved to the right one, where
+    # only the strict part of the sandwich shows at a flat level
+    nonzero = set()
+    for f in (fb, fm, fu, OVERSHOOTING_UNIFORM, *small_population[:6]):
+        rows, grid, (fx, left, jump, ts) = suite_inputs(f)
+        up = np.nextafter(fx, math.inf)
+        for table in (
+            (left, fx, jump, ts),
+            (up, left, jump, ts),
+            (up, left, jump, (*ts[:-1], np.nextafter(ts[-1], math.inf))),
+            (fx, 0.5 * left, jump, ts),
+        ):
+            nonzero |= assert_same_checks(f, rows, grid, table)
+        for wrong in ([(a, hi, lo, *rest) for a, lo, hi, *rest in rows], [(a, hi, hi, *rest) for a, _, hi, *rest in rows]):
+            nonzero |= assert_same_checks(f, wrong, grid, (fx, left, jump, ts))
+    assert nonzero == {"transform_sandwich", "quantile_sandwich", "quantile_range_of_point"}
+
+
+def test_successive_gaps_are_counted_as_the_pairwise_intersections(oracle_laws):
+    rng = np.random.default_rng(43)
+    ends = (0.0, 0.25, 0.5, 0.75, 1.0)  # few values, so that gaps touch and coincide
+    tampered = 0
+    for f in oracle_laws:
+        with np.errstate(over="ignore", invalid="ignore"):  # the span that overflows
+            assert same_result(checks._check_jump_gaps(f), jump_gaps_by_pair(f))
+        if len(f._jumps) < 2:
+            continue
+        # gaps moved to random ends, empty ones included, on a copy of the law
+        g = copy.copy(f)
+        rows = []
+        for j in g._jumps:
+            lo, hi = sorted(rng.choice(ends, 2).tolist())
+            rows.append(_Jump(j.x, lo, hi, j.mass))
+        object.__setattr__(g, "_jump_rows", tuple(rows))
+        got, ref = checks._check_jump_gaps(g), jump_gaps_by_pair(g)
+        assert same_result(got, ref)
+        tampered += ref.value > 1
+    assert tampered > 10
+
+
+# -- the kernels the checks call -------------------------------------------------
+
+
+def range_bits(s: RealSet) -> list:
+    return [(bits(iv.lo), bits(iv.hi), iv.closed_lo, iv.closed_hi) for iv in s.components]
+
+
+def test_quantile_range_of_point_equals_the_array_kernel(population, fb, fm, fu):
+    functions = [*population, fb, fm, fu, *rescaled_functions(np.random.default_rng(47), 30), *SUB_ULP_CASES]
+    kinds = set()
+    for f in functions:
+        xs = np.asarray(f.xs)
+        x = np.concatenate(
+            [probe_grid(f), np.nextafter(xs, -math.inf), np.nextafter(xs, math.inf), [-math.inf, math.inf, -0.0]]
+        )
+        lo, hi, closed_lo, closed_hi = _quantile_ranges(f, x)
+        for p, *iv in zip(x.tolist(), lo.tolist(), hi.tolist(), closed_lo.tolist(), closed_hi.tolist()):
+            ref = quantile_range_of_point(f, p)
+            assert range_bits(RealSet.of(Interval(*iv))) == range_bits(ref), (f, p)
+            kinds.add((len(ref.components), ref.components[0].is_point() if ref.components else None))
+    assert kinds == {(0, None), (1, True), (1, False)}  # empty, a point and an interval
+
+
+def test_quantile_ranges_reject_nan_like_the_scalar(fm):
+    with pytest.raises(sd.ValidationError):
+        quantile_range_of_point(fm, math.nan)
+    with pytest.raises(sd.ValidationError):
+        _quantile_ranges(fm, [0.0, math.nan])
+
+
+def test_transform_cdf_exact_totals_equal_the_array_kernel(population, fb, fm, fu):
+    functions = [*population[:30], fb, fm, fu, *rescaled_functions(np.random.default_rng(53), 20)]
+    flat_terms = 0
+    for f, g in [*zip(functions, functions), *zip(functions, functions[1:])]:
+        levels = alpha_population(f)  # a percent grid, f's flat levels and jump-gap interiors
+        got = _transform_cdf_totals(f, g, np.array(levels))
+        refs = [transform_cdf_exact(f, g, a) for a in levels]
+        assert [bits(v) for v in got.tolist()] == [bits(r.total) for r in refs], (f, g)
+        flat_terms += sum(r.term_flat != 0.0 for r in refs)
+    assert flat_terms > 20  # g differs from f on flat levels of f

@@ -44,9 +44,13 @@ class TestAnalyticSuite:
 
     def test_probe_grid_is_searched_once_per_table_column(self, fm, small_population, monkeypatch):
         # one run builds one grid table: F, F(x-) and the jump from one
-        # value_parts search, and one transform search per weight.  The null-set
-        # check inverts each weight's transforms in one left-quantile pass and,
-        # outside the null sets and their measures, evaluates F at no single point
+        # value_parts search, and one transform search per weight.  Two checks
+        # search the grid once more for the function they verify: the sandwich
+        # check the transform at weight 0, the quantile-range check
+        # _quantile_ranges.  The null-set check inverts each weight's transforms
+        # in one left-quantile pass, the quantile-range check maps its levels back
+        # in one more, and these array checks, outside the null sets and their
+        # measures, evaluate F at no single point
         grids = []
         calls = Counter()
         inside = [False]
@@ -82,18 +86,22 @@ class TestAnalyticSuite:
         wrapped(checks, "lambda_transforms", lambda f, x, lam: ("transform", on_grid(x), lam))
         wrapped(checks, "_left_quantiles", lambda f, a: ("left quantiles", inside[0]))
         wrapped(MonotoneStepLinear, "_point", lambda self, x: ("point", inside[0]))
-        flagged("_check_null_sets", True)
+        array_checks = ("_check_transform_sandwich", "_check_quantile_sandwich", "_check_quantile_ranges")
+        for name in (*array_checks, "_check_null_sets", "_check_transform_cdf"):
+            flagged(name, True)
         for name in ("inversion_null_set", "measure_set"):
             flagged(name, False)
         for f in (fm, *small_population[:4]):
             calls.clear()
             failed = [c for c in analytic_checks(f) if not c.passed]
             assert not failed, failed
-            assert calls["search", True] == 1 + len(LAMBDA_GRID)
-            # the four transform searches are value_parts calls inside lambda_transforms
-            assert calls["value_parts", True] == 1 + len(LAMBDA_GRID)
-            assert all(calls["transform", True, lam] == 1 for lam in LAMBDA_GRID)
-            assert calls["left quantiles", True] == len(LAMBDA_GRID)
+            assert calls["search", True] == 3 + len(LAMBDA_GRID)
+            # the five transform searches are value_parts calls inside lambda_transforms
+            assert calls["value_parts", True] == 3 + len(LAMBDA_GRID)
+            assert all(calls["transform", True, lam] == 1 for lam in (0.0, *LAMBDA_GRID))
+            # the sandwich's weights 0.3 and 0.7, only where F does not jump
+            assert calls["transform", False, 0.3] == calls["transform", False, 0.7] == 1
+            assert calls["left quantiles", True] == len(LAMBDA_GRID) + 1
             assert calls["left quantiles", False] == 1  # the level rows
             assert calls["point", True] == 0 and calls["point", False] > 0
 
