@@ -4,13 +4,15 @@ Each check pins one identity of the library to a named pass/fail result with a
 measured value and a threshold.  Exact identities use the arithmetic tolerance 1e-12
 (or an outright mismatch count with threshold 0); sampled statements use their stated
 statistical bounds.  The analytic suite decides every level in one row, all rows from
-array passes, and evaluates the probe grid once into a table: F, F(x-), the jump and
-the four transforms, from one search plus one per weight.  A check that verifies a
-function runs that function's array form on the whole grid or on every level: the
-transform at weights 0, 0.3 and 0.7 (``lambda_transforms``), the quantile range of each
-point (``_quantile_ranges``, mapped back in one ``_left_quantiles`` pass), the exact law
-of the transform (``_transform_cdf_totals``) and its inversion (one ``_left_quantiles``
-pass per weight).  Tier-1 pins ``lambda_transform``, ``quantile_range_of_point``,
+array passes; a row holds the three parts of the sublevel splits at its level once,
+and the weights whose split keeps the left quantile.  It evaluates the probe grid once
+into a table: F, F(x-), the jump and the four transforms, from one search plus one per
+weight, and builds the set of attained values once for both jump-gap checks.  A check
+that verifies a function runs that function's array form on the whole grid or on every
+level: the transform at weights 0, 0.3 and 0.7 (``lambda_transforms``), the quantile
+range of each point (``_quantile_ranges``, mapped back in one ``_left_quantiles``
+pass), the exact law of the transform (``_transform_cdf_totals``) and its inversion
+(one ``_left_quantiles`` pass per weight).  Tier-1 pins ``lambda_transform``, ``quantile_range_of_point``,
 ``left_quantile``, ``transform_cdf_exact`` and ``invert_transform`` to those array
 forms bit for bit.
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdf import _EMPTY, Cdf, _flat_or_point, _left_quantiles, jump_set
+from .cdf import Cdf, _flat_or_point, _left_quantiles, jump_set
 from .copula import (
     dt_copula,
     copula_at_flat_alpha,
@@ -97,17 +99,20 @@ def probe_grid(f: Cdf) -> np.ndarray:
 
 
 def _level_rows(f: Cdf, alphas) -> list[tuple]:
-    """One row ``(a, lo, hi, level_set, splits)`` per level; ``splits`` is at most two
-    ``(split, weights)`` pairs: the sublevel split with {q} and the weights of LAMBDA_GRID
-    whose transform at q is at most a, then the split without {q} and the other weights.
-    Built outside the checks' guard: no call raises for a level in (0, 1), whose left
-    quantile is a finite float in [xs[0], xs[-1]].
+    """One row ``(a, lo, hi, level_set, beyond, point, below, with_q)`` per level.
+
+    ``beyond``, ``point`` and ``below`` are the parts of every sublevel split at
+    the level: the piece right of the left quantile q (or the empty set), {q}
+    and (-inf, q).  ``with_q`` holds the weights of LAMBDA_GRID whose transform
+    at q is at most a, whose split is all three parts; the other weights' split
+    leaves {q} out.  Built outside the checks' guard: no call raises for a level
+    in (0, 1), whose left quantile is a finite float in [xs[0], xs[-1]].
 
     Each row equals what ``quantile_pair``, ``level_set`` and
     ``sublevel_decomposition`` return at its level, bit for bit, from array
     passes instead: one left-quantile pass over all levels, one evaluation of
     F and one transform per weight at the left quantiles.  A row's sets are
-    built once by the helpers those functions use, and its splits share them.
+    built once, by the helpers those functions use.
     """
     qs = _left_quantiles(f, np.array(alphas, dtype=float))
     fqs = f.values(qs).tolist()
@@ -118,9 +123,7 @@ def _level_rows(f: Cdf, alphas) -> list[tuple]:
         beyond, point, below = _split_parts(run, q)
         level = _flat_or_point(run, True, point, run is None and fq == a)
         with_q = tuple(lam for lam, t_lam in zip(LAMBDA_GRID, t) if t_lam <= a)
-        without_q = tuple(lam for lam, t_lam in zip(LAMBDA_GRID, t) if not t_lam <= a)
-        splits = ((beyond, point, below), with_q), ((beyond, _EMPTY, below), without_q)
-        rows.append((a, q, q if run is None else run.hi, level, tuple(sp for sp in splits if sp[1])))
+        rows.append((a, q, q if run is None else run.hi, level, beyond, point, below, with_q))
     return rows
 
 
@@ -236,7 +239,7 @@ def _expected_level_set(f: Cdf, a, lo, hi) -> RealSet:
 @_analytic("level_set_cases", 0)
 def _check_level_set_cases(f: Cdf, rows):
     bad = 0
-    for a, lo, hi, ls, _ in rows:
+    for a, lo, hi, ls, *_ in rows:
         if ls != _expected_level_set(f, a, lo, hi):
             bad += 1
         if (f.value(lo) == a) != (not ls.is_empty()):
@@ -252,9 +255,8 @@ def _check_level_set_cases(f: Cdf, rows):
 @_analytic("flat_piece_mass", EXACT_TOL)
 def _check_flat_mass(f: Cdf, rows):
     worst = 0.0
-    for a, lo, hi, ls, splits in rows:
-        for (beyond, _, _), _ in splits:
-            worst = max(worst, abs(measure_set(f, beyond)))
+    for a, lo, hi, ls, beyond, *_ in rows:
+        worst = max(worst, abs(measure_set(f, beyond)))
         m = measure_level_set(f, a)
         worst = max(worst, abs(m - measure_set(f, ls)))
         if hi > lo:
@@ -268,24 +270,26 @@ def _check_sublevel_union(f: Cdf, rows, grid, parts):
     # prefix, and so is a union that is one left half-line (-inf, e) or
     # (-inf, e]: the latter is (-inf, e') with e' the float after e.  Two such
     # prefixes mismatch at as many points as their lengths differ; any other
-    # union is compared point by point
+    # union is compared point by point.  Only the weights of with_q have {q} in
+    # their split, so only they count its overlaps and take its union
     bad = 0
     ts = dict(zip(LAMBDA_GRID, parts[3]))
     prefixes = {lam: ([], []) for lam, t in ts.items() if _nondecreasing(t)}
-    for a, _, _, _, splits in rows:
-        for (beyond, at, below), lams in splits:
-            if not beyond.intersect(at).is_empty() or not at.intersect(below).is_empty():
-                bad += len(lams)
-            if not beyond.intersect(below).is_empty():
-                bad += len(lams)
-            union = beyond.union(at).union(below)
+    for a, _, _, _, beyond, point, below, with_q in rows:
+        if with_q and (not beyond.intersect(point).is_empty() or not point.intersect(below).is_empty()):
+            bad += len(with_q)
+        if not beyond.intersect(below).is_empty():
+            bad += len(LAMBDA_GRID)
+        without = beyond.union(below)
+        with_point = without.union(point) if with_q else without
+        for lam in LAMBDA_GRID:
+            union = with_point if lam in with_q else without
             half = union.components[0]
-            for lam in lams:
-                if lam in prefixes and len(union.components) == 1 and half.lo == -math.inf:
-                    prefixes[lam][0].append(a)
-                    prefixes[lam][1].append(math.nextafter(half.hi, math.inf) if half.closed_hi else half.hi)
-                else:
-                    bad += int(np.count_nonzero((ts[lam] <= a) != union.contains_many(grid)))
+            if lam in prefixes and len(union.components) == 1 and half.lo == -math.inf:
+                prefixes[lam][0].append(a)
+                prefixes[lam][1].append(math.nextafter(half.hi, math.inf) if half.closed_hi else half.hi)
+            else:
+                bad += int(np.count_nonzero((ts[lam] <= a) != union.contains_many(grid)))
     for lam, (levels, ends) in prefixes.items():
         member = np.searchsorted(ts[lam], levels, side="right")
         bad += int(np.abs(member - np.searchsorted(grid, ends, side="left")).sum())
@@ -324,10 +328,10 @@ def _check_quantile_ranges(f: Cdf, grid, parts):
 
 
 @_analytic("jump_gap_complement", 0)
-def _check_jump_gaps(f: Cdf):
+def _check_jump_gaps(f: Cdf, attained):
     raw = [Interval.open(j.lo, j.hi) for j in f._jumps]
     unit = RealSet.of(Interval.open(0.0, 1.0))
-    expected = unit.difference(attained_values(f))
+    expected = unit.difference(attained)
     bad = 0 if RealSet(tuple(raw)).intersect(unit) == expected else 1
     # the gaps of successive jumps are disjoint (the merged set would hide an overlap):
     # two open gaps meet iff the larger left end lies below the smaller right end
@@ -336,12 +340,11 @@ def _check_jump_gaps(f: Cdf):
 
 
 @_analytic("jump_gap_roundtrip", EXACT_TOL)
-def _check_phi_roundtrip(f: Cdf):
+def _check_phi_roundtrip(f: Cdf, attained):
     rng = np.random.default_rng(20240901)
     m = len(f._jumps)
     worst = 0.0
     bad = 0
-    attained = attained_values(f)
     for _ in range(8):
         lams = rng.uniform(0.05, 0.95, size=m).tolist()
         vals = jump_gap_values(f, lams)
@@ -385,13 +388,13 @@ def _check_transform_cdf(f: Cdf, rows):
 def _check_uniformity_displays(f: Cdf, rows):
     # on flat levels (the rows with hi > lo): P(F(X) <= a) = a = P(X <= left quantile)
     worst = 0.0
-    for a, lo, hi, _, _ in rows:
+    for a, lo, hi, *_ in rows:
         if hi > lo:
             below = measure_interval(f, Interval(-math.inf, hi, False, f.value(hi) == a))
             worst = max(worst, abs(below - a), abs(f.value(lo) - a))
-    # every jump puts an equally sized atom on the law of F(X)
-    for x, mass in zip(f.jump_points, f.jump_masses):
-        worst = max(worst, abs(measure_value_level(f, f.value(x)) - mass))
+    # every jump puts an equally sized atom on the law of F(X); j.hi is F at the jump
+    for j in f._jumps:
+        worst = max(worst, abs(measure_value_level(f, j.hi) - j.mass))
     return worst
 
 
@@ -399,9 +402,8 @@ def _check_uniformity_displays(f: Cdf, rows):
 def _check_jump_characterization(f: Cdf, rows):
     jump_set(f)  # raises if the stored atoms and the quantile scans disagree
     bad = 0
-    for _, lo, hi, _, splits in rows:
-        beyond = next(split[0] for split, lams in splits if 1.0 in lams)
-        if (hi > lo) != (not beyond.is_empty()):  # the lam = 1 split's beyond part
+    for _, lo, hi, _, beyond, *_ in rows:
+        if (hi > lo) != (not beyond.is_empty()):
             bad += 1
     return bad
 
@@ -431,6 +433,8 @@ def analytic_checks(f: Cdf) -> list[CheckResult]:
     rows = _level_rows(f, alpha_population(f))
     grid = probe_grid(f)
     parts = _grid_parts(f, grid)
+    # like the rows, outside the guard: F(x_i) <= F(x_{i+1}-), so no piece is malformed
+    attained = attained_values(f)
     return [
         _check_transform_sandwich(f, grid, parts),
         _check_quantile_sandwich(f, rows),
@@ -439,8 +443,8 @@ def analytic_checks(f: Cdf) -> list[CheckResult]:
         _check_flat_mass(f, rows),
         _check_sublevel_union(f, rows, grid, parts),
         _check_quantile_ranges(f, grid, parts),
-        _check_jump_gaps(f),
-        _check_phi_roundtrip(f),
+        _check_jump_gaps(f, attained),
+        _check_phi_roundtrip(f, attained),
         _check_null_sets(f, grid, parts),
         _check_transform_cdf(f, rows),
         _check_uniformity_displays(f, rows),

@@ -234,18 +234,14 @@ def jump_gap_weights(f: Cdf, alphas) -> list[float]:
 def attained_values(f: Cdf) -> RealSet:
     """All levels attained by F or by its left limits, as an exact set.
 
-    The complement of this set within (0,1) is precisely the disjoint union
-    of the open jump gaps.
+    These are {0}, {1} and, on each segment, [F(x_i), F(x_{i+1}-)] (a point
+    on a flat segment), read at the breakpoints from one ``value_parts``
+    call.  The complement of this set within (0,1) is precisely the
+    disjoint union of the open jump gaps.
     """
-    parts = [Interval.point(0.0), Interval.point(1.0)]
-    # at the breakpoints both parts are the stored floats
     values, lefts, _ = f.value_parts(f.xs)
-    lefts = lefts.tolist()
-    for i, (lo, hi) in enumerate(zip(lefts, values.tolist())):
-        parts += [Interval.point(lo), Interval.point(hi)]
-        if i < len(lefts) - 1 and f.rises[i] > 0.0:
-            parts.append(Interval.closed(hi, lefts[i + 1]))
-    return RealSet(tuple(parts))
+    pieces = map(Interval.closed, values.tolist()[:-1], lefts.tolist()[1:])
+    return RealSet((Interval.point(0.0), Interval.point(1.0), *pieces))
 
 
 @dataclass(frozen=True)

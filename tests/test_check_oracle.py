@@ -6,7 +6,8 @@ substance: they call the public scalar functions (``lambda_transform``,
 point or level, and compare successive jump gaps with ``Interval.intersect``.
 Each array check must return the same ``CheckResult``: the bits of its value and
 its detail.  The scalar functions themselves are pinned to the array kernels the
-checks call, bit for bit.
+checks call, bit for bit, and ``attained_values`` to its earlier construction from
+every breakpoint's values.
 """
 
 import copy
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import stepdist as sd
-from stepdist import checks
+from stepdist import checks, transform
 from stepdist.cdf import _Jump, left_quantile
 from stepdist.checks import EXACT_TOL, _analytic, alpha_population, probe_grid
 from stepdist.realset import Interval, RealSet
@@ -54,7 +55,7 @@ def sandwich_by_point(f, grid, parts):
 @_analytic("quantile_sandwich", EXACT_TOL)
 def quantile_sandwich_by_level(f, rows):
     worst = 0.0
-    for a, lo, hi, _, _ in rows:
+    for a, lo, hi, *_ in rows:
         if lo > hi:
             worst = max(worst, lo - hi)
         worst = max(worst, f.left_value(lo) - a, a - f.value(lo))
@@ -105,6 +106,19 @@ def jump_gaps_by_pair(f):
         if a.intersect(b) is not None:
             bad += 1
     return bad
+
+
+def attained_by_breakpoint(f):
+    """The earlier construction of ``attained_values``: {0}, {1}, F and F(x-) at each
+    breakpoint as points, and one closed interval per rising segment."""
+    parts = [Interval.point(0.0), Interval.point(1.0)]
+    values, lefts, _ = f.value_parts(f.xs)
+    lefts = lefts.tolist()
+    for i, (lo, hi) in enumerate(zip(lefts, values.tolist())):
+        parts += [Interval.point(lo), Interval.point(hi)]
+        if i < len(lefts) - 1 and f.rises[i] > 0.0:
+            parts.append(Interval.closed(hi, lefts[i + 1]))
+    return RealSet(tuple(parts))
 
 
 @_analytic("transform_cdf_uniform", EXACT_TOL)
@@ -213,7 +227,7 @@ def test_successive_gaps_are_counted_as_the_pairwise_intersections(oracle_laws):
     tampered = 0
     for f in oracle_laws:
         with np.errstate(over="ignore", invalid="ignore"):  # the span that overflows
-            assert same_result(checks._check_jump_gaps(f), jump_gaps_by_pair(f))
+            assert same_result(checks._check_jump_gaps(f, attained_values(f)), jump_gaps_by_pair(f))
         if len(f._jumps) < 2:
             continue
         # gaps moved to random ends, empty ones included, on a copy of the law
@@ -223,7 +237,7 @@ def test_successive_gaps_are_counted_as_the_pairwise_intersections(oracle_laws):
             lo, hi = sorted(rng.choice(ends, 2).tolist())
             rows.append(_Jump(j.x, lo, hi, j.mass))
         object.__setattr__(g, "_jump_rows", tuple(rows))
-        got, ref = checks._check_jump_gaps(g), jump_gaps_by_pair(g)
+        got, ref = checks._check_jump_gaps(g, attained_values(g)), jump_gaps_by_pair(g)
         assert same_result(got, ref)
         tampered += ref.value > 1
     assert tampered > 10
@@ -250,6 +264,35 @@ def test_quantile_range_of_point_equals_the_array_kernel(population, fb, fm, fu)
             assert range_bits(RealSet.of(Interval(*iv))) == range_bits(ref), (f, p)
             kinds.add((len(ref.components), ref.components[0].is_point() if ref.components else None))
     assert kinds == {(0, None), (1, True), (1, False)}  # empty, a point and an interval
+
+
+def test_attained_values_equal_the_breakpoint_construction(population, fb, fm, fu, monkeypatch):
+    # {0}, {1} and one closed piece per segment give the set the points and
+    # rises gave, bit for bit: the endpoints, the sign of a zero and the flags
+    functions = [
+        *population,
+        fb,
+        fm,
+        fu,
+        *rescaled_functions(np.random.default_rng(59), 50),
+        *SUB_ULP_CASES,
+        *FLOAT_RESOLUTION_LAWS,
+        sd.point_mass(0.0),
+        # F and F(x-) are -0.0 at the first two breakpoints: the set keeps {0}'s +0.0
+        sd.Cdf(xs=(0.0, 1.0, 2.0), atoms=(-0.0, -0.0, 1.0), rises=(-0.0, -0.0), base=-0.0),
+        mixed(2000),
+    ]
+    built = []
+    monkeypatch.setattr(transform, "RealSet", lambda parts: built.append(len(parts)) or RealSet(parts))
+    kinds = set()
+    with np.errstate(over="ignore", invalid="ignore"):  # the span that overflows
+        for f in functions:
+            built.clear()
+            got = transform.attained_values(f)
+            assert built == [2 + len(f.xs) - 1]
+            assert range_bits(got) == range_bits(attained_by_breakpoint(f)), f
+            kinds.update(iv.is_point() for iv in got.components)
+    assert kinds == {True, False}
 
 
 def test_quantile_ranges_reject_nan_like_the_scalar(fm):

@@ -16,6 +16,7 @@ from stepdist.checks import (
 )
 from stepdist.monotone import MonotoneStepLinear
 from stepdist.realset import RealSet
+from stepdist.transform import attained_values
 
 
 class TestAlphaPopulation:
@@ -122,16 +123,30 @@ class TestAnalyticSuite:
         # (0.4, 1) overlap count once for the overlap, beside the complement mismatch
         # (their merged set (0, 1) has no gap at the attained 0.5)
         f = Cdf(xs=(0.0, 1.0), atoms=(0.5, 0.5), rises=(0.0,))
-        assert checks._check_jump_gaps(f).value == 0
+        attained = attained_values(f)
+        assert checks._check_jump_gaps(f, attained).value == 0
         rows = (f._jumps[0]._replace(hi=0.6), f._jumps[1]._replace(lo=0.4))
         object.__setattr__(f, "_jump_rows", rows)
-        assert checks._check_jump_gaps(f).value == 2
+        assert checks._check_jump_gaps(f, attained).value == 2
+
+    def test_attained_values_are_built_once_per_run(self, fm, small_population, monkeypatch):
+        # the two jump-gap checks read the set analytic_checks builds beside the rows
+        calls = []
+        inner = checks.attained_values
+        monkeypatch.setattr(checks, "attained_values", lambda f: calls.append(f) or inner(f))
+        for f in (fm, *small_population[:4]):
+            calls.clear()
+            failed = [c for c in analytic_checks(f) if not c.passed]
+            assert not failed, failed
+            assert calls == [f]
 
     def test_set_algebra_once_per_distinct_split(self, fm, small_population, monkeypatch):
-        # a row keeps each distinct sublevel split once, with the weights that
-        # give it: the sublevel check forms at most three intersections and two
-        # unions per distinct split, and the flat-mass check measures each
-        # split's beyond part once (and the level set once per row)
+        # a row holds the parts of its splits once, beyond, {q} and below, with
+        # the weights whose split keeps {q}: the sublevel check forms one
+        # intersection and one union per row, and two more intersections ({q}
+        # with either other part) and one more union in a row that keeps {q}
+        # for some weight; the flat-mass check measures the beyond part and the
+        # level set once per row
         calls = Counter()
         inside = [None]
 
@@ -163,14 +178,14 @@ class TestAnalyticSuite:
         marked("_check_flat_mass")
         for f in (fm, *small_population[:4]):
             rows = checks._level_rows(f, alpha_population(f))
-            distinct = sum(len(splits) for *_, splits in rows)
-            assert len(rows) < distinct < 2 * len(rows)
+            keep_q = sum(1 for *_, with_q in rows if with_q)
+            assert any(0 < len(with_q) < len(LAMBDA_GRID) for *_, with_q in rows)
             calls.clear()
             failed = [c for c in analytic_checks(f) if not c.passed]
             assert not failed, failed
-            assert calls["_check_sublevel_union", "intersect"] <= 3 * distinct
-            assert calls["_check_sublevel_union", "union"] == 2 * distinct
-            assert calls["_check_flat_mass", "measure_set"] == distinct + len(rows)
+            assert calls["_check_sublevel_union", "intersect"] == len(rows) + 2 * keep_q
+            assert calls["_check_sublevel_union", "union"] == len(rows) + keep_q
+            assert calls["_check_flat_mass", "measure_set"] == 2 * len(rows)
 
     @pytest.mark.parametrize(
         "f",

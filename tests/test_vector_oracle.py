@@ -185,22 +185,11 @@ def halfline_by_level(f, rows, grid, parts) -> int:
     return bad
 
 
-def grouped(pairs) -> tuple:
-    """``(lam, split)`` pairs in the rows' shape: each distinct split with the weights
-    that give it, the split with {q} first, as ``(split, weights)`` pairs."""
-    splits = []
-    for lam, split in sorted(pairs, key=lambda pair: pair[1][1].is_empty()):
-        same = [lams for seen, lams in splits if seen == split]
-        if same:
-            same[0].append(lam)
-        else:
-            splits.append((split, [lam]))
-    return tuple((split, tuple(lams)) for split, lams in splits)
-
-
-def per_weight(splits) -> list:
-    """A row's splits back as one ``(lam, split)`` pair per weight, in grid order."""
-    return sorted((lam, split) for split, lams in splits for lam in lams)
+def per_weight(row) -> list:
+    """A row's sublevel splits as one ``(lam, (beyond, at, below))`` pair per weight,
+    in grid order: ``at`` is the row's {q} at the weights of its ``with_q``, else empty."""
+    *_, beyond, point, below, with_q = row
+    return [(lam, (beyond, point if lam in with_q else RealSet.empty(), below)) for lam in LAMBDA_GRID]
 
 
 def sublevel_by_level(f, rows, grid, parts) -> int:
@@ -208,8 +197,9 @@ def sublevel_by_level(f, rows, grid, parts) -> int:
     grid, and every set operation once per weight."""
     transforms = dict(zip(LAMBDA_GRID, parts[3]))
     bad = 0
-    for a, _, _, _, splits in rows:
-        for lam, (beyond, at, below) in per_weight(splits):
+    for row in rows:
+        a = row[0]
+        for lam, (beyond, at, below) in per_weight(row):
             if not beyond.intersect(at).is_empty() or not at.intersect(below).is_empty():
                 bad += 1
             if not beyond.intersect(below).is_empty():
@@ -249,17 +239,14 @@ def suite_inputs(f):
 
 
 def resplit(rows, change):
-    """The rows with each split replaced by ``change(*split)``, regrouped by value."""
-    out = []
-    for a, lo, hi, ls, sp in rows:
-        out.append((a, lo, hi, ls, grouped((lam, change(*split)) for lam, split in per_weight(sp))))
-    return out
+    """The rows with their parts ``(beyond, point, below)`` replaced by ``change(*parts)``."""
+    return [(*row[:4], *change(*row[4:7]), row[7]) for row in rows]
 
 
 def without_point(rows):
     """The rows with {q} left out of every split: at a level that is not flat
     the union is then (-inf, q), whose count is off wherever q is on the grid."""
-    return resplit(rows, lambda beyond, at, below: (beyond, RealSet.empty(), below))
+    return [(*row[:7], ()) for row in rows]
 
 
 def test_halfline_counts(small_population, fb, fm, fu):
@@ -336,26 +323,28 @@ def test_counts_fall_back_where_the_prefix_argument_fails(small_population, fm):
         assert got == sublevel_by_level(f, rows, grid, backwards) > 0
         # at a flat level, a split without {q} is not one left half-line
         if f.plateau_levels:
-            assert any(len(beyond.union(below).components) == 2 for *_, sp in holed for (beyond, _, below), _ in sp)
+            assert any(len(beyond.union(below).components) == 2 for *_, beyond, _, below, _ in holed)
         assert _check_sublevel_union(f, holed, grid, parts).value == sublevel_by_level(f, holed, grid, parts)
     assert _check_sublevel_union(fm, *suite_inputs(fm)).value == 0
 
 
 def test_overlaps_count_once_per_weight(small_population, fm):
-    # (-inf, q) added to {q} (or to the empty set), or to the part beyond q,
-    # overlaps (-inf, q): every weight counts that overlap once, however many
-    # weights share its split, and the unions stay as they were
+    # (-inf, q) added to {q} overlaps (-inf, q) in the split of every weight
+    # that keeps {q}; added to the part beyond q, it overlaps (-inf, q) in the
+    # split of every weight.  Each weight counts its overlap once, however many
+    # weights share the row's parts, and the unions stay as they were
     widenings = (
-        lambda beyond, at, below: (beyond, at.union(below), below),
-        lambda beyond, at, below: (beyond.union(below), at, below),
+        (lambda beyond, point, below: (beyond, point.union(below), below), lambda rows: sum(len(r[7]) for r in rows)),
+        (lambda beyond, point, below: (beyond.union(below), point, below), lambda rows: len(LAMBDA_GRID) * len(rows)),
     )
     for f in [fm, *small_population[:5]]:
         rows, grid, parts = suite_inputs(f)
-        overlaps = len(LAMBDA_GRID) * len(rows)
-        for widened in (resplit(rows, widen) for widen in widenings):
-            assert any(len(lams) > 1 for *_, sp in widened for _, lams in sp)
+        assert any(len(with_q) > 1 for *_, with_q in rows)
+        for widen, overlaps in widenings:
+            widened = resplit(rows, widen)
             got = _check_sublevel_union(f, widened, grid, parts).value
-            expected = sublevel_by_level(f, rows, grid, parts) + overlaps
+            expected = sublevel_by_level(f, rows, grid, parts) + overlaps(rows)
+            assert overlaps(rows) > 0
             assert got == sublevel_by_level(f, widened, grid, parts) == expected
 
 
@@ -363,17 +352,16 @@ def test_overlaps_count_once_per_weight(small_population, fm):
 
 
 def rows_by_scalar_readers(f, alphas):
-    """The rows as the scalar readers give them, level by level, the splits
-    grouped by value as the rows group them."""
-    return [
-        (
-            a,
-            *quantile_pair(f, a),
-            level_set(f, a),
-            grouped((lam, sublevel_decomposition(f, lam, a)) for lam in LAMBDA_GRID),
-        )
-        for a in alphas
-    ]
+    """The rows as the scalar readers give them, level by level: the parts right
+    of q and below q from the split at weight 1, {q} at the left quantile, and the
+    weights whose split holds a nonempty ``at``."""
+    rows = []
+    for a in alphas:
+        lo, hi = quantile_pair(f, a)
+        beyond, _, below = sublevel_decomposition(f, 1.0, a)
+        with_q = tuple(lam for lam in LAMBDA_GRID if not sublevel_decomposition(f, lam, a)[1].is_empty())
+        rows.append((a, lo, hi, level_set(f, a), beyond, RealSet.point(lo), below, with_q))
+    return rows
 
 
 # a span that overflows and a ramp narrower than the float grid; SUB_ULP_CASES
@@ -425,7 +413,9 @@ def test_level_rows_are_array_passes_equal_to_the_scalar_readers(population, fb,
             alphas = alpha_population(f)
             for got, ref in zip(_level_rows(f, alphas), rows_by_scalar_readers(f, alphas), strict=True):
                 assert [bits(v) for v in got[:3]] == [bits(v) for v in ref[:3]]
-                assert got[3] == ref[3] and got[4] == ref[4]
+                assert got[3:] == ref[3:]
+                # every weight's split, read off the row, is the scalar reader's
+                assert per_weight(got) == [(lam, sublevel_decomposition(f, lam, got[0])) for lam in LAMBDA_GRID]
 
 
 # -- lambda_transforms and contains_many --------------------------------------
