@@ -4,9 +4,10 @@ Quantiles are computed by a structural scan of the stored breakpoint values,
 with at most one linear solve inside a rising segment.  Levels that are
 attained at a breakpoint (atoms, flat pieces) always come back as the stored
 breakpoint abscissa, so set endpoints downstream are float-identical rather
-than merely close.  Level sets are read off the table of flat pieces built
-at construction.  Nothing here knows about transform weights: the
-jump-interpolating transform and its sublevel sets live in transform.py.
+than merely close.  Level sets are read off the table of flat pieces,
+which, like the table of jumps, is built on first use.  Nothing here knows
+about transform weights: the jump-interpolating transform and its sublevel
+sets live in transform.py.
 """
 
 from __future__ import annotations
@@ -73,44 +74,51 @@ class _FlatRun(NamedTuple):
 class Cdf(MonotoneStepLinear):
     """A distribution function: nondecreasing, right-continuous, limits 0 and 1.
 
-    Carries the flat pieces below level 1, read off the representation at
-    construction time, and the jumps (atoms), read off it on first use.
+    Carries two tables read off the stored breakpoint values on first use:
+    the flat pieces below level 1 and the jumps (atoms).
     """
 
-    _flat_runs: dict = field(init=False, repr=False, compare=False)
+    _flat_table: dict | None = field(init=False, repr=False, compare=False)
     _jump_rows: tuple | None = field(init=False, repr=False, compare=False)
 
     def _derive(self):
-        k = len(self.xs)
-        if k == 0:
+        if not self.xs:
             raise DegenerateRange("a constant function is not a distribution function")
         if self.base != 0.0:
             raise ValidationError(f"base must be exactly 0.0, got {self.base}")
         if float(self._cums[-1]) != 1.0:
             raise ValidationError(f"top must be exactly 1.0, got {float(self._cums[-1])}")
-        # maximal flat pieces, read off the stored values: segments with
-        # F(x_{i+1}-) == F(x_i), joined at x_i unless F(x_i) > F(x_{i-1});
-        # a memoryview, not a list of all k left limits, keeps peak memory down
-        cums = self._cums.tolist()
-        spans = []
-        for i in compress(range(k - 1), map(operator.eq, cums, memoryview(self._lefts)[1:])):
-            if spans and spans[-1][1] == i and cums[i] == cums[i - 1]:
-                spans[-1][1] = i + 1
-            else:
-                spans.append([i, i + 1])
-        # keyed by level: levels strictly increase from one piece to the next
-        runs = {cums[s]: _FlatRun(self.xs[s], self.xs[m], cums[m] == cums[s]) for s, m in spans}
-        runs.pop(1.0, None)
-        object.__setattr__(self, "_flat_runs", runs)
+        # both tables are built on first use: the sampling kernels read neither.
+        # The slots are set here, so filling them keeps every instance's
+        # attribute layout the same (a key added later slows attribute reads on 3.11)
+        object.__setattr__(self, "_flat_table", None)
         object.__setattr__(self, "_jump_rows", None)
 
     @property
+    def _flat_runs(self) -> dict[float, _FlatRun]:
+        """The maximal flat pieces below level 1, keyed by level, built on first use.
+
+        Read off the stored values: segments with F(x_{i+1}-) == F(x_i),
+        joined at x_i unless F(x_i) > F(x_{i-1}).
+        """
+        if self._flat_table is None:
+            # a memoryview, not a list of all k left limits, keeps peak memory down
+            cums = self._cums.tolist()
+            spans = []
+            for i in compress(range(len(cums) - 1), map(operator.eq, cums, memoryview(self._lefts)[1:])):
+                if spans and spans[-1][1] == i and cums[i] == cums[i - 1]:
+                    spans[-1][1] = i + 1
+                else:
+                    spans.append([i, i + 1])
+            # keyed by level: levels strictly increase from one piece to the next
+            runs = {cums[s]: _FlatRun(self.xs[s], self.xs[m], cums[m] == cums[s]) for s, m in spans}
+            runs.pop(1.0, None)
+            object.__setattr__(self, "_flat_table", runs)
+        return self._flat_table
+
+    @property
     def _jumps(self) -> tuple[_Jump, ...]:
-        """One row per positive stored atom (atoms are >= 0), built on first use:
-        the sampling kernels never read it, and at k = 20,000 with 6,000 atoms
-        building it takes a few percent of the time to sample 1e5 points.  The
-        slot is set in _derive, so filling it keeps every instance's attribute
-        layout the same (a key added later slows attribute reads on 3.11)."""
+        """One row per positive stored atom (atoms are >= 0), built on first use."""
         if self._jump_rows is None:
             rows = zip(self.xs, memoryview(self._lefts), self._cums.tolist(), self.atoms)
             object.__setattr__(self, "_jump_rows", tuple(starmap(_Jump, compress(rows, self.atoms))))

@@ -56,27 +56,16 @@ class MonotoneStepLinear:
     _atoms_arr: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._set_fields(self.xs, self.atoms, self.rises, self.base)
-        # running sums of [base, a0, r0, a1, r1, ..., a_{k-1}] in breakpoint
-        # order: the left limits at even positions, the values at odd ones
-        steps = [self.base] * (2 * len(self.xs))
-        steps[1::2] = self.atoms
-        steps[2::2] = self.rises
-        profile = list(accumulate(steps))
-        self._attach_profile(np.array(profile[0::2]), np.array(profile[1::2]))
-        self._derive()
-
-    def _set_fields(self, xs, atoms, rises, base):
-        """Store the fields as tuples of Python floats, then validate them."""
-        xs, atoms, rises = tuple(map(float, xs)), tuple(map(float, atoms)), tuple(map(float, rises))
-        for name, value in (("xs", xs), ("atoms", atoms), ("rises", rises), ("base", float(base))):
-            object.__setattr__(self, name, value)
+        """Convert the fields to tuples of Python floats, validate them, accumulate the
+        breakpoint values and store: the one place where outside fields are checked."""
+        xs, atoms, rises = tuple(map(float, self.xs)), tuple(map(float, self.atoms)), tuple(map(float, self.rises))
+        base = float(self.base)
         k = len(xs)
         if len(atoms) != k:
             raise ValidationError(f"{len(atoms)} atoms for {k} breakpoints")
         if len(rises) != max(k - 1, 0):
             raise ValidationError(f"{len(rises)} rises for {k} breakpoints")
-        if not all(map(math.isfinite, xs + atoms + rises + (self.base,))):
+        if not all(map(math.isfinite, xs + atoms + rises + (base,))):
             raise ValidationError("breakpoints, masses and base must be finite")
         if not all(map(operator.lt, xs, xs[1:])):
             a, b = next((a, b) for a, b in zip(xs, xs[1:]) if not a < b)
@@ -85,28 +74,37 @@ class MonotoneStepLinear:
             raise ValidationError("negative atom mass")
         if min(rises, default=0.0) < 0.0:
             raise ValidationError("negative segment increase")
+        # running sums of [base, a0, r0, a1, r1, ..., a_{k-1}] in breakpoint
+        # order: the left limits at even positions, the values at odd ones
+        steps = [base] * (2 * k)
+        steps[1::2] = atoms
+        steps[2::2] = rises
+        profile = list(accumulate(steps))
+        self._store(xs, atoms, rises, base, np.array(profile[0::2]), np.array(profile[1::2]))
 
-    def _attach_profile(self, lefts: np.ndarray, cums: np.ndarray):
-        object.__setattr__(self, "_lefts", lefts)
-        object.__setattr__(self, "_cums", cums)
-        object.__setattr__(self, "_xs_arr", np.asarray(self.xs))
-        object.__setattr__(self, "_rises_arr", np.asarray(self.rises))
-        object.__setattr__(self, "_atoms_arr", np.asarray(self.atoms))
+    def _store(self, xs, atoms, rises, base, lefts: np.ndarray, cums: np.ndarray):
+        """Set the fields, the breakpoint values and their arrays, then derive."""
+        for name, value in (("xs", xs), ("atoms", atoms), ("rises", rises), ("base", base),
+                            ("_lefts", lefts), ("_cums", cums), ("_xs_arr", np.asarray(xs)),
+                            ("_rises_arr", np.asarray(rises)), ("_atoms_arr", np.asarray(atoms))):
+            object.__setattr__(self, name, value)
+        self._derive()
 
     def _derive(self):
-        """Hook for subclasses that cache extra structure."""
+        """Hook for subclasses that check or cache extra structure."""
 
     @classmethod
     def _with_profile(cls, xs, atoms, rises, base, lefts, cums):
         """Build an instance whose breakpoint values are supplied, not accumulated.
 
         Used by affine rescaling, where dividing the stored values keeps the
-        top exactly 1.0 while re-accumulating scaled masses would not.
+        top exactly 1.0 while re-accumulating scaled masses would not.  The
+        fields are stored as given, neither converted nor validated: callers
+        pass tuples of floats and float arrays derived from a validated
+        function.  A caller with outside data validates it first.
         """
         obj = object.__new__(cls)
-        obj._set_fields(xs, atoms, rises, base)
-        obj._attach_profile(np.asarray(lefts, dtype=float), np.asarray(cums, dtype=float))
-        obj._derive()
+        obj._store(xs, atoms, rises, base, lefts, cums)
         return obj
 
     # -- basic queries -------------------------------------------------------

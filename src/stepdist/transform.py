@@ -277,10 +277,7 @@ def inversion_null_set(f: Cdf, lam: float) -> NullSetReport:
     # {x : transform = 1}: beyond the first point where F reaches 1; the
     # point itself belongs iff lam = 1 or F arrives continuously
     z1 = _left_quantile_unchecked(f, 1.0)
-    if lam == 1.0 or f.jump(z1) == 0.0:
-        one = RealSet.of(Interval(z1, math.inf, True, False))
-    else:
-        one = RealSet.of(Interval(z1, math.inf, False, False))
+    one = RealSet.of(Interval(z1, math.inf, lam == 1.0 or f.jump(z1) == 0.0, False))
     # the level-0 piece lies inside the zero set
     plateau = RealSet(tuple(run.interval(False) for a, run in f._flat_runs.items() if a > 0.0))
     total = measure_set(f, zero.union(one).union(plateau))

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from stepdist import DegenerateRange, MonotoneStepLinear, ValidationError, df_condition_report
+from stepdist import (
+    Cdf,
+    DegenerateRange,
+    MonotoneStepLinear,
+    ValidationError,
+    df_condition_report,
+    parse_distribution,
+)
 from stepdist.cdf import normalize
 
 
@@ -116,6 +123,78 @@ class TestConstructionDiagnostics:
                 assert all(type(v) is float for v in value)
             assert type(obj.base) is float
         assert g.xs == (-1.0, 0.0, 2.5) and g.atoms == (0.0, 1.0, 0.5)
+
+
+# invalid inputs to every way a CDF is built, each with its exception class
+# and exact message
+INVALID_ENTRIES = {
+    "cdf without breakpoints": (
+        lambda: Cdf(xs=(), atoms=(), rises=()),
+        DegenerateRange, "a constant function is not a distribution function"),
+    "cdf base": (
+        lambda: Cdf(xs=(0.0,), atoms=(1.0,), rises=(), base=0.5),
+        ValidationError, "base must be exactly 0.0, got 0.5"),
+    "cdf top below 1": (
+        lambda: Cdf(xs=(0.0,), atoms=(0.5,), rises=()),
+        ValidationError, "top must be exactly 1.0, got 0.5"),
+    "cdf top above 1": (
+        lambda: Cdf(xs=(0.0, 1.0), atoms=(0.5, 0.6), rises=(0.0,)),
+        ValidationError, "top must be exactly 1.0, got 1.1"),
+    "cdf nan atom": (
+        lambda: Cdf(xs=(0.0,), atoms=(math.nan,), rises=()),
+        ValidationError, "breakpoints, masses and base must be finite"),
+    "cdf negative atom": (
+        lambda: Cdf(xs=(0.0, 1.0), atoms=(1.5, -0.5), rises=(0.0,)),
+        ValidationError, "negative atom mass"),
+    "cdf unordered": (
+        lambda: Cdf(xs=(1.0, 0.0), atoms=(0.5, 0.5), rises=(0.0,)),
+        ValidationError, "breakpoints not strictly increasing at 1.0, 0.0"),
+    "normalize constant": (
+        lambda: normalize(MonotoneStepLinear(xs=(0.0, 1.0), atoms=(0.0, 0.0), rises=(0.0,), base=0.3)),
+        DegenerateRange, "constant function has no distribution-function rescaling"),
+    "normalize without breakpoints": (
+        lambda: normalize(MonotoneStepLinear(xs=(), atoms=(), rises=(), base=0.3)),
+        DegenerateRange, "constant function has no distribution-function rescaling"),
+    "normalize masses below an ulp of base": (
+        lambda: normalize(MonotoneStepLinear(xs=(0.0, 1.0), atoms=(1.0, 1.0), rises=(0.0,), base=1e17)),
+        DegenerateRange, "constant function has no distribution-function rescaling"),
+    "normalize overflowing span": (
+        lambda: normalize(MonotoneStepLinear(xs=(0.0, 1.0), atoms=(1e308, 1e308), rises=(0.0,))),
+        ValidationError, "top must be exactly 1.0, got nan"),
+    "parse no mass": (
+        lambda: parse_distribution({"breakpoints": [{"x": 0.0, "atom": 0.0}], "segments": []}),
+        DegenerateRange, "distribution: total mass is 0; the function is constant"),
+    "parse empty": (
+        lambda: parse_distribution({}),
+        DegenerateRange, "distribution: no breakpoints or segments; the function is constant"),
+    "parse mass": (
+        lambda: parse_distribution({"breakpoints": [{"x": 0.0, "atom": 0.5}]}),
+        ValidationError, "distribution: total mass 0.5 differs from 1 by more than 1e-09"),
+    "parse negative atom": (
+        lambda: parse_distribution({"breakpoints": [{"x": 0.0, "atom": -0.5}, {"x": 1.0, "atom": 1.5}]}),
+        ValidationError, "distribution.breakpoints[0].atom: must be >= 0, got -0.5"),
+    "parse nan": (
+        lambda: parse_distribution({"breakpoints": [{"x": math.nan, "atom": 1.0}]}),
+        ValidationError, "distribution.breakpoints[0].x: must be finite, got nan"),
+    "parse duplicate": (
+        lambda: parse_distribution({"breakpoints": [{"x": 0.0, "atom": 0.5}, {"x": 0.0, "atom": 0.5}]}),
+        ValidationError, "distribution.breakpoints[1].x: duplicate breakpoint 0.0"),
+    "parse segment": (
+        lambda: parse_distribution({"segments": [{"from": 1.0, "to": 0.0, "increase": 1.0}]}),
+        ValidationError, "distribution.segments[0].to: must exceed 'from' (1.0)"),
+    "parse not an object": (
+        lambda: parse_distribution([1, 2]),
+        ValidationError, "distribution: expected an object at the top level"),
+}
+
+
+@pytest.mark.parametrize("entry", INVALID_ENTRIES)
+def test_invalid_entries_keep_type_and_message(entry):
+    make, kind, message = INVALID_ENTRIES[entry]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(kind) as info:
+        make()
+    assert type(info.value) is kind
+    assert str(info.value) == message
 
 
 class TestMonotoneProperties:

@@ -50,6 +50,7 @@ from stepdist.stochastic import (
     SeededStream,
     distributional_transform,
     inversion_check,
+    ks_uniformity,
     sample_inverse,
     transform_cdf_exact,
 )
@@ -746,6 +747,12 @@ def rescaled_functions(rng, count):
     """Small functions rescaled by normalize: their stored left limits come from
     division, not from summing the ramp, so a solve can land past x1 while the
     on-segment expression there is still below the level."""
+    return list(map(normalize, rescaled_sources(rng, count)))
+
+
+def rescaled_sources(rng, count):
+    """The functions ``rescaled_functions`` normalizes: 2 or 3 breakpoints, masses
+    and base rounded to 3 decimals."""
     out = []
     while len(out) < count:
         k = int(rng.integers(2, 4))
@@ -755,7 +762,7 @@ def rescaled_functions(rng, count):
         atoms = np.where(rng.random(k) < 0.5, np.round(rng.uniform(0.0, 1.0, k), 3), 0.0)
         rises = np.round(rng.uniform(0.01, 1.0, k - 1), 3)
         base = float(np.round(rng.uniform(-3.0, 3.0), 3))
-        out.append(normalize(sd.MonotoneStepLinear(xs=xs, atoms=atoms, rises=rises, base=base)))
+        out.append(sd.MonotoneStepLinear(xs=xs, atoms=atoms, rises=rises, base=base))
     return out
 
 
@@ -1133,12 +1140,75 @@ def test_jump_table_matches_index_reading(population, fb, fm, fu):
 
 
 def test_sampling_never_builds_the_jump_table(fm):
+    # nor the flat-piece table: from normalize through the inversion check
+    # neither derived table is built, and each is built on its first read
+    large = random_function(np.random.default_rng(37), 2000, 0.3, 0.25)
+    for g in (sd.MonotoneStepLinear(xs=fm.xs, atoms=fm.atoms, rises=fm.rises), large):
+        f = normalize(g)
+        xs = sample_inverse(f, SeededStream(1, 0), 1000)
+        us = distributional_transform(f, xs, SeededStream(1, 1), x_stream=SeededStream(1, 0))
+        ks_uniformity(us)
+        inversion_check(f, SeededStream(1, 2), 1000)
+        assert f._jump_rows is None and f._flat_table is None
     f = normalize(sd.MonotoneStepLinear(xs=fm.xs, atoms=fm.atoms, rises=fm.rises))
-    xs = sample_inverse(f, SeededStream(1, 0), 1000)
-    distributional_transform(f, xs, SeededStream(1, 1), x_stream=SeededStream(1, 0))
-    inversion_check(f, SeededStream(1, 2), 1000)
-    assert f._jump_rows is None
-    assert f.jump_points == (0.5,) and f._jump_rows == f._jumps
+    assert f.jump_points == (0.5,) and f._jump_rows == f._jumps and f._flat_table is None
+    assert f.plateau_levels == (0.25,) and f._flat_table == f._flat_runs
+
+
+def validated_fields(xs, atoms, rises, base):
+    """The conversion and validation construction runs on outside input, kept as
+    an oracle: Python floats, then every field rule.  Returns the converted fields."""
+    xs, atoms, rises, base = tuple(map(float, xs)), tuple(map(float, atoms)), tuple(map(float, rises)), float(base)
+    k = len(xs)
+    if len(atoms) != k:
+        raise sd.ValidationError(f"{len(atoms)} atoms for {k} breakpoints")
+    if len(rises) != max(k - 1, 0):
+        raise sd.ValidationError(f"{len(rises)} rises for {k} breakpoints")
+    if not all(map(math.isfinite, xs + atoms + rises + (base,))):
+        raise sd.ValidationError("breakpoints, masses and base must be finite")
+    if not all(a < b for a, b in zip(xs, xs[1:])):
+        a, b = next((a, b) for a, b in zip(xs, xs[1:]) if not a < b)
+        raise sd.ValidationError(f"breakpoints not strictly increasing at {a}, {b}")
+    if min(atoms, default=0.0) < 0.0:
+        raise sd.ValidationError("negative atom mass")
+    if min(rises, default=0.0) < 0.0:
+        raise sd.ValidationError("negative segment increase")
+    return xs, atoms, rises, base
+
+
+def normalize_sources(population, fb, fm, fu):
+    """Functions to normalize: the population and fb/fm/fu as they are (normalize
+    copies them) and scaled and shifted, the sources of ``rescaled_functions``
+    and one unnormalized function with k = 20,000."""
+    rng = np.random.default_rng(31)
+    named = [*population, fb, fm, fu]
+    scaled = [
+        sd.MonotoneStepLinear(f.xs, np.multiply(f.atoms, 2.5), np.multiply(f.rises, 2.5), base=-0.75)
+        for f in named
+    ]
+    return [*named, *scaled, *rescaled_sources(rng, 300), random_function(rng, 20_000, 0.3, 0.25)]
+
+
+def test_normalize_stores_fields_that_pass_validation(population, fb, fm, fu):
+    # normalize stores the fields it rescales without converting or validating
+    # them: the construction rules accept every one, and converting moves no float
+    for f in map(normalize, normalize_sources(population, fb, fm, fu)):
+        fields = validated_fields(f.xs, f.atoms, f.rises, f.base)
+        for name, old in zip(("xs", "atoms", "rises"), fields):
+            new = getattr(f, name)
+            assert type(new) is tuple and all(type(v) is float for v in new)
+            assert list(map(bits, new)) == list(map(bits, old))
+            assert same(getattr(f, f"_{name}_arr"), np.asarray(old))
+        assert type(f.base) is float and bits(f.base) == bits(fields[3])
+        assert f._lefts.dtype == f._cums.dtype == np.float64
+
+
+def test_flat_table_is_built_on_first_read_and_once(population, fb, fm, fu):
+    for f in map(normalize, normalize_sources(population, fb, fm, fu)):
+        assert f._flat_table is None
+        runs = f._flat_runs
+        assert f._flat_table is runs and f._flat_runs is runs
+        assert flat_table_rows(f) == repr(flat_runs_by_loop(f))
 
 
 # -- ramp solves that round to or past the segment's right breakpoint ----------
