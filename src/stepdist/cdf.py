@@ -317,7 +317,9 @@ def _flat_or_point(run: _FlatRun | None, closed_lo: bool, point: RealSet, attain
 
     The level set is the closed-left piece, or {q} when F(q) equals the level;
     the part of a sublevel split right of q is the open-left piece, or empty.
-    The scalar readers and the analytic suite's level rows all build them here.
+    The scalar readers build them here.  The analytic suite builds none: it
+    reads the same sets off each level's columns (the piece's ends, its closed
+    end and whether F(q) equals the level), and tier-1 pins the two to agree.
     """
     if run is not None:
         return RealSet.of(run.interval(closed_lo))

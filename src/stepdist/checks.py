@@ -3,16 +3,19 @@
 Each check pins one identity of the library to a named pass/fail result with a
 measured value and a threshold.  Exact identities use the arithmetic tolerance 1e-12
 (or an outright mismatch count with threshold 0); sampled statements use their stated
-statistical bounds.  The analytic suite decides every level in one row, all rows from
-array passes; a row holds the three parts of the sublevel splits at its level once,
-and the weights whose split keeps the left quantile.  It evaluates the probe grid once
-into a table: F, F(x-), the jump and the four transforms, from one search plus one per
-weight, and builds the set of attained values once for both jump-gap checks.  A check
-that verifies a function runs that function's array form on the whole grid or on every
-level: the transform at weights 0, 0.3 and 0.7 (``lambda_transforms``), the quantile
-range of each point (``_quantile_ranges``, mapped back in one ``_left_quantiles``
-pass), the exact law of the transform (``_transform_cdf_totals``) and its inversion
-(one ``_left_quantiles`` pass per weight).  Tier-1 pins ``lambda_transform``, ``quantile_range_of_point``,
+statistical bounds.  The analytic suite holds its levels as columns built from array
+passes: each level's left quantile, the ends of its flat piece, whether F equals the
+level there, and the weights whose sublevel split keeps the left quantile.  The checks
+read every level's sets off those ends and build no set per level; a check that needs
+F, F(x-) or the jump at the ends reads all three from one search.  The suite evaluates
+the probe grid once into a table: F, F(x-), the jump and the four transforms, from one
+search plus one per weight, and builds the set of attained values once for both
+jump-gap checks.  A check that verifies a function runs that function's array form on
+the whole grid or on every level: the transform at weights 0, 0.3 and 0.7
+(``lambda_transforms``), the quantile range of each point (``_quantile_ranges``,
+mapped back in one ``_left_quantiles`` pass), the exact law of the transform
+(``_transform_cdf_totals``) and its inversion (one ``_left_quantiles`` pass per
+weight).  Tier-1 pins ``lambda_transform``, ``quantile_range_of_point``,
 ``left_quantile``, ``transform_cdf_exact`` and ``invert_transform`` to those array
 forms bit for bit.
 """
@@ -23,10 +26,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .cdf import Cdf, _flat_or_point, _left_quantiles, jump_set
+from .cdf import Cdf, _left_quantiles, jump_set
 from .copula import (
     dt_copula,
     copula_at_flat_alpha,
@@ -34,7 +38,7 @@ from .copula import (
     sklar_identity_check,
 )
 from .errors import StepDistError
-from .measure import measure_interval, measure_level_set, measure_set, measure_value_level
+from .measure import measure_interval, measure_set, measure_value_level
 from .monotone import df_condition_report
 from .realset import Interval, RealSet
 from .stochastic import (
@@ -48,7 +52,6 @@ from .stochastic import (
 )
 from .transform import (
     _quantile_ranges,
-    _split_parts,
     attained_values,
     inversion_null_set,
     jump_gap_values,
@@ -98,33 +101,55 @@ def probe_grid(f: Cdf) -> np.ndarray:
     return np.unique(np.concatenate(pts))
 
 
-def _level_rows(f: Cdf, alphas) -> list[tuple]:
-    """One row ``(a, lo, hi, level_set, beyond, point, below, with_q)`` per level.
+class _Rows(NamedTuple):
+    """The analytic suite's levels as columns, one entry per level ``a``.
 
-    ``beyond``, ``point`` and ``below`` are the parts of every sublevel split at
-    the level: the piece right of the left quantile q (or the empty set), {q}
-    and (-inf, q).  ``with_q`` holds the weights of LAMBDA_GRID whose transform
-    at q is at most a, whose split is all three parts; the other weights' split
-    leaves {q} out.  Built outside the checks' guard: no call raises for a level
-    in (0, 1), whose left quantile is a finite float in [xs[0], xs[-1]].
-
-    Each row equals what ``quantile_pair``, ``level_set`` and
-    ``sublevel_decomposition`` return at its level, bit for bit, from array
-    passes instead: one left-quantile pass over all levels, one evaluation of
-    F and one transform per weight at the left quantiles.  A row's sets are
-    built once, by the helpers those functions use.
+    ``lo`` is the left quantile q, and ``attained`` whether F(q) == a.  Where the
+    level is flat (``flat``), ``start`` and ``hi`` are the ends of its flat piece;
+    elsewhere both are q.  ``closed_end`` is whether F(hi) == a.  A level's sets
+    are read off these ends.  Its level set is [start, hi] where it is flat, else
+    {q} or empty as ``attained``; ``hi`` belongs to it iff ``closed_end``.  Every
+    sublevel split at the level is (-inf, q), the part (start, hi] right of q where
+    the level is flat, and {q} at the weights of LAMBDA_GRID whose transform at q
+    is at most a: the true entries of its row of ``with_q`` (levels x weights).
     """
-    qs = _left_quantiles(f, np.array(alphas, dtype=float))
-    fqs = f.values(qs).tolist()
-    ts = [lambda_transforms(f, qs, lam).tolist() for lam in LAMBDA_GRID]
-    rows = []
-    for a, q, fq, *t in zip(alphas, qs.tolist(), fqs, *ts):
-        run = f._flat_runs.get(a)
-        beyond, point, below = _split_parts(run, q)
-        level = _flat_or_point(run, True, point, run is None and fq == a)
-        with_q = tuple(lam for lam, t_lam in zip(LAMBDA_GRID, t) if t_lam <= a)
-        rows.append((a, q, q if run is None else run.hi, level, beyond, point, below, with_q))
-    return rows
+
+    a: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    flat: np.ndarray
+    start: np.ndarray
+    closed_end: np.ndarray
+    attained: np.ndarray
+    with_q: np.ndarray
+
+
+def _level_rows(f: Cdf, alphas) -> _Rows:
+    """The columns of every level, from array passes: one left-quantile pass over
+    all levels, one evaluation of F and one transform per weight at the left
+    quantiles, and the flat pieces looked up by level.  Built outside the checks'
+    guard: no call raises for a level in (0, 1), whose left quantile is a finite
+    float in [xs[0], xs[-1]].
+
+    The sets read off each level's columns equal what ``quantile_pair``,
+    ``level_set`` and ``sublevel_decomposition`` return at the level, bit for bit.
+    """
+    a = np.array(alphas, dtype=float)
+    lo = _left_quantiles(f, a)
+    attained = f.values(lo) == a
+    runs = list(map(f._flat_runs.get, a.tolist()))
+    flat = np.array([run is not None for run in runs], dtype=bool)
+    start, hi, closed_end = lo.copy(), lo.copy(), attained.copy()
+    if flat.any():
+        start[flat], hi[flat], closed_end[flat] = zip(*filter(None, runs))
+    with_q = np.column_stack([lambda_transforms(f, lo, lam) <= a for lam in LAMBDA_GRID])
+    return _Rows(a, lo, hi, flat, start, closed_end, attained, with_q)
+
+
+def _end_parts(f: Cdf, rows: _Rows) -> tuple:
+    """F, F(x-) and the jump at the rows' ends, from one search: three arrays whose
+    rows are taken at ``lo``, ``hi`` and ``start``."""
+    return f.value_parts(np.stack((rows.lo, rows.hi, rows.start)))
 
 
 def _grid_parts(f: Cdf, grid: np.ndarray) -> tuple:
@@ -193,7 +218,7 @@ def _check_transform_sandwich(f: Cdf, grid, parts):
 @_analytic("quantile_sandwich", EXACT_TOL)
 def _check_quantile_sandwich(f: Cdf, rows):
     # F(q-) <= a <= F(q) at both quantiles; F < a strictly left of lo, F >= a right of it
-    a, lo, hi = np.array([row[:3] for row in rows]).T
+    a, lo, hi = rows.a, rows.lo, rows.hi
     ds = (1e-6, 1e-3, 0.25)
     points = (lo, hi, *(lo - d for d in ds), *(lo + d for d in ds))
     f_lo, f_hi, *shifted = np.split(f.values(np.concatenate(points)), len(points))
@@ -216,83 +241,88 @@ def _check_halfline_sets(f: Cdf, rows, grid, parts):
     # never decreases on the sorted grid, both of the latter are prefixes, and
     # they mismatch at as many points as their lengths differ
     fx = parts[0]
-    levels = [a for a, *_ in rows]
-    xis = [xi for _, xi, *_ in rows]
     if _nondecreasing(fx):
-        below = np.searchsorted(fx, levels, side="left")
-        return 2 * int(np.abs(below - np.searchsorted(grid, xis, side="left")).sum())
+        below = np.searchsorted(fx, rows.a, side="left")
+        return 2 * int(np.abs(below - np.searchsorted(grid, rows.lo, side="left")).sum())
     bad = 0
-    for a, xi in zip(levels, xis):
+    for a, xi in zip(rows.a.tolist(), rows.lo.tolist()):
         bad += int(np.count_nonzero((fx >= a) != (grid >= xi)))
         bad += int(np.count_nonzero((fx < a) != (grid < xi)))
     return bad
 
 
-def _expected_level_set(f: Cdf, a, lo, hi) -> RealSet:
-    if lo == hi:
-        return RealSet.point(lo) if f.value(lo) == a else RealSet.empty()
-    if f.value(hi) == a:
-        return RealSet.of(Interval.closed(lo, hi))
-    return RealSet.of(Interval.closed_open(lo, hi))
-
-
 @_analytic("level_set_cases", 0)
 def _check_level_set_cases(f: Cdf, rows):
-    bad = 0
-    for a, lo, hi, ls, *_ in rows:
-        if ls != _expected_level_set(f, a, lo, hi):
-            bad += 1
-        if (f.value(lo) == a) != (not ls.is_empty()):
-            bad += 1
-        small = ls.is_empty() or ls == RealSet.point(lo)
-        if (hi == lo) != small:
-            bad += 1
-        if hi > lo and (f.jump(hi) == 0.0) != (f.value(hi) == a):
-            bad += 1
-    return bad
+    # by the quantiles, the level set is {lo} or empty where lo == hi, as F(lo) == a,
+    # and [lo, hi] where lo < hi, without hi unless F(hi) == a.  The row's set must be
+    # that set (a flat piece that starts off lo disagrees with the quantile kernel),
+    # nonempty iff F(lo) == a, and at most a point iff lo == hi; at hi > lo, F equals
+    # a iff it does not jump there
+    (f_lo, f_hi, _), _, (_, jump_hi, _) = _end_parts(f, rows)
+    at_lo, at_hi = f_lo == rows.a, f_hi == rows.a
+    same = np.where(
+        rows.flat,
+        (rows.lo < rows.hi) & (rows.start == rows.lo) & (rows.closed_end == at_hi),
+        (rows.lo == rows.hi) & (rows.attained == at_lo),
+    )
+    wrong = (
+        ~same,
+        at_lo != (rows.flat | rows.attained),
+        (rows.hi == rows.lo) == rows.flat,
+        (rows.hi > rows.lo) & ((jump_hi == 0.0) != at_hi),
+    )
+    return sum(map(np.count_nonzero, wrong))
 
 
 @_analytic("flat_piece_mass", EXACT_TOL)
 def _check_flat_mass(f: Cdf, rows):
-    worst = 0.0
-    for a, lo, hi, ls, beyond, *_ in rows:
-        worst = max(worst, abs(measure_set(f, beyond)))
-        m = measure_level_set(f, a)
-        worst = max(worst, abs(m - measure_set(f, ls)))
-        if hi > lo:
-            worst = max(worst, abs(m - (a - f.left_value(lo))), abs(m - f.jump(lo)))
-    return worst
+    # masses by the subtractions measure_interval makes: the part of a split right
+    # of lo carries none; the row's level set carries what the level set by the
+    # quantiles does ([lo, hi] where the level is flat), and where lo < hi that is
+    # a - F(lo-) and the jump at lo
+    (f_lo, f_hi, f_start), (left_lo, left_hi, left_start), (jump_lo, _, _) = _end_parts(f, rows)
+    top = np.where(rows.closed_end, f_hi, left_hi)
+    m = np.where(rows.flat, top - left_lo, np.where(f_lo == rows.a, jump_lo, 0.0))
+    m_row = np.where(rows.flat, top - left_start, np.where(rows.attained, jump_lo, 0.0))
+    wide = rows.hi > rows.lo
+    return _worst(
+        np.abs(np.where(rows.flat, top - f_start, 0.0)),
+        np.abs(m - m_row),
+        np.abs(m - (rows.a - left_lo))[wide],
+        np.abs(m - jump_lo)[wide],
+    )
 
 
 @_analytic("sublevel_union", 0)
 def _check_sublevel_union(f: Cdf, rows, grid, parts):
-    # where the transform never decreases on the sorted grid, {t <= a} is a
-    # prefix, and so is a union that is one left half-line (-inf, e) or
-    # (-inf, e]: the latter is (-inf, e') with e' the float after e.  Two such
-    # prefixes mismatch at as many points as their lengths differ; any other
-    # union is compared point by point.  Only the weights of with_q have {q} in
-    # their split, so only they count its overlaps and take its union
-    bad = 0
-    ts = dict(zip(LAMBDA_GRID, parts[3]))
-    prefixes = {lam: ([], []) for lam, t in ts.items() if _nondecreasing(t)}
-    for a, _, _, _, beyond, point, below, with_q in rows:
-        if with_q and (not beyond.intersect(point).is_empty() or not point.intersect(below).is_empty()):
-            bad += len(with_q)
-        if not beyond.intersect(below).is_empty():
-            bad += len(LAMBDA_GRID)
-        without = beyond.union(below)
-        with_point = without.union(point) if with_q else without
-        for lam in LAMBDA_GRID:
-            union = with_point if lam in with_q else without
-            half = union.components[0]
-            if lam in prefixes and len(union.components) == 1 and half.lo == -math.inf:
-                prefixes[lam][0].append(a)
-                prefixes[lam][1].append(math.nextafter(half.hi, math.inf) if half.closed_hi else half.hi)
-            else:
-                bad += int(np.count_nonzero((ts[lam] <= a) != union.contains_many(grid)))
-    for lam, (levels, ends) in prefixes.items():
-        member = np.searchsorted(ts[lam], levels, side="right")
-        bad += int(np.abs(member - np.searchsorted(grid, ends, side="left")).sum())
+    # a weight's split is (-inf, lo), the part (start, hi] right of lo where the
+    # level is flat, and {lo} where with_q holds.  The parts overlap only where a
+    # flat piece starts left of lo: it then meets (-inf, lo) at every weight and
+    # {lo} at the weights of with_q, and each weight counts its overlap once.  The
+    # union is the half-line (-inf, e): e is past hi where the level is flat, else
+    # past lo or at lo as the split keeps {lo} or not; where a flat level's split
+    # leaves {lo} out and its piece starts at lo, lo is taken out.  Where the
+    # transform never decreases on the sorted grid, {t <= a} is a prefix, which
+    # mismatches the half-line at as many points as their lengths differ; a grid
+    # point at a lo taken out turns a match into a mismatch or back.  Any other
+    # table is compared point by point
+    early = rows.flat & (rows.start < rows.lo)
+    bad = int(np.sum(early * (len(LAMBDA_GRID) + rows.with_q.sum(axis=1))))
+    past_hi = np.where(rows.closed_end, np.nextafter(rows.hi, math.inf), rows.hi)
+    past_lo = np.nextafter(rows.lo, math.inf)
+    at = np.searchsorted(grid, rows.lo)
+    on_grid = grid.take(at, mode="clip") == rows.lo
+    for with_q, t in zip(rows.with_q.T, parts[3]):
+        end = np.where(rows.flat, past_hi, np.where(with_q, past_lo, rows.lo))
+        hole = rows.flat & ~with_q & ~early
+        if _nondecreasing(t):
+            member = np.searchsorted(t, rows.a, side="right")
+            bad += int(np.abs(member - np.searchsorted(grid, end)).sum())
+            bad += int(np.where(at < member, 1, -1)[hole & on_grid].sum())
+        else:
+            for a, e, lo, out in zip(rows.a.tolist(), end.tolist(), rows.lo.tolist(), hole.tolist()):
+                union = (grid < e) & ~(out & (grid == lo))
+                bad += int(np.count_nonzero((t <= a) != union))
     return bad
 
 
@@ -380,18 +410,17 @@ def _check_null_sets(f: Cdf, grid, parts):
 
 @_analytic("transform_cdf_uniform", EXACT_TOL)
 def _check_transform_cdf(f: Cdf, rows):
-    a = np.array([row[0] for row in rows])
-    return _worst(np.abs(_transform_cdf_totals(f, f, a) - a))
+    return _worst(np.abs(_transform_cdf_totals(f, f, rows.a) - rows.a))
 
 
 @_analytic("uniformity_displays", EXACT_TOL)
 def _check_uniformity_displays(f: Cdf, rows):
     # on flat levels (the rows with hi > lo): P(F(X) <= a) = a = P(X <= left quantile)
-    worst = 0.0
-    for a, lo, hi, *_ in rows:
-        if hi > lo:
-            below = measure_interval(f, Interval(-math.inf, hi, False, f.value(hi) == a))
-            worst = max(worst, abs(below - a), abs(f.value(lo) - a))
+    # (-inf, hi] carries F(hi), or F(hi-) without hi where F jumps past a there
+    (f_lo, f_hi, _), (_, left_hi, _), _ = _end_parts(f, rows)
+    wide = rows.hi > rows.lo
+    below = np.where(f_hi == rows.a, f_hi, left_hi)
+    worst = _worst(np.abs(below - rows.a)[wide], np.abs(f_lo - rows.a)[wide])
     # every jump puts an equally sized atom on the law of F(X); j.hi is F at the jump
     for j in f._jumps:
         worst = max(worst, abs(measure_value_level(f, j.hi) - j.mass))
@@ -401,11 +430,8 @@ def _check_uniformity_displays(f: Cdf, rows):
 @_analytic("jump_characterization", 0)
 def _check_jump_characterization(f: Cdf, rows):
     jump_set(f)  # raises if the stored atoms and the quantile scans disagree
-    bad = 0
-    for _, lo, hi, _, beyond, *_ in rows:
-        if (hi > lo) != (not beyond.is_empty()):
-            bad += 1
-    return bad
+    # the part of a split right of lo is a flat piece, nonempty iff hi > lo
+    return int(np.count_nonzero((rows.hi > rows.lo) != rows.flat))
 
 
 @_analytic("total_mass_and_df_conditions", EXACT_TOL)

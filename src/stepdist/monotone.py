@@ -80,6 +80,8 @@ class MonotoneStepLinear:
         steps[1::2] = atoms
         steps[2::2] = rises
         profile = list(accumulate(steps))
+        if xs and not math.isfinite(profile[-1] - base):
+            raise ValidationError(f"range overflows a float: top {profile[-1]} minus base {base} is not finite")
         self._store(xs, atoms, rises, base, np.array(profile[0::2]), np.array(profile[1::2]))
 
     def _store(self, xs, atoms, rises, base, lefts: np.ndarray, cums: np.ndarray):

@@ -107,15 +107,6 @@ def lambda_transforms(f: Cdf, x, lam: float) -> np.ndarray:
     return fx if lam == 1.0 else u
 
 
-def _split_parts(run, q: float) -> tuple[RealSet, RealSet, RealSet]:
-    """The parts every sublevel split at one level is made of, given the flat
-    piece ``run`` there (or None) and the left quantile q: the piece right of q
-    (or the empty set), {q} and (-inf, q).  They are frozen, so the splits at
-    several weights can share them."""
-    point = RealSet.point(q)
-    return _flat_or_point(run, False, point, False), point, RealSet.of(Interval.open(-math.inf, q))
-
-
 def sublevel_decomposition(f: Cdf, lam: float, alpha: float):
     """Split {x : F(x-) + lam * jump(x) <= alpha} around the left quantile.
 
@@ -127,8 +118,10 @@ def sublevel_decomposition(f: Cdf, lam: float, alpha: float):
     lam = _check_weight(lam)
     a = _check_alpha(alpha)
     q = _left_quantile_unchecked(f, a)
-    beyond, point, below = _split_parts(f._flat_runs.get(a), q)
-    return beyond, point if lambda_transform(f, q, lam) <= a else _EMPTY, below
+    point = RealSet.point(q)
+    beyond = _flat_or_point(f._flat_runs.get(a), False, point, False)
+    at = point if lambda_transform(f, q, lam) <= a else _EMPTY
+    return beyond, at, RealSet.of(Interval.open(-math.inf, q))
 
 
 def quantile_range_of_point(f: Cdf, x: float) -> RealSet:

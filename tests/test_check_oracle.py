@@ -3,24 +3,28 @@
 The oracle bodies below are the earlier point-by-point checks, kept verbatim in
 substance: they call the public scalar functions (``lambda_transform``,
 ``quantile_range_of_point``, ``left_quantile``, ``transform_cdf_exact``) once per
-point or level, and compare successive jump gaps with ``Interval.intersect``.
-Each array check must return the same ``CheckResult``: the bits of its value and
-its detail.  The scalar functions themselves are pinned to the array kernels the
-checks call, bit for bit, and ``attained_values`` to its earlier construction from
-every breakpoint's values.
+point or level, and compare successive jump gaps with ``Interval.intersect``.  The
+five checks that read a level's sets off its columns are pinned to their earlier
+bodies, which intersect, unite and measure one row of ``RealSet``s at a time; those
+rows come from the scalar readers.  Each array check must return the same
+``CheckResult``: the bits of its value and its detail.  The scalar functions
+themselves are pinned to the array kernels the checks call, bit for bit, and
+``attained_values`` to its earlier construction from every breakpoint's values.
 """
 
 import copy
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import stepdist as sd
 from stepdist import checks, transform
-from stepdist.cdf import _Jump, left_quantile
-from stepdist.checks import EXACT_TOL, _analytic, alpha_population, probe_grid
+from stepdist.cdf import _Jump, jump_set, left_quantile
+from stepdist.checks import EXACT_TOL, LAMBDA_GRID, _analytic, _nondecreasing, alpha_population, probe_grid
+from stepdist.measure import measure_interval, measure_level_set, measure_set, measure_value_level
 from stepdist.realset import Interval, RealSet
 from stepdist.stochastic import _transform_cdf_totals, transform_cdf_exact
 from stepdist.transform import _quantile_ranges, attained_values, lambda_transform, quantile_range_of_point
@@ -30,7 +34,12 @@ from test_vector_oracle import (
     SUB_ULP_CASES,
     decimal_uniforms,
     rescaled_functions,
+    reversed_table,
+    rows_by_scalar_readers,
+    scan_once,
     suite_inputs,
+    widenings,
+    without_point,
 )
 
 # -- the oracle ----------------------------------------------------------------
@@ -121,6 +130,90 @@ def attained_by_breakpoint(f):
     return RealSet(tuple(parts))
 
 
+def _expected_level_set(f, a, lo, hi) -> RealSet:
+    if lo == hi:
+        return RealSet.point(lo) if f.value(lo) == a else RealSet.empty()
+    if f.value(hi) == a:
+        return RealSet.of(Interval.closed(lo, hi))
+    return RealSet.of(Interval.closed_open(lo, hi))
+
+
+@_analytic("level_set_cases", 0)
+def level_set_cases_by_row(f, rows):
+    bad = 0
+    for a, lo, hi, ls, *_ in rows:
+        if ls != _expected_level_set(f, a, lo, hi):
+            bad += 1
+        if (f.value(lo) == a) != (not ls.is_empty()):
+            bad += 1
+        small = ls.is_empty() or ls == RealSet.point(lo)
+        if (hi == lo) != small:
+            bad += 1
+        if hi > lo and (f.jump(hi) == 0.0) != (f.value(hi) == a):
+            bad += 1
+    return bad
+
+
+@_analytic("flat_piece_mass", EXACT_TOL)
+def flat_mass_by_row(f, rows):
+    worst = 0.0
+    for a, lo, hi, ls, beyond, *_ in rows:
+        worst = max(worst, abs(measure_set(f, beyond)))
+        m = measure_level_set(f, a)
+        worst = max(worst, abs(m - measure_set(f, ls)))
+        if hi > lo:
+            worst = max(worst, abs(m - (a - f.left_value(lo))), abs(m - f.jump(lo)))
+    return worst
+
+
+@_analytic("sublevel_union", 0)
+def sublevel_union_by_row(f, rows, grid, parts):
+    bad = 0
+    ts = dict(zip(LAMBDA_GRID, parts[3]))
+    prefixes = {lam: ([], []) for lam, t in ts.items() if _nondecreasing(t)}
+    for a, _, _, _, beyond, point, below, with_q in rows:
+        if with_q and (not beyond.intersect(point).is_empty() or not point.intersect(below).is_empty()):
+            bad += len(with_q)
+        if not beyond.intersect(below).is_empty():
+            bad += len(LAMBDA_GRID)
+        without = beyond.union(below)
+        with_point = without.union(point) if with_q else without
+        for lam in LAMBDA_GRID:
+            union = with_point if lam in with_q else without
+            half = union.components[0]
+            if lam in prefixes and len(union.components) == 1 and half.lo == -math.inf:
+                prefixes[lam][0].append(a)
+                prefixes[lam][1].append(math.nextafter(half.hi, math.inf) if half.closed_hi else half.hi)
+            else:
+                bad += int(np.count_nonzero((ts[lam] <= a) != union.contains_many(grid)))
+    for lam, (levels, ends) in prefixes.items():
+        member = np.searchsorted(ts[lam], levels, side="right")
+        bad += int(np.abs(member - np.searchsorted(grid, ends, side="left")).sum())
+    return bad
+
+
+@_analytic("uniformity_displays", EXACT_TOL)
+def uniformity_displays_by_row(f, rows):
+    worst = 0.0
+    for a, lo, hi, *_ in rows:
+        if hi > lo:
+            below = measure_interval(f, Interval(-math.inf, hi, False, f.value(hi) == a))
+            worst = max(worst, abs(below - a), abs(f.value(lo) - a))
+    for j in f._jumps:
+        worst = max(worst, abs(measure_value_level(f, j.hi) - j.mass))
+    return worst
+
+
+@_analytic("jump_characterization", 0)
+def jump_characterization_by_row(f, rows):
+    jump_set(f)
+    bad = 0
+    for _, lo, hi, _, beyond, *_ in rows:
+        if (hi > lo) != (not beyond.is_empty()):
+            bad += 1
+    return bad
+
+
 @_analytic("transform_cdf_uniform", EXACT_TOL)
 def transform_cdf_by_level(f, rows):
     worst = 0.0
@@ -168,34 +261,64 @@ def oracle_laws(small_population, fb, fm, fu):
     ]
 
 
+# (array check, oracle, what they read): the probe grid and its table, the
+# levels (as columns for the check, as rows of sets for the oracle), or both
 PAIRS = [
     (checks._check_transform_sandwich, sandwich_by_point, "grid"),
     (checks._check_quantile_sandwich, quantile_sandwich_by_level, "rows"),
+    (checks._check_level_set_cases, level_set_cases_by_row, "rows"),
+    (checks._check_flat_mass, flat_mass_by_row, "rows"),
+    (checks._check_sublevel_union, sublevel_union_by_row, "both"),
     (checks._check_quantile_ranges, quantile_ranges_by_point, "grid"),
     (checks._check_transform_cdf, transform_cdf_by_level, "rows"),
+    (checks._check_uniformity_displays, uniformity_displays_by_row, "rows"),
+    (checks._check_jump_characterization, jump_characterization_by_row, "rows"),
 ]
+# the checks that read the grid's table, those that read a level's sets, and those
+# that read only its quantiles
+GRID_PAIRS = [pair for pair in PAIRS if pair[2] != "rows"]
+SET_PAIRS = [PAIRS[n] for n in (2, 3, 4, 7, 8)]
+QUANTILE_PAIRS = [PAIRS[n] for n in (1, 6)]
 
 
-def assert_same_checks(f, rows, grid, parts) -> set:
+def run_pair(pair, f, rows, tuples, grid, parts) -> tuple:
+    """The results of an array check and of its oracle, each given what it reads."""
+    check, oracle, reads = pair
+    if reads == "grid":
+        return check(f, grid, parts), oracle(f, grid, parts)
+    if reads == "rows":
+        return check(f, rows), oracle(f, tuples)
+    return check(f, rows, grid, parts), oracle(f, tuples, grid, parts)
+
+
+def assert_same_checks(f, rows, tuples, grid, parts, pairs=PAIRS) -> set:
     """Each array check returns the loop's result; the names of the nonzero ones."""
     nonzero = set()
-    for check, oracle, reads in PAIRS:
-        args = (f, grid, parts) if reads == "grid" else (f, rows)
-        got, ref = check(*args), oracle(*args)
+    for pair in pairs:
+        got, ref = run_pair(pair, f, rows, tuples, grid, parts)
         assert same_result(got, ref), (f, got, ref)
         if ref.value:
             nonzero.add(ref.name)
     return nonzero
 
 
-def test_array_checks_equal_the_point_loops(oracle_laws):
+def oracle_inputs(f):
+    """The level columns, the rows of sets the scalar readers give, the grid and its table."""
+    rows, grid, parts = suite_inputs(f)
+    return rows, rows_by_scalar_readers(f, alpha_population(f)), grid, parts
+
+
+def test_array_checks_equal_the_point_loops(oracle_laws, scan_once):
+    # scan_once runs the scalar left scan once per law and level: on the span that
+    # overflows, each scan corrects its solve, and the readers and oracles repeat them
     nonzero = set()
     with np.errstate(over="ignore", invalid="ignore"):  # the span that overflows
         for f in oracle_laws:
-            nonzero |= assert_same_checks(f, *suite_inputs(f))
-    # rounding-sized sandwich deviations on most laws, and the FAILs of the span that
-    # overflows and the unresolvable ramp
-    assert nonzero == {"quantile_sandwich"}
+            nonzero |= assert_same_checks(f, *oracle_inputs(f))
+    # rounding-sized sandwich and flat-mass deviations on some laws, the FAILs of the
+    # span that overflows and the unresolvable ramp, the sub-ulp atom's uniformity
+    # FAIL, and sublevel counts on overshooting uniform laws
+    assert nonzero == {"quantile_sandwich", "flat_piece_mass", "uniformity_displays", "sublevel_union"}
 
 
 def test_array_checks_equal_the_point_loops_on_wrong_tables(small_population, fb, fm, fu):
@@ -207,7 +330,7 @@ def test_array_checks_equal_the_point_loops_on_wrong_tables(small_population, fb
     # only the strict part of the sandwich shows at a flat level
     nonzero = set()
     for f in (fb, fm, fu, OVERSHOOTING_UNIFORM, *small_population[:6]):
-        rows, grid, (fx, left, jump, ts) = suite_inputs(f)
+        rows, tuples, grid, (fx, left, jump, ts) = oracle_inputs(f)
         up = np.nextafter(fx, math.inf)
         for table in (
             (left, fx, jump, ts),
@@ -215,10 +338,49 @@ def test_array_checks_equal_the_point_loops_on_wrong_tables(small_population, fb
             (up, left, jump, (*ts[:-1], np.nextafter(ts[-1], math.inf))),
             (fx, 0.5 * left, jump, ts),
         ):
-            nonzero |= assert_same_checks(f, rows, grid, table)
-        for wrong in ([(a, hi, lo, *rest) for a, lo, hi, *rest in rows], [(a, hi, hi, *rest) for a, _, hi, *rest in rows]):
-            nonzero |= assert_same_checks(f, wrong, grid, (fx, left, jump, ts))
-    assert nonzero == {"transform_sandwich", "quantile_sandwich", "quantile_range_of_point"}
+            nonzero |= assert_same_checks(f, rows, tuples, grid, table, GRID_PAIRS)
+        for wrong in (
+            (rows._replace(lo=rows.hi, hi=rows.lo), [(a, hi, lo, *rest) for a, lo, hi, *rest in tuples]),
+            (rows._replace(lo=rows.hi), [(a, hi, hi, *rest) for a, _, hi, *rest in tuples]),
+        ):
+            nonzero |= assert_same_checks(f, *wrong, grid, (fx, left, jump, ts), QUANTILE_PAIRS)
+    assert nonzero == {"transform_sandwich", "quantile_sandwich", "quantile_range_of_point", "sublevel_union"}
+
+
+def test_set_checks_equal_the_row_bodies_on_faulted_rows(small_population, fm):
+    # each fault injected into the rows of sets has a counterpart in the columns:
+    # {q} left out of every split clears with_q, and a flat piece made to start left
+    # of lo moves start.  On each faulted input (both faults at once too), and on a
+    # grid table out of order,
+    # every check that reads a level's sets reports what its row body reports, and
+    # the checks that the fault concerns report another value than on the true rows
+    moved = Counter()
+    for f in (fm, *small_population[:6]):
+        rows, tuples, grid, parts = oracle_inputs(f)
+        clean = [run_pair(pair, f, rows, tuples, grid, parts)[1] for pair in SET_PAIRS]
+        faults = {
+            "without {q}": (*without_point(rows, tuples), grid, parts),
+            **{f"started below {n}": (*pair, grid, parts) for n, pair in enumerate(widenings(rows, tuples))},
+            # the piece right of lo then holds lo, which the split leaves out
+            "both": (*widenings(*without_point(rows, tuples))[1], grid, parts),
+            "reversed table": (rows, tuples, grid, reversed_table(parts)),
+        }
+        for fault, inputs in faults.items():
+            for pair, true in zip(SET_PAIRS, clean):
+                got, ref = run_pair(pair, f, *inputs)
+                assert same_result(got, ref), (f, fault, got, ref)
+                if ref.value != true.value:
+                    assert ref.value
+                    moved[fault, ref.name] += 1
+    assert set(moved) == {
+        ("without {q}", "sublevel_union"),
+        *(
+            (fault, name)
+            for fault in ("started below 0", "started below 1", "both")
+            for name in ("level_set_cases", "flat_piece_mass", "sublevel_union")
+        ),
+        ("reversed table", "sublevel_union"),
+    }
 
 
 def test_successive_gaps_are_counted_as_the_pairwise_intersections(oracle_laws):

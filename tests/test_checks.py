@@ -15,7 +15,7 @@ from stepdist.checks import (
     stochastic_checks,
 )
 from stepdist.monotone import MonotoneStepLinear
-from stepdist.realset import RealSet
+from stepdist.realset import Interval
 from stepdist.transform import attained_values
 
 
@@ -140,52 +140,42 @@ class TestAnalyticSuite:
             assert not failed, failed
             assert calls == [f]
 
-    def test_set_algebra_once_per_distinct_split(self, fm, small_population, monkeypatch):
-        # a row holds the parts of its splits once, beyond, {q} and below, with
-        # the weights whose split keeps {q}: the sublevel check forms one
-        # intersection and one union per row, and two more intersections ({q}
-        # with either other part) and one more union in a row that keeps {q}
-        # for some weight; the flat-mass check measures the beyond part and the
-        # level set once per row
-        calls = Counter()
+    def test_level_columns_build_no_interval(self, fm, small_population, monkeypatch):
+        # a level's sets are read off its ends: the level rows and the checks that
+        # read them construct no Interval, so no RealSet either, while the rest of
+        # the suite does
+        built = Counter()
         inside = [None]
+        post_init = Interval.__post_init__
+        monkeypatch.setattr(Interval, "__post_init__", lambda iv: built.update([inside[0]]) or post_init(iv))
 
-        def counted(owner, name):
-            inner = getattr(owner, name)
-
-            def run(*args):
-                calls[inside[0], name] += 1
-                return inner(*args)
-
-            monkeypatch.setattr(owner, name, run)
-
-        def marked(check):
-            inner = getattr(checks, check)
+        def marked(name):
+            inner = getattr(checks, name)
 
             def run(*args):
-                before, inside[0] = inside[0], check
+                before, inside[0] = inside[0], name
                 try:
                     return inner(*args)
                 finally:
                     inside[0] = before
 
-            monkeypatch.setattr(checks, check, run)
+            monkeypatch.setattr(checks, name, run)
 
-        counted(RealSet, "intersect")
-        counted(RealSet, "union")
-        counted(checks, "measure_set")
-        marked("_check_sublevel_union")
-        marked("_check_flat_mass")
+        names = (
+            "_level_rows",
+            "_check_level_set_cases",
+            "_check_flat_mass",
+            "_check_sublevel_union",
+            "_check_jump_characterization",
+        )
+        for name in names:
+            marked(name)
         for f in (fm, *small_population[:4]):
-            rows = checks._level_rows(f, alpha_population(f))
-            keep_q = sum(1 for *_, with_q in rows if with_q)
-            assert any(0 < len(with_q) < len(LAMBDA_GRID) for *_, with_q in rows)
-            calls.clear()
+            built.clear()
             failed = [c for c in analytic_checks(f) if not c.passed]
             assert not failed, failed
-            assert calls["_check_sublevel_union", "intersect"] == len(rows) + 2 * keep_q
-            assert calls["_check_sublevel_union", "union"] == len(rows) + keep_q
-            assert calls["_check_flat_mass", "measure_set"] == 2 * len(rows)
+            assert built[None] > 0
+            assert all(built[name] == 0 for name in names), built
 
     @pytest.mark.parametrize(
         "f",

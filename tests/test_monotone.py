@@ -87,6 +87,9 @@ INVALID_INPUTS = [
     ((0.0, 1.0, 1.0), (0.25, 0.25, 0.5), (0.0,) * 2, 0.0, "breakpoints not strictly increasing at 1.0, 1.0"),
     ((0.0, 1.0, 2.0), (0.5, -0.25, 0.5), (0.0, 0.0), 0.0, "negative atom mass"),
     ((0.0, 1.0, 2.0), (0.5, 0.0, 0.5), (0.5, -1e-300), 0.0, "negative segment increase"),
+    # finite fields whose range overflows: the top itself, or the top minus the base
+    ((0.0, 1.0), (1e308, 1e308), (0.0,), 0.0, "range overflows a float: top inf minus base 0.0 is not finite"),
+    ((0.0, 1.0), (0.0, 1e308), (1e308,), -1e308, "range overflows a float: top 1e+308 minus base -1e+308 is not finite"),
 ]
 
 CONTAINERS = {
@@ -160,7 +163,10 @@ INVALID_ENTRIES = {
         DegenerateRange, "constant function has no distribution-function rescaling"),
     "normalize overflowing span": (
         lambda: normalize(MonotoneStepLinear(xs=(0.0, 1.0), atoms=(1e308, 1e308), rises=(0.0,))),
-        ValidationError, "top must be exactly 1.0, got nan"),
+        ValidationError, "range overflows a float: top inf minus base 0.0 is not finite"),
+    "normalize overflowing range": (
+        lambda: normalize(MonotoneStepLinear(xs=(0.0, 1.0), atoms=(1e308, 1e308), rises=(0.0,), base=-1e308)),
+        ValidationError, "range overflows a float: top 1e+308 minus base -1e+308 is not finite"),
     "parse no mass": (
         lambda: parse_distribution({"breakpoints": [{"x": 0.0, "atom": 0.0}], "segments": []}),
         DegenerateRange, "distribution: total mass is 0; the function is constant"),

@@ -7,6 +7,7 @@ array forms must agree bit for bit.
 """
 
 import bisect
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -179,7 +180,7 @@ def halfline_by_level(f, rows, grid, parts) -> int:
     """The half-line check's body before prefix counts: the whole grid once per level."""
     fx = parts[0]
     bad = 0
-    for a, *_ in rows:
+    for a in rows.a.tolist():
         xi = left_quantile(f, a)
         bad += int(np.count_nonzero((fx >= a) != (grid >= xi)))
         bad += int(np.count_nonzero((fx < a) != (grid < xi)))
@@ -194,8 +195,8 @@ def per_weight(row) -> list:
 
 
 def sublevel_by_level(f, rows, grid, parts) -> int:
-    """The sublevel check's body before prefix counts: each union over the whole
-    grid, and every set operation once per weight."""
+    """The sublevel check's body before prefix counts, on rows of sets: each union
+    over the whole grid, and every set operation once per weight."""
     transforms = dict(zip(LAMBDA_GRID, parts[3]))
     bad = 0
     for row in rows:
@@ -239,15 +240,33 @@ def suite_inputs(f):
     return _level_rows(f, alpha_population(f)), grid, _grid_parts(f, grid)
 
 
-def resplit(rows, change):
-    """The rows with their parts ``(beyond, point, below)`` replaced by ``change(*parts)``."""
-    return [(*row[:4], *change(*row[4:7]), row[7]) for row in rows]
+def without_point(rows, tuples):
+    """The columns and the rows of sets with {q} left out of every split: at a level
+    that is not flat the union is then (-inf, q), whose count is off wherever q is on
+    the grid."""
+    return rows._replace(with_q=np.zeros_like(rows.with_q)), [(*row[:7], ()) for row in tuples]
 
 
-def without_point(rows):
-    """The rows with {q} left out of every split: at a level that is not flat
-    the union is then (-inf, q), whose count is off wherever q is on the grid."""
-    return [(*row[:7], ()) for row in rows]
+def started_below(rows, tuples, start):
+    """The columns and the rows of sets with every flat piece starting at ``start(lo)``,
+    left of lo: its level set and the part of its splits right of lo then reach into
+    (-inf, lo), and that part holds lo."""
+    moved = np.where(rows.flat, start(rows.lo), rows.start)
+    out = []
+    for (a, lo, hi, level, beyond, *rest), s in zip(tuples, moved.tolist(), strict=True):
+        if not beyond.is_empty():
+            level, beyond = (RealSet.of(dataclasses.replace(part.components[0], lo=s)) for part in (level, beyond))
+        out.append((a, lo, hi, level, beyond, *rest))
+    return rows._replace(start=moved), out
+
+
+def widenings(rows, tuples):
+    """Both forms of the rows with each flat piece starting one float, and half a unit,
+    left of lo."""
+    return [
+        started_below(rows, tuples, lambda lo: np.nextafter(lo, -math.inf)),
+        started_below(rows, tuples, lambda lo: lo - 0.5),
+    ]
 
 
 def test_halfline_counts(small_population, fb, fm, fu):
@@ -286,8 +305,8 @@ def test_halfline_check_reads_the_rows_left_quantiles(small_population, fm, monk
 
 def test_sublevel_counts(small_population, fb, fm, fu):
     # the scalar loop judges the laws up to OVERSHOOTING_UNIFORM, the loop over
-    # levels the rest; there, leaving {q} out of the splits gives nonzero
-    # counts that do not depend on the overshoot
+    # the sets read off the columns the rest; there, leaving {q} out of the splits
+    # gives nonzero counts that do not depend on the overshoot
     nonzero = holed_nonzero = 0
     for n, f in enumerate(_check_population(small_population, fb, fm, fu)):
         alphas = alpha_population(f)
@@ -297,10 +316,11 @@ def test_sublevel_counts(small_population, fb, fm, fu):
         if n <= len(small_population) + 3:
             assert res.value == sublevel_by_point(f, alphas)
             continue
-        assert res.value == sublevel_by_level(f, rows, grid, parts)
-        holed = without_point(rows)
+        tuples = sets_of(rows)
+        assert res.value == sublevel_by_level(f, tuples, grid, parts)
+        holed, holed_tuples = without_point(rows, tuples)
         res = _check_sublevel_union(f, holed, grid, parts)
-        assert res.value == sublevel_by_level(f, holed, grid, parts)
+        assert res.value == sublevel_by_level(f, holed_tuples, grid, parts)
         holed_nonzero += res.value > 0
     assert nonzero > 0 and holed_nonzero > 0
 
@@ -316,46 +336,49 @@ def test_counts_fall_back_where_the_prefix_argument_fails(small_population, fm):
     # by point, and so count what the element-wise bodies count
     for f in [fm, small_population[3], OVERSHOOTING_UNIFORM]:
         rows, grid, parts = suite_inputs(f)
-        holed = without_point(rows)
+        tuples = sets_of(rows)
+        holed, holed_tuples = without_point(rows, tuples)
         backwards = reversed_table(parts)
         got = _check_halfline_sets(f, rows, grid, backwards).value
         assert got == halfline_by_level(f, rows, grid, backwards) > 0
         got = _check_sublevel_union(f, rows, grid, backwards).value
-        assert got == sublevel_by_level(f, rows, grid, backwards) > 0
+        assert got == sublevel_by_level(f, tuples, grid, backwards) > 0
         # at a flat level, a split without {q} is not one left half-line
         if f.plateau_levels:
-            assert any(len(beyond.union(below).components) == 2 for *_, beyond, _, below, _ in holed)
-        assert _check_sublevel_union(f, holed, grid, parts).value == sublevel_by_level(f, holed, grid, parts)
+            assert any(len(beyond.union(below).components) == 2 for *_, beyond, _, below, _ in holed_tuples)
+        for table in (parts, backwards):
+            got = _check_sublevel_union(f, holed, grid, table).value
+            assert got == sublevel_by_level(f, holed_tuples, grid, table)
     assert _check_sublevel_union(fm, *suite_inputs(fm)).value == 0
 
 
 def test_overlaps_count_once_per_weight(small_population, fm):
-    # (-inf, q) added to {q} overlaps (-inf, q) in the split of every weight
-    # that keeps {q}; added to the part beyond q, it overlaps (-inf, q) in the
-    # split of every weight.  Each weight counts its overlap once, however many
-    # weights share the row's parts, and the unions stay as they were
-    widenings = (
-        (lambda beyond, point, below: (beyond, point.union(below), below), lambda rows: sum(len(r[7]) for r in rows)),
-        (lambda beyond, point, below: (beyond.union(below), point, below), lambda rows: len(LAMBDA_GRID) * len(rows)),
-    )
+    # a flat piece that starts left of q overlaps (-inf, q) in the split of every
+    # weight, and {q} in the split of every weight that keeps {q}.  Each weight
+    # counts its overlap once, however many weights share the row's parts; the
+    # unions are counted as the loop over rows of sets counts them
+    shown = 0
     for f in [fm, *small_population[:5]]:
         rows, grid, parts = suite_inputs(f)
-        assert any(len(with_q) > 1 for *_, with_q in rows)
-        for widen, overlaps in widenings:
-            widened = resplit(rows, widen)
+        tuples = sets_of(rows)
+        assert any(0 < n < len(LAMBDA_GRID) for n in rows.with_q.sum(axis=1))
+        overlaps = int((rows.flat * (len(LAMBDA_GRID) + rows.with_q.sum(axis=1))).sum())
+        assert (overlaps > 0) == bool(f.plateau_levels)
+        for widened, widened_tuples in widenings(rows, tuples):
             got = _check_sublevel_union(f, widened, grid, parts).value
-            expected = sublevel_by_level(f, rows, grid, parts) + overlaps(rows)
-            assert overlaps(rows) > 0
-            assert got == sublevel_by_level(f, widened, grid, parts) == expected
+            assert got == sublevel_by_level(f, widened_tuples, grid, parts) >= overlaps
+        shown += overlaps > 0
+    assert shown > 1
 
 
 # -- the level rows -----------------------------------------------------------
 
 
 def rows_by_scalar_readers(f, alphas):
-    """The rows as the scalar readers give them, level by level: the parts right
-    of q and below q from the split at weight 1, {q} at the left quantile, and the
-    weights whose split holds a nonempty ``at``."""
+    """The rows of sets ``(a, lo, hi, level_set, beyond, point, below, with_q)`` as the
+    scalar readers give them, level by level: the parts right of q and below q from
+    the split at weight 1, {q} at the left quantile, and the weights whose split holds
+    a nonempty ``at``."""
     rows = []
     for a in alphas:
         lo, hi = quantile_pair(f, a)
@@ -363,6 +386,26 @@ def rows_by_scalar_readers(f, alphas):
         with_q = tuple(lam for lam in LAMBDA_GRID if not sublevel_decomposition(f, lam, a)[1].is_empty())
         rows.append((a, lo, hi, level_set(f, a), beyond, RealSet.point(lo), below, with_q))
     return rows
+
+
+def sets_of(rows) -> list:
+    """The sets read off the columns, one row of sets per level, in the form of
+    ``rows_by_scalar_readers``."""
+    out = []
+    for a, lo, hi, flat, start, closed_end, attained, with_q in zip(*(c.tolist() for c in rows)):
+        point = RealSet.point(lo)
+        empty = RealSet.empty()
+        level = RealSet.of(Interval(start, hi, True, closed_end)) if flat else point if attained else empty
+        beyond = RealSet.of(Interval(start, hi, False, closed_end)) if flat else empty
+        below = RealSet.of(Interval.open(-math.inf, lo))
+        out.append((a, lo, hi, level, beyond, point, below, tuple(itertools.compress(LAMBDA_GRID, with_q))))
+    return out
+
+
+def level_masses(f, rows) -> np.ndarray:
+    """The mass of each level set read off the columns, by measure_interval's subtractions."""
+    top = np.where(rows.closed_end, f.values(rows.hi), f.left_values(rows.hi))
+    return 0.0 + np.where(rows.flat, top - f.left_values(rows.start), np.where(rows.attained, f.jumps(rows.lo), 0.0))
 
 
 # a span that overflows and a ramp narrower than the float grid; SUB_ULP_CASES
@@ -412,11 +455,17 @@ def test_level_rows_are_array_passes_equal_to_the_scalar_readers(population, fb,
     with np.errstate(over="ignore", invalid="ignore"):  # the span that overflows
         for f in functions:
             alphas = alpha_population(f)
-            for got, ref in zip(_level_rows(f, alphas), rows_by_scalar_readers(f, alphas), strict=True):
+            rows = _level_rows(f, alphas)
+            assert rows.with_q.shape == (len(alphas), len(LAMBDA_GRID))
+            # closed_end is whether F equals the level at hi, at every level
+            assert np.array_equal(rows.closed_end, f.values(rows.hi) == rows.a)
+            for got, ref in zip(sets_of(rows), rows_by_scalar_readers(f, alphas), strict=True):
                 assert [bits(v) for v in got[:3]] == [bits(v) for v in ref[:3]]
                 assert got[3:] == ref[3:]
-                # every weight's split, read off the row, is the scalar reader's
+                # every weight's split, read off the columns, is the scalar reader's
                 assert per_weight(got) == [(lam, sublevel_decomposition(f, lam, got[0])) for lam in LAMBDA_GRID]
+            masses = [measure_level_set(f, a) for a in alphas]
+            assert [bits(m) for m in level_masses(f, rows).tolist()] == [bits(m) for m in masses]
 
 
 # -- lambda_transforms and contains_many --------------------------------------
