@@ -305,6 +305,29 @@ def _left_quantiles(f: Cdf, a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _level_ends(f: Cdf, a: np.ndarray) -> tuple:
+    """Array form of :func:`quantile_pair` and :func:`level_set` for levels already
+    inside (0, 1]: ``(lo, hi, flat, start, closed_end, attained)``, one entry per level,
+    from one ``_left_quantiles`` pass, one evaluation and the flat table looked up by
+    level.  The one place that reads the flat table by level in array form.
+
+    ``lo`` is the left quantile q, and ``attained`` whether F(q) equals the level.
+    Where the level is flat (``flat``), ``start`` and ``hi`` are the ends of its flat
+    piece; elsewhere both are q.  ``closed_end`` is whether F(hi) equals the level.
+    The level set is [start, hi] where the level is flat (``hi`` in it iff
+    ``closed_end``), else {q} or empty as ``attained``.  Level 1 has no flat piece
+    in the table: its ends there are those of {q}.
+    """
+    lo = _left_quantiles(f, a)
+    attained = f.values(lo) == a
+    runs = list(map(f._flat_runs.get, a.tolist()))
+    flat = np.array([run is not None for run in runs], dtype=bool)
+    start, hi, closed_end = lo.copy(), lo.copy(), attained.copy()
+    if flat.any():
+        start[flat], hi[flat], closed_end[flat] = zip(*filter(None, runs))
+    return lo, hi, flat, start, closed_end, attained
+
+
 # -- level sets --------------------------------------------------------------
 
 _EMPTY = RealSet.empty()

@@ -6,8 +6,9 @@ measured value and a threshold.  Exact identities use the arithmetic tolerance 1
 statistical bounds.  The analytic suite holds its levels as columns built from array
 passes: each level's left quantile, the ends of its flat piece, whether F equals the
 level there, and the weights whose sublevel split keeps the left quantile.  The checks
-read every level's sets off those ends and build no set per level; a check that needs
-F, F(x-) or the jump at the ends reads all three from one search.  The suite evaluates
+read every level's sets off those ends and build no set per level, and the uniformity
+check reads the level F(x) of every jump the same way; a check that needs F, F(x-) or
+the jump at the ends reads all three from one search.  The suite evaluates
 the probe grid once into a table: F, F(x-), the jump and the four transforms, from one
 search plus one per weight, and builds the set of attained values once for both
 jump-gap checks.  A check that verifies a function runs that function's array form on
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cdf import Cdf, _left_quantiles, jump_set
+from .cdf import Cdf, _left_quantiles, _level_ends, jump_set
 from .copula import (
     dt_copula,
     copula_at_flat_alpha,
@@ -38,7 +39,7 @@ from .copula import (
     sklar_identity_check,
 )
 from .errors import StepDistError
-from .measure import measure_interval, measure_set, measure_value_level
+from .measure import measure_interval, measure_set
 from .monotone import df_condition_report
 from .realset import Interval, RealSet
 from .stochastic import (
@@ -104,14 +105,13 @@ def probe_grid(f: Cdf) -> np.ndarray:
 class _Rows(NamedTuple):
     """The analytic suite's levels as columns, one entry per level ``a``.
 
-    ``lo`` is the left quantile q, and ``attained`` whether F(q) == a.  Where the
-    level is flat (``flat``), ``start`` and ``hi`` are the ends of its flat piece;
-    elsewhere both are q.  ``closed_end`` is whether F(hi) == a.  A level's sets
-    are read off these ends.  Its level set is [start, hi] where it is flat, else
-    {q} or empty as ``attained``; ``hi`` belongs to it iff ``closed_end``.  Every
-    sublevel split at the level is (-inf, q), the part (start, hi] right of q where
-    the level is flat, and {q} at the weights of LAMBDA_GRID whose transform at q
-    is at most a: the true entries of its row of ``with_q`` (levels x weights).
+    ``lo`` to ``attained`` are the ends of the level's set as ``cdf._level_ends``
+    reads them: ``lo`` is the left quantile q, and the level set is [start, hi]
+    where the level is flat, else {q} or empty as ``attained``; ``hi`` belongs to
+    it iff ``closed_end``.  Every sublevel split at the level is (-inf, q), the part
+    (start, hi] right of q where the level is flat, and {q} at the weights of
+    LAMBDA_GRID whose transform at q is at most a: the true entries of its row of
+    ``with_q`` (levels x weights).
     """
 
     a: np.ndarray
@@ -125,31 +125,34 @@ class _Rows(NamedTuple):
 
 
 def _level_rows(f: Cdf, alphas) -> _Rows:
-    """The columns of every level, from array passes: one left-quantile pass over
-    all levels, one evaluation of F and one transform per weight at the left
-    quantiles, and the flat pieces looked up by level.  Built outside the checks'
-    guard: no call raises for a level in (0, 1), whose left quantile is a finite
-    float in [xs[0], xs[-1]].
+    """The columns of every level, from array passes: the ends of every level's set
+    (``cdf._level_ends``) and one transform per weight at the left quantiles.  Built
+    outside the checks' guard: no call raises for a level in (0, 1), whose left
+    quantile is a finite float in [xs[0], xs[-1]].
 
     The sets read off each level's columns equal what ``quantile_pair``,
     ``level_set`` and ``sublevel_decomposition`` return at the level, bit for bit.
     """
     a = np.array(alphas, dtype=float)
-    lo = _left_quantiles(f, a)
-    attained = f.values(lo) == a
-    runs = list(map(f._flat_runs.get, a.tolist()))
-    flat = np.array([run is not None for run in runs], dtype=bool)
-    start, hi, closed_end = lo.copy(), lo.copy(), attained.copy()
-    if flat.any():
-        start[flat], hi[flat], closed_end[flat] = zip(*filter(None, runs))
-    with_q = np.column_stack([lambda_transforms(f, lo, lam) <= a for lam in LAMBDA_GRID])
-    return _Rows(a, lo, hi, flat, start, closed_end, attained, with_q)
+    ends = _level_ends(f, a)
+    with_q = np.column_stack([lambda_transforms(f, ends[0], lam) <= a for lam in LAMBDA_GRID])
+    return _Rows(a, *ends, with_q)
 
 
 def _end_parts(f: Cdf, rows: _Rows) -> tuple:
     """F, F(x-) and the jump at the rows' ends, from one search: three arrays whose
     rows are taken at ``lo``, ``hi`` and ``start``."""
     return f.value_parts(np.stack((rows.lo, rows.hi, rows.start)))
+
+
+def _level_masses(rows: _Rows, parts) -> tuple:
+    """``(top, mass)`` per row, by the subtractions ``measure_interval`` makes, from the
+    rows' ``_end_parts``: ``top`` is F(hi), or F(hi-) where hi is not in the level set,
+    and the level set's mass is top - F(start-) where the level is flat, else the jump
+    at q where the set is {q}, or 0.0 where it is empty."""
+    (_, f_hi, _), (_, left_hi, left_start), (jump_lo, _, _) = parts
+    top = np.where(rows.closed_end, f_hi, left_hi)
+    return top, np.where(rows.flat, top - left_start, np.where(rows.attained, jump_lo, 0.0))
 
 
 def _grid_parts(f: Cdf, grid: np.ndarray) -> tuple:
@@ -280,10 +283,10 @@ def _check_flat_mass(f: Cdf, rows):
     # of lo carries none; the row's level set carries what the level set by the
     # quantiles does ([lo, hi] where the level is flat), and where lo < hi that is
     # a - F(lo-) and the jump at lo
-    (f_lo, f_hi, f_start), (left_lo, left_hi, left_start), (jump_lo, _, _) = _end_parts(f, rows)
-    top = np.where(rows.closed_end, f_hi, left_hi)
+    parts = _end_parts(f, rows)
+    (f_lo, _, f_start), (left_lo, _, _), (jump_lo, _, _) = parts
+    top, m_row = _level_masses(rows, parts)
     m = np.where(rows.flat, top - left_lo, np.where(f_lo == rows.a, jump_lo, 0.0))
-    m_row = np.where(rows.flat, top - left_start, np.where(rows.attained, jump_lo, 0.0))
     wide = rows.hi > rows.lo
     return _worst(
         np.abs(np.where(rows.flat, top - f_start, 0.0)),
@@ -420,11 +423,13 @@ def _check_uniformity_displays(f: Cdf, rows):
     (f_lo, f_hi, _), (_, left_hi, _), _ = _end_parts(f, rows)
     wide = rows.hi > rows.lo
     below = np.where(f_hi == rows.a, f_hi, left_hi)
-    worst = _worst(np.abs(below - rows.a)[wide], np.abs(f_lo - rows.a)[wide])
-    # every jump puts an equally sized atom on the law of F(X); j.hi is F at the jump
-    for j in f._jumps:
-        worst = max(worst, abs(measure_value_level(f, j.hi) - j.mass))
-    return worst
+    # every jump puts an equally sized atom on the law of F(X), at F(x) (j.hi): the
+    # mass of that level's set, or 1 - F(q-) at level 1, whose set is [q, inf)
+    tops = np.array([j.hi for j in f._jumps])
+    at = _Rows(tops, *_level_ends(f, tops), None)
+    parts = _end_parts(f, at)
+    mass = np.where(tops == 1.0, 1.0 - parts[1][0], _level_masses(at, parts)[1])
+    return _worst(np.abs(below - rows.a)[wide], np.abs(f_lo - rows.a)[wide], np.abs(mass - f.jump_masses))
 
 
 @_analytic("jump_characterization", 0)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdf import Cdf, _check_alpha, _left_quantile_unchecked, _left_quantiles
+from .cdf import Cdf, _check_alpha, _left_quantile_unchecked, _left_quantiles, _level_ends
 from .errors import EmptySample, StreamCollision, ValidationError
 from .measure import measure_interval
 from .transform import _transform_parts
@@ -185,20 +185,18 @@ def transform_cdf_exact(f: Cdf, law_of_x: Cdf, alpha: float) -> TransformCdfBrea
 
 def _transform_cdf_totals(f: Cdf, law_of_x: Cdf, a: np.ndarray) -> np.ndarray:
     """Array form of ``transform_cdf_exact(f, law_of_x, a_i).total`` for levels already
-    inside (0, 1): the same terms from one left-quantile pass and array evaluations,
-    summed in the scalar's order, so each total equals the scalar's bit for bit."""
-    q = _left_quantiles(f, a)
+    inside (0, 1): the same terms from the levels' ends (``_level_ends``) and array
+    evaluations, summed in the scalar's order, so each total equals the scalar's bit
+    for bit."""
+    q, hi, flat, start, closed, _ = _level_ends(f, a)
     fq, beta = f.values(q), f.jumps(q)
     coef = np.zeros(a.shape)
     np.divide(a - fq, beta, out=coef, where=beta != 0.0)
     term_flat = np.zeros(a.shape)
-    runs = list(map(f._flat_runs.get, a.tolist()))
-    flat = [n for n, run in enumerate(runs) if run is not None]
-    if flat:
-        # the law's mass on each flat piece right of its left end, read as measure_interval reads it
-        lo, hi, closed = zip(*(runs[n] for n in flat))
-        top = np.where(closed, law_of_x.values(hi), law_of_x.left_values(hi))
-        term_flat[flat] = top - law_of_x.values(lo)
+    # the law's mass on each flat piece right of its left end, read as measure_interval reads it
+    hi, closed = hi[flat], closed[flat]
+    top = np.where(closed, law_of_x.values(hi), law_of_x.left_values(hi))
+    term_flat[flat] = top - law_of_x.values(start[flat])
     term_atom = coef * (law_of_x.jumps(q) - beta)
     term_left = law_of_x.values(q) - fq
     return a + term_flat + term_atom + term_left

@@ -209,18 +209,22 @@ def jump_gap_weights(f: Cdf, alphas) -> list[float]:
     """Invert :func:`jump_gap_values`: recover the weight from a level in each gap.
 
     The n-th level must lie strictly inside the n-th open jump gap, else
-    AlphaNotInJumpInterval(n) is raised.  The weight is
-    (a - F(q-)) / jump(q) with q the left quantile of a.
+    AlphaNotInJumpInterval(n) is raised.  The weight is (a - F(q-)) / jump(q)
+    with q the left quantile of a, read off the n-th row of the jump table
+    without a search, because q is the n-th jump point x_n.  Say x_n is the
+    breakpoint x_i, with stored values c_j = F(x_j).  Then
+    c_{i-1} <= F(x_n-) < a < F(x_n) = c_i, so the quantile scan stops at x_i
+    (the first c_j >= a) and returns it (a >= F(x_i-)), where F(q-) and
+    jump(q) are the row's stored left limit and atom.
     """
     alphas = [float(a) for a in alphas]
     if len(alphas) != len(f._jumps):
         raise LengthMismatch(f"{len(alphas)} levels for {len(f._jumps)} jump points")
     out = []
-    for n, ((_, lo, hi, _), a) in enumerate(zip(f._jumps, alphas)):
+    for n, ((_, lo, hi, mass), a) in enumerate(zip(f._jumps, alphas)):
         if math.isnan(a) or not lo < a < hi:
             raise AlphaNotInJumpInterval(n, f"level {a} not inside ({lo}, {hi})")
-        _, left, jump = f._point(_left_quantile_unchecked(f, a))
-        out.append((a - left) / jump)
+        out.append((a - lo) / mass)
     return out
 
 

@@ -8,8 +8,10 @@ five checks that read a level's sets off its columns are pinned to their earlier
 bodies, which intersect, unite and measure one row of ``RealSet``s at a time; those
 rows come from the scalar readers.  Each array check must return the same
 ``CheckResult``: the bits of its value and its detail.  The scalar functions
-themselves are pinned to the array kernels the checks call, bit for bit, and
-``attained_values`` to its earlier construction from every breakpoint's values.
+themselves are pinned to the array kernels the checks call, bit for bit,
+``attained_values`` to its earlier construction from every breakpoint's values, and
+``jump_gap_weights``, which reads each weight off the jump table, to its earlier
+left-quantile scan.
 """
 
 import copy
@@ -202,6 +204,21 @@ def uniformity_displays_by_row(f, rows):
     for j in f._jumps:
         worst = max(worst, abs(measure_value_level(f, j.hi) - j.mass))
     return worst
+
+
+def jump_gap_weights_by_scan(f, alphas) -> list:
+    """The earlier body of ``jump_gap_weights``: after the same validation, each weight
+    is (a - F(q-)) / jump(q) with q the left quantile of a, from one evaluation at q."""
+    alphas = [float(a) for a in alphas]
+    if len(alphas) != len(f._jumps):
+        raise sd.LengthMismatch(f"{len(alphas)} levels for {len(f._jumps)} jump points")
+    out = []
+    for n, ((_, lo, hi, _), a) in enumerate(zip(f._jumps, alphas)):
+        if math.isnan(a) or not lo < a < hi:
+            raise sd.AlphaNotInJumpInterval(n, f"level {a} not inside ({lo}, {hi})")
+        _, left, jump = f._point(left_quantile(f, a))
+        out.append((a - left) / jump)
+    return out
 
 
 @_analytic("jump_characterization", 0)
@@ -406,6 +423,45 @@ def test_successive_gaps_are_counted_as_the_pairwise_intersections(oracle_laws):
 
 
 # -- the kernels the checks call -------------------------------------------------
+
+
+def gap_levels(f, rng) -> list:
+    """Vectors of one level per jump to invert: three of random levels inside the gaps,
+    and two of one float inside each end of every gap (a random level where the gap
+    holds no float beside that end)."""
+    lo, hi = np.array([j.lo for j in f._jumps]), np.array([j.hi for j in f._jumps])
+    inner = [np.array(transform.jump_gap_values(f, rng.uniform(0.05, 0.95, lo.size))) for _ in range(3)]
+    up, down = np.nextafter(lo, math.inf), np.nextafter(hi, -math.inf)
+    ends = (np.where(up < hi, up, inner[0]), np.where(down > lo, down, inner[0]))
+    return [v.tolist() for v in (*inner, *ends)]
+
+
+def weights_or_error(weights, f, levels):
+    """The bits of the weights, or the type and arguments of the exception raised."""
+    try:
+        return [bits(w) for w in weights(f, levels)]
+    except sd.StepDistError as exc:
+        return type(exc), exc.args, getattr(exc, "index", None)
+
+
+def test_jump_gap_weights_equal_the_scan(population, fb, fm, fu):
+    # a level strictly inside the n-th gap has the n-th jump point as its left
+    # quantile, so the weight read off the jump table is the scan's, bit for bit;
+    # where a gap holds no float, both forms raise the same exception
+    rng = np.random.default_rng(61)
+    laws = [*population, *rescaled_functions(rng, 200), fb, fm, fu, *SUB_ULP_CASES, mixed(2000)]
+    levels_checked = raised = 0
+    for f in laws:
+        for levels in gap_levels(f, rng):
+            got = weights_or_error(transform.jump_gap_weights, f, levels)
+            assert got == weights_or_error(jump_gap_weights_by_scan, f, levels), f
+            if isinstance(got, list):
+                assert [left_quantile(f, a) for a in levels] == list(f.jump_points), f
+                levels_checked += len(levels)
+            else:
+                raised += 1
+    # every vector of the sub-ulp atom's law raises: its second gap holds no float
+    assert raised == len(gap_levels(SUB_ULP_CASES[0], rng)) and levels_checked > 5000
 
 
 def range_bits(s: RealSet) -> list:

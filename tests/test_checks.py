@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from stepdist import Cdf, checks
+from stepdist import Cdf, cdf, checks, measure, transform
 from stepdist.checks import (
     LAMBDA_GRID,
     alpha_population,
@@ -50,11 +50,14 @@ class TestAnalyticSuite:
         # check the transform at weight 0, the quantile-range check
         # _quantile_ranges.  The null-set check inverts each weight's transforms
         # in one left-quantile pass, the quantile-range check maps its levels back
-        # in one more, and these array checks, outside the null sets and their
-        # measures, evaluate F at no single point
+        # in one more, and the law of the transform reads its levels' ends in one.
+        # The level rows are one left-quantile pass, and so are the jump levels of
+        # the uniformity check.  These array checks, and the jump-gap round trip,
+        # outside the null sets and their measures, scan no level and evaluate F
+        # at no single point: none of them does so once per jump
         grids = []
         calls = Counter()
-        inside = [False]
+        inside = [None]
 
         def on_grid(x):
             return bool(grids) and x is grids[-1]
@@ -68,11 +71,11 @@ class TestAnalyticSuite:
 
             monkeypatch.setattr(owner, name, run)
 
-        def flagged(name, on):
+        def flagged(name, label):
             inner = getattr(checks, name)
 
             def run(*args):
-                before, inside[0] = inside[0], on
+                before, inside[0] = inside[0], label
                 try:
                     return inner(*args)
                 finally:
@@ -85,13 +88,24 @@ class TestAnalyticSuite:
         wrapped(MonotoneStepLinear, "_locate", lambda self, x: ("search", on_grid(x)))
         wrapped(MonotoneStepLinear, "value_parts", lambda self, x: ("value_parts", on_grid(x)))
         wrapped(checks, "lambda_transforms", lambda f, x, lam: ("transform", on_grid(x), lam))
-        wrapped(checks, "_left_quantiles", lambda f, a: ("left quantiles", inside[0]))
+        for module in (checks, cdf):
+            wrapped(module, "_left_quantiles", lambda f, a: ("left quantiles", inside[0]))
+        for module in (cdf, transform, measure):
+            wrapped(module, "_left_quantile_unchecked", lambda f, a: ("scan", inside[0]))
         wrapped(MonotoneStepLinear, "_point", lambda self, x: ("point", inside[0]))
-        array_checks = ("_check_transform_sandwich", "_check_quantile_sandwich", "_check_quantile_ranges")
-        for name in (*array_checks, "_check_null_sets", "_check_transform_cdf"):
-            flagged(name, True)
+        array_checks = (
+            "_check_transform_sandwich",
+            "_check_quantile_sandwich",
+            "_check_quantile_ranges",
+            "_check_null_sets",
+            "_check_transform_cdf",
+            "_check_uniformity_displays",
+            "_check_phi_roundtrip",
+        )
+        for name in array_checks:
+            flagged(name, name)
         for name in ("inversion_null_set", "measure_set"):
-            flagged(name, False)
+            flagged(name, None)
         for f in (fm, *small_population[:4]):
             calls.clear()
             failed = [c for c in analytic_checks(f) if not c.passed]
@@ -102,9 +116,13 @@ class TestAnalyticSuite:
             assert all(calls["transform", True, lam] == 1 for lam in (0.0, *LAMBDA_GRID))
             # the sandwich's weights 0.3 and 0.7, only where F does not jump
             assert calls["transform", False, 0.3] == calls["transform", False, 0.7] == 1
-            assert calls["left quantiles", True] == len(LAMBDA_GRID) + 1
-            assert calls["left quantiles", False] == 1  # the level rows
-            assert calls["point", True] == 0 and calls["point", False] > 0
+            assert calls["left quantiles", "_check_null_sets"] == len(LAMBDA_GRID)
+            assert calls["left quantiles", "_check_quantile_ranges"] == 1
+            assert calls["left quantiles", "_check_transform_cdf"] == 1
+            assert calls["left quantiles", "_check_uniformity_displays"] == 1  # the jump levels
+            assert calls["left quantiles", None] == 1  # the level rows
+            assert all(calls[kind, name] == 0 for kind in ("scan", "point") for name in array_checks)
+            assert calls["point", None] > 0
 
     def test_null_set_check_counts_a_nan_transform_as_one_bad_point(self, fm):
         # a NaN transform has no left quantile: the check counts it and does
@@ -142,8 +160,8 @@ class TestAnalyticSuite:
 
     def test_level_columns_build_no_interval(self, fm, small_population, monkeypatch):
         # a level's sets are read off its ends: the level rows and the checks that
-        # read them construct no Interval, so no RealSet either, while the rest of
-        # the suite does
+        # read them, the uniformity check's jump levels included, construct no
+        # Interval, so no RealSet either, while the rest of the suite does
         built = Counter()
         inside = [None]
         post_init = Interval.__post_init__
@@ -166,6 +184,7 @@ class TestAnalyticSuite:
             "_check_level_set_cases",
             "_check_flat_mass",
             "_check_sublevel_union",
+            "_check_uniformity_displays",
             "_check_jump_characterization",
         )
         for name in names:

@@ -45,7 +45,7 @@ from stepdist.copula import (
     sklar_compose,
     sklar_identity_check,
 )
-from stepdist.measure import measure_level_set, measure_set
+from stepdist.measure import measure_level_set, measure_set, measure_value_level
 from stepdist.realset import Interval, RealSet
 from stepdist.stochastic import (
     SeededStream,
@@ -402,10 +402,20 @@ def sets_of(rows) -> list:
     return out
 
 
-def level_masses(f, rows) -> np.ndarray:
-    """The mass of each level set read off the columns, by measure_interval's subtractions."""
-    top = np.where(rows.closed_end, f.values(rows.hi), f.left_values(rows.hi))
-    return 0.0 + np.where(rows.flat, top - f.left_values(rows.start), np.where(rows.attained, f.jumps(rows.lo), 0.0))
+def ends_by_scalar_readers(f, a) -> tuple:
+    """At one level: the ends ``(lo, hi, flat, start, closed_end, attained)`` as the
+    quantile pair, the flat table and F(lo) give them; the level set's components as
+    those ends give them ([start, hi] where the level is flat, {lo} where F(lo) equals
+    the level, else none); and the level set the scalar reader returns.  Level 1,
+    which the public readers reject, is read by the unchecked ones."""
+    pair, level = (quantile_pair, level_set) if a < 1.0 else (cdf._quantile_pair_unchecked, cdf._level_set_unchecked)
+    lo, hi = pair(f, a)
+    run = f._flat_runs.get(a)
+    attained = f.value(lo) == a
+    start, end, closed_end = (lo, lo, attained) if run is None else run
+    ends = (lo, hi, run is not None, start, closed_end, attained)
+    parts = [(start, end, True, closed_end)] if run is not None or attained else []
+    return ends, parts, level(f, a)
 
 
 # a span that overflows and a ramp narrower than the float grid; SUB_ULP_CASES
@@ -431,7 +441,8 @@ def test_level_rows_are_array_passes_equal_to_the_scalar_readers(population, fb,
         m.setattr(module, name, run, raising=False)
 
     with monkeypatch.context() as m:
-        counted(m, checks, "_left_quantiles")
+        for module in (checks, cdf):
+            counted(m, module, "_left_quantiles")
         counted(m, checks, "lambda_transforms")
         for module in (cdf, transform):
             counted(m, module, "_left_quantile_unchecked")
@@ -464,8 +475,25 @@ def test_level_rows_are_array_passes_equal_to_the_scalar_readers(population, fb,
                 assert got[3:] == ref[3:]
                 # every weight's split, read off the columns, is the scalar reader's
                 assert per_weight(got) == [(lam, sublevel_decomposition(f, lam, got[0])) for lam in LAMBDA_GRID]
-            masses = [measure_level_set(f, a) for a in alphas]
-            assert [bits(m) for m in level_masses(f, rows).tolist()] == [bits(m) for m in masses]
+            # the ends cdf._level_ends reads, at these levels, every jump top and level 1,
+            # are the quantile pair, the flat table's piece and the level set's ends and
+            # closed flags, bit for bit; the mass of each set below level 1 as the checks
+            # form it is what measure_value_level returns there
+            levels = np.array([*alphas, *(j.hi for j in f._jumps), 1.0])
+            ends = cdf._level_ends(f, levels)
+            for a, *got in zip(levels.tolist(), *(c.tolist() for c in ends)):
+                ref, parts, level = ends_by_scalar_readers(f, a)
+                assert [bits(v) if isinstance(v, float) else v for v in got] == [
+                    bits(v) if isinstance(v, float) else v for v in ref
+                ]
+                assert [tuple(map(bits, iv[:2])) + iv[2:] for iv in parts] == [
+                    (bits(iv.lo), bits(iv.hi), iv.closed_lo, iv.closed_hi) for iv in level.components
+                ]
+            at = checks._Rows(levels, *ends, None)
+            masses = 0.0 + checks._level_masses(at, checks._end_parts(f, at))[1]
+            below = levels < 1.0
+            ref = [measure_value_level(f, a) for a in levels[below].tolist()]
+            assert [bits(m) for m in masses[below].tolist()] == [bits(m) for m in ref]
 
 
 # -- lambda_transforms and contains_many --------------------------------------
