@@ -5,9 +5,12 @@ with at most one linear solve inside a rising segment.  Levels that are
 attained at a breakpoint (atoms, flat pieces) always come back as the stored
 breakpoint abscissa, so set endpoints downstream are float-identical rather
 than merely close.  Level sets are read off the table of flat pieces,
-which, like the table of jumps, is built on first use.  Nothing here knows
-about transform weights: the jump-interpolating transform and its sublevel
-sets live in transform.py.
+which, like the table of jumps, is built on first use.  The array reader of
+many levels (``_level_ends``) returns one level table: each level's left
+quantile, the ends of its set, and F, F(x-) and the jump at those ends from
+one search, which its readers take instead of evaluating F again.  Nothing
+here knows about transform weights: the jump-interpolating transform and its
+sublevel sets live in transform.py.
 """
 
 from __future__ import annotations
@@ -305,11 +308,10 @@ def _left_quantiles(f: Cdf, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _level_ends(f: Cdf, a: np.ndarray) -> tuple:
-    """Array form of :func:`quantile_pair` and :func:`level_set` for levels already
-    inside (0, 1]: ``(lo, hi, flat, start, closed_end, attained)``, one entry per level,
-    from one ``_left_quantiles`` pass, one evaluation and the flat table looked up by
-    level.  The one place that reads the flat table by level in array form.
+class _LevelEnds(NamedTuple):
+    """The ends of the set of every level ``a``, one entry per level, and F, F(x-) and
+    the jump there: each of ``fx``, ``left`` and ``jump`` has one row per end, taken at
+    ``lo``, ``hi`` and ``start`` in that order.
 
     ``lo`` is the left quantile q, and ``attained`` whether F(q) equals the level.
     Where the level is flat (``flat``), ``start`` and ``hi`` are the ends of its flat
@@ -318,14 +320,35 @@ def _level_ends(f: Cdf, a: np.ndarray) -> tuple:
     ``closed_end``), else {q} or empty as ``attained``.  Level 1 has no flat piece
     in the table: its ends there are those of {q}.
     """
+
+    a: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    flat: np.ndarray
+    start: np.ndarray
+    closed_end: np.ndarray
+    attained: np.ndarray
+    fx: np.ndarray
+    left: np.ndarray
+    jump: np.ndarray
+
+
+def _level_ends(f: Cdf, a: np.ndarray) -> _LevelEnds:
+    """Array form of :func:`quantile_pair` and :func:`level_set` for levels already
+    inside (0, 1], with F, F(x-) and the jump at the ends: one ``_left_quantiles``
+    pass, the flat table looked up by level and one search of the three ends.  The
+    one place that reads the flat table by level in array form, and the one
+    evaluation at level ends that its readers take F from.
+    """
     lo = _left_quantiles(f, a)
-    attained = f.values(lo) == a
     runs = list(map(f._flat_runs.get, a.tolist()))
     flat = np.array([run is not None for run in runs], dtype=bool)
-    start, hi, closed_end = lo.copy(), lo.copy(), attained.copy()
+    start, hi, closed_end = lo.copy(), lo.copy(), np.zeros(a.shape, dtype=bool)
     if flat.any():
         start[flat], hi[flat], closed_end[flat] = zip(*filter(None, runs))
-    return lo, hi, flat, start, closed_end, attained
+    fx, left, jump = f.value_parts(np.stack((lo, hi, start)))
+    attained = fx[0] == a
+    return _LevelEnds(a, lo, hi, flat, start, closed_end | ~flat & attained, attained, fx, left, jump)
 
 
 # -- level sets --------------------------------------------------------------

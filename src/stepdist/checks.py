@@ -4,11 +4,12 @@ Each check pins one identity of the library to a named pass/fail result with a
 measured value and a threshold.  Exact identities use the arithmetic tolerance 1e-12
 (or an outright mismatch count with threshold 0); sampled statements use their stated
 statistical bounds.  The analytic suite holds its levels as columns built from array
-passes: each level's left quantile, the ends of its flat piece, whether F equals the
-level there, and the weights whose sublevel split keeps the left quantile.  The checks
-read every level's sets off those ends and build no set per level, and the uniformity
-check reads the level F(x) of every jump the same way; a check that needs F, F(x-) or
-the jump at the ends reads all three from one search.  The suite evaluates
+passes: the level table of ``cdf._level_ends`` (each level's left quantile, the ends of
+its flat piece, whether F equals the level there, and F, F(x-) and the jump at those
+ends from one search), and beside it the weights whose sublevel split keeps the left
+quantile.  The checks read every level's sets, and F at their ends, off that table:
+they build no set per level and evaluate F at no level end themselves.  The uniformity
+check reads the level F(x) of every jump from a table of its own.  The suite evaluates
 the probe grid once into a table: F, F(x-), the jump and the four transforms, from one
 search plus one per weight, and builds the set of attained values once for both
 jump-gap checks.  A check that verifies a function runs that function's array form on
@@ -27,11 +28,10 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .cdf import Cdf, _left_quantiles, _level_ends, jump_set
+from .cdf import Cdf, _LevelEnds, _left_quantiles, _level_ends, jump_set
 from .copula import (
     dt_copula,
     copula_at_flat_alpha,
@@ -102,57 +102,30 @@ def probe_grid(f: Cdf) -> np.ndarray:
     return np.unique(np.concatenate(pts))
 
 
-class _Rows(NamedTuple):
-    """The analytic suite's levels as columns, one entry per level ``a``.
+def _level_rows(f: Cdf, alphas) -> tuple[_LevelEnds, np.ndarray]:
+    """The columns of every level, from array passes: the level table (``cdf._level_ends``:
+    the ends of every level's set, and F, F(x-) and the jump there), and beside it
+    ``with_q`` (levels x weights), whether the transform at the left quantile q is at
+    most the level at each weight of LAMBDA_GRID.  Built outside the checks' guard:
+    no call raises for a level in (0, 1), whose left quantile is a finite float in
+    [xs[0], xs[-1]].
 
-    ``lo`` to ``attained`` are the ends of the level's set as ``cdf._level_ends``
-    reads them: ``lo`` is the left quantile q, and the level set is [start, hi]
-    where the level is flat, else {q} or empty as ``attained``; ``hi`` belongs to
-    it iff ``closed_end``.  Every sublevel split at the level is (-inf, q), the part
-    (start, hi] right of q where the level is flat, and {q} at the weights of
-    LAMBDA_GRID whose transform at q is at most a: the true entries of its row of
-    ``with_q`` (levels x weights).
+    Every sublevel split at a level is (-inf, q), the part (start, hi] right of q where
+    the level is flat, and {q} at the weights of its row of ``with_q``.  The sets read
+    off each level's columns equal what ``quantile_pair``, ``level_set`` and
+    ``sublevel_decomposition`` return at the level, bit for bit.
     """
-
-    a: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    flat: np.ndarray
-    start: np.ndarray
-    closed_end: np.ndarray
-    attained: np.ndarray
-    with_q: np.ndarray
+    rows = _level_ends(f, np.array(alphas, dtype=float))
+    return rows, np.column_stack([lambda_transforms(f, rows.lo, lam) <= rows.a for lam in LAMBDA_GRID])
 
 
-def _level_rows(f: Cdf, alphas) -> _Rows:
-    """The columns of every level, from array passes: the ends of every level's set
-    (``cdf._level_ends``) and one transform per weight at the left quantiles.  Built
-    outside the checks' guard: no call raises for a level in (0, 1), whose left
-    quantile is a finite float in [xs[0], xs[-1]].
-
-    The sets read off each level's columns equal what ``quantile_pair``,
-    ``level_set`` and ``sublevel_decomposition`` return at the level, bit for bit.
-    """
-    a = np.array(alphas, dtype=float)
-    ends = _level_ends(f, a)
-    with_q = np.column_stack([lambda_transforms(f, ends[0], lam) <= a for lam in LAMBDA_GRID])
-    return _Rows(a, *ends, with_q)
-
-
-def _end_parts(f: Cdf, rows: _Rows) -> tuple:
-    """F, F(x-) and the jump at the rows' ends, from one search: three arrays whose
-    rows are taken at ``lo``, ``hi`` and ``start``."""
-    return f.value_parts(np.stack((rows.lo, rows.hi, rows.start)))
-
-
-def _level_masses(rows: _Rows, parts) -> tuple:
-    """``(top, mass)`` per row, by the subtractions ``measure_interval`` makes, from the
-    rows' ``_end_parts``: ``top`` is F(hi), or F(hi-) where hi is not in the level set,
-    and the level set's mass is top - F(start-) where the level is flat, else the jump
-    at q where the set is {q}, or 0.0 where it is empty."""
-    (_, f_hi, _), (_, left_hi, left_start), (jump_lo, _, _) = parts
-    top = np.where(rows.closed_end, f_hi, left_hi)
-    return top, np.where(rows.flat, top - left_start, np.where(rows.attained, jump_lo, 0.0))
+def _level_masses(rows: _LevelEnds) -> tuple:
+    """``(top, mass)`` per row, by the subtractions ``measure_interval`` makes, from F,
+    F(x-) and the jump at the rows' ends: ``top`` is F(hi), or F(hi-) where hi is not in
+    the level set, and the level set's mass is top - F(start-) where the level is flat,
+    else the jump at q where the set is {q}, or 0.0 where it is empty."""
+    top = np.where(rows.closed_end, rows.fx[1], rows.left[1])
+    return top, np.where(rows.flat, top - rows.left[2], np.where(rows.attained, rows.jump[0], 0.0))
 
 
 def _grid_parts(f: Cdf, grid: np.ndarray) -> tuple:
@@ -222,10 +195,10 @@ def _check_transform_sandwich(f: Cdf, grid, parts):
 def _check_quantile_sandwich(f: Cdf, rows):
     # F(q-) <= a <= F(q) at both quantiles; F < a strictly left of lo, F >= a right of it
     a, lo, hi = rows.a, rows.lo, rows.hi
+    (f_lo, f_hi, _), (left_lo, left_hi, _) = rows.fx, rows.left
     ds = (1e-6, 1e-3, 0.25)
-    points = (lo, hi, *(lo - d for d in ds), *(lo + d for d in ds))
-    f_lo, f_hi, *shifted = np.split(f.values(np.concatenate(points)), len(points))
-    left_lo, left_hi = np.split(f.left_values(np.concatenate(points[:2])), 2)
+    points = (*(lo - d for d in ds), *(lo + d for d in ds))
+    shifted = np.split(f.values(np.concatenate(points)), len(points))
     return _worst(
         (lo - hi)[lo > hi],
         left_lo - a,
@@ -261,7 +234,7 @@ def _check_level_set_cases(f: Cdf, rows):
     # that set (a flat piece that starts off lo disagrees with the quantile kernel),
     # nonempty iff F(lo) == a, and at most a point iff lo == hi; at hi > lo, F equals
     # a iff it does not jump there
-    (f_lo, f_hi, _), _, (_, jump_hi, _) = _end_parts(f, rows)
+    (f_lo, f_hi, _), (_, jump_hi, _) = rows.fx, rows.jump
     at_lo, at_hi = f_lo == rows.a, f_hi == rows.a
     same = np.where(
         rows.flat,
@@ -283,9 +256,8 @@ def _check_flat_mass(f: Cdf, rows):
     # of lo carries none; the row's level set carries what the level set by the
     # quantiles does ([lo, hi] where the level is flat), and where lo < hi that is
     # a - F(lo-) and the jump at lo
-    parts = _end_parts(f, rows)
-    (f_lo, _, f_start), (left_lo, _, _), (jump_lo, _, _) = parts
-    top, m_row = _level_masses(rows, parts)
+    (f_lo, _, f_start), left_lo, jump_lo = rows.fx, rows.left[0], rows.jump[0]
+    top, m_row = _level_masses(rows)
     m = np.where(rows.flat, top - left_lo, np.where(f_lo == rows.a, jump_lo, 0.0))
     wide = rows.hi > rows.lo
     return _worst(
@@ -297,7 +269,7 @@ def _check_flat_mass(f: Cdf, rows):
 
 
 @_analytic("sublevel_union", 0)
-def _check_sublevel_union(f: Cdf, rows, grid, parts):
+def _check_sublevel_union(f: Cdf, rows, with_q, grid, parts):
     # a weight's split is (-inf, lo), the part (start, hi] right of lo where the
     # level is flat, and {lo} where with_q holds.  The parts overlap only where a
     # flat piece starts left of lo: it then meets (-inf, lo) at every weight and
@@ -310,14 +282,14 @@ def _check_sublevel_union(f: Cdf, rows, grid, parts):
     # point at a lo taken out turns a match into a mismatch or back.  Any other
     # table is compared point by point
     early = rows.flat & (rows.start < rows.lo)
-    bad = int(np.sum(early * (len(LAMBDA_GRID) + rows.with_q.sum(axis=1))))
+    bad = int(np.sum(early * (len(LAMBDA_GRID) + with_q.sum(axis=1))))
     past_hi = np.where(rows.closed_end, np.nextafter(rows.hi, math.inf), rows.hi)
     past_lo = np.nextafter(rows.lo, math.inf)
     at = np.searchsorted(grid, rows.lo)
     on_grid = grid.take(at, mode="clip") == rows.lo
-    for with_q, t in zip(rows.with_q.T, parts[3]):
-        end = np.where(rows.flat, past_hi, np.where(with_q, past_lo, rows.lo))
-        hole = rows.flat & ~with_q & ~early
+    for keeps_q, t in zip(with_q.T, parts[3]):
+        end = np.where(rows.flat, past_hi, np.where(keeps_q, past_lo, rows.lo))
+        hole = rows.flat & ~keeps_q & ~early
         if _nondecreasing(t):
             member = np.searchsorted(t, rows.a, side="right")
             bad += int(np.abs(member - np.searchsorted(grid, end)).sum())
@@ -420,15 +392,13 @@ def _check_transform_cdf(f: Cdf, rows):
 def _check_uniformity_displays(f: Cdf, rows):
     # on flat levels (the rows with hi > lo): P(F(X) <= a) = a = P(X <= left quantile)
     # (-inf, hi] carries F(hi), or F(hi-) without hi where F jumps past a there
-    (f_lo, f_hi, _), (_, left_hi, _), _ = _end_parts(f, rows)
+    (f_lo, f_hi, _), left_hi = rows.fx, rows.left[1]
     wide = rows.hi > rows.lo
     below = np.where(f_hi == rows.a, f_hi, left_hi)
     # every jump puts an equally sized atom on the law of F(X), at F(x) (j.hi): the
     # mass of that level's set, or 1 - F(q-) at level 1, whose set is [q, inf)
-    tops = np.array([j.hi for j in f._jumps])
-    at = _Rows(tops, *_level_ends(f, tops), None)
-    parts = _end_parts(f, at)
-    mass = np.where(tops == 1.0, 1.0 - parts[1][0], _level_masses(at, parts)[1])
+    at = _level_ends(f, np.array([j.hi for j in f._jumps]))
+    mass = np.where(at.a == 1.0, 1.0 - at.left[0], _level_masses(at)[1])
     return _worst(np.abs(below - rows.a)[wide], np.abs(f_lo - rows.a)[wide], np.abs(mass - f.jump_masses))
 
 
@@ -461,7 +431,7 @@ def analytic_checks(f: Cdf) -> list[CheckResult]:
 
     A check that raises a StepDistError reports that as its own FAIL.
     """
-    rows = _level_rows(f, alpha_population(f))
+    rows, with_q = _level_rows(f, alpha_population(f))
     grid = probe_grid(f)
     parts = _grid_parts(f, grid)
     # like the rows, outside the guard: F(x_i) <= F(x_{i+1}-), so no piece is malformed
@@ -472,7 +442,7 @@ def analytic_checks(f: Cdf) -> list[CheckResult]:
         _check_halfline_sets(f, rows, grid, parts),
         _check_level_set_cases(f, rows),
         _check_flat_mass(f, rows),
-        _check_sublevel_union(f, rows, grid, parts),
+        _check_sublevel_union(f, rows, with_q, grid, parts),
         _check_quantile_ranges(f, grid, parts),
         _check_jump_gaps(f, attained),
         _check_phi_roundtrip(f, attained),

@@ -82,20 +82,23 @@ def _emit(fmt: str, pairs: list[tuple[str, object]]):
             print(f"{key}: {val}")
 
 
+def _endpoint(text: str, token: str) -> float:
+    try:
+        return float(token)
+    except ValueError as exc:
+        raise ValidationError(f"interval {text!r}: {exc}") from exc
+
+
 def _parse_interval_text(text: str) -> Interval:
     t = "".join(text.split())
     if len(t) >= 3 and t[0] == "{" and t[-1] == "}":
-        return Interval.point(float(t[1:-1]))
+        return Interval.point(_endpoint(text, t[1:-1]))
     if len(t) < 5 or t[0] not in "([" or t[-1] not in ")]":
         raise ValidationError(f"cannot parse interval {text!r}; use forms like (a,b], [a,b), {{a}}")
     inner = t[1:-1].split(",")
     if len(inner) != 2:
         raise ValidationError(f"interval {text!r} needs exactly two endpoints")
-    try:
-        lo, hi = float(inner[0]), float(inner[1])
-    except ValueError as exc:
-        raise ValidationError(f"interval {text!r}: {exc}") from exc
-    return Interval(lo, hi, t[0] == "[", t[-1] == "]")
+    return Interval(_endpoint(text, inner[0]), _endpoint(text, inner[1]), t[0] == "[", t[-1] == "]")
 
 
 # -- commands -----------------------------------------------------------------

@@ -34,7 +34,10 @@ MASS_TOL = 1e-9
 def _number(obj, fieldname: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ValidationError(f"{fieldname}: expected a number, got {obj!r}")
-    v = float(obj)
+    try:
+        v = float(obj)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValidationError(f"{fieldname}: must be finite, got an integer beyond the float range") from None
     if math.isnan(v) or math.isinf(v):
         raise ValidationError(f"{fieldname}: must be finite, got {v}")
     return v
@@ -136,10 +139,10 @@ def load_distribution(path) -> Cdf:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or an integer literal too long to read
+        raise ValidationError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
     return parse_distribution(doc, name=str(path))
 
 

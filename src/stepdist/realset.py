@@ -108,7 +108,8 @@ def _sweep(*families) -> tuple:
 
     Coverage is counted over the cut events of the nonempty intervals, starts before
     ends at an equal cut, so touching intervals merge; ``_float`` picks the sign of a
-    zero endpoint.
+    zero endpoint.  A component that starts and ends at the cuts of one input interval
+    is that interval, and is returned as it is unless an endpoint is zero.
     """
     if not all(families):
         return ()
@@ -121,12 +122,13 @@ def _sweep(*families) -> tuple:
                 events += [(iv.lo, not iv.closed_lo, False, fam, i), (iv.hi, iv.closed_hi, True, fam, i)]
     events.sort()
     out, depth, k = [], 0, len(families)
-    for v, above, end, _, _ in events:
+    for v, above, end, fam, i in events:
         if end and depth == k and lo < (v, above):
-            out.append(Interval(_float(events, False, lo[0]), _float(events, True, v), not lo[1], above))
+            out.append(families[fam][i] if lo[2:] == (fam, i) and v and lo[0]  # one interval's cuts, neither at 0
+                       else Interval(_float(events, False, lo[0]), _float(events, True, v), not lo[1], above))
         depth += -1 if end else 1
         if not end and depth == k:
-            lo = (v, above)
+            lo = (v, above, fam, i)  # a start cut, and the interval it starts
     return tuple(out)
 
 

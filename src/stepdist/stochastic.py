@@ -185,11 +185,11 @@ def transform_cdf_exact(f: Cdf, law_of_x: Cdf, alpha: float) -> TransformCdfBrea
 
 def _transform_cdf_totals(f: Cdf, law_of_x: Cdf, a: np.ndarray) -> np.ndarray:
     """Array form of ``transform_cdf_exact(f, law_of_x, a_i).total`` for levels already
-    inside (0, 1): the same terms from the levels' ends (``_level_ends``) and array
-    evaluations, summed in the scalar's order, so each total equals the scalar's bit
-    for bit."""
-    q, hi, flat, start, closed, _ = _level_ends(f, a)
-    fq, beta = f.values(q), f.jumps(q)
+    inside (0, 1): the same terms from the levels' ends and F and the jump there
+    (``_level_ends``), and array evaluations of the law, summed in the scalar's
+    order, so each total equals the scalar's bit for bit."""
+    _, q, hi, flat, start, closed, _, fx, _, jump = _level_ends(f, a)
+    fq, beta = fx[0], jump[0]
     coef = np.zeros(a.shape)
     np.divide(a - fq, beta, out=coef, where=beta != 0.0)
     term_flat = np.zeros(a.shape)

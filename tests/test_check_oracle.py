@@ -35,6 +35,7 @@ from test_vector_oracle import (
     OVERSHOOTING_UNIFORM,
     SUB_ULP_CASES,
     decimal_uniforms,
+    evaluated,
     rescaled_functions,
     reversed_table,
     rows_by_scalar_readers,
@@ -298,21 +299,21 @@ SET_PAIRS = [PAIRS[n] for n in (2, 3, 4, 7, 8)]
 QUANTILE_PAIRS = [PAIRS[n] for n in (1, 6)]
 
 
-def run_pair(pair, f, rows, tuples, grid, parts) -> tuple:
+def run_pair(pair, f, rows, with_q, tuples, grid, parts) -> tuple:
     """The results of an array check and of its oracle, each given what it reads."""
     check, oracle, reads = pair
     if reads == "grid":
         return check(f, grid, parts), oracle(f, grid, parts)
     if reads == "rows":
         return check(f, rows), oracle(f, tuples)
-    return check(f, rows, grid, parts), oracle(f, tuples, grid, parts)
+    return check(f, rows, with_q, grid, parts), oracle(f, tuples, grid, parts)
 
 
-def assert_same_checks(f, rows, tuples, grid, parts, pairs=PAIRS) -> set:
+def assert_same_checks(f, rows, with_q, tuples, grid, parts, pairs=PAIRS) -> set:
     """Each array check returns the loop's result; the names of the nonzero ones."""
     nonzero = set()
     for pair in pairs:
-        got, ref = run_pair(pair, f, rows, tuples, grid, parts)
+        got, ref = run_pair(pair, f, rows, with_q, tuples, grid, parts)
         assert same_result(got, ref), (f, got, ref)
         if ref.value:
             nonzero.add(ref.name)
@@ -320,9 +321,10 @@ def assert_same_checks(f, rows, tuples, grid, parts, pairs=PAIRS) -> set:
 
 
 def oracle_inputs(f):
-    """The level columns, the rows of sets the scalar readers give, the grid and its table."""
-    rows, grid, parts = suite_inputs(f)
-    return rows, rows_by_scalar_readers(f, alpha_population(f)), grid, parts
+    """The level table and ``with_q``, the rows of sets the scalar readers give, the grid
+    and its table."""
+    rows, with_q, grid, parts = suite_inputs(f)
+    return rows, with_q, rows_by_scalar_readers(f, alpha_population(f)), grid, parts
 
 
 def test_array_checks_equal_the_point_loops(oracle_laws, scan_once):
@@ -344,10 +346,11 @@ def test_array_checks_equal_the_point_loops_on_wrong_tables(small_population, fb
     # float high, which only the spread of the weights where F does not jump shows;
     # F(x-) halved, whose levels inside the made-up jumps map back left of x.  Rows:
     # the two quantiles exchanged; the left quantile moved to the right one, where
-    # only the strict part of the sandwich shows at a flat level
+    # only the strict part of the sandwich shows at a flat level.  F is taken again
+    # at the moved ends, as the level table takes it
     nonzero = set()
     for f in (fb, fm, fu, OVERSHOOTING_UNIFORM, *small_population[:6]):
-        rows, tuples, grid, (fx, left, jump, ts) = oracle_inputs(f)
+        rows, with_q, tuples, grid, (fx, left, jump, ts) = oracle_inputs(f)
         up = np.nextafter(fx, math.inf)
         for table in (
             (left, fx, jump, ts),
@@ -355,32 +358,36 @@ def test_array_checks_equal_the_point_loops_on_wrong_tables(small_population, fb
             (up, left, jump, (*ts[:-1], np.nextafter(ts[-1], math.inf))),
             (fx, 0.5 * left, jump, ts),
         ):
-            nonzero |= assert_same_checks(f, rows, tuples, grid, table, GRID_PAIRS)
-        for wrong in (
+            nonzero |= assert_same_checks(f, rows, with_q, tuples, grid, table, GRID_PAIRS)
+        for moved, wrong in (
             (rows._replace(lo=rows.hi, hi=rows.lo), [(a, hi, lo, *rest) for a, lo, hi, *rest in tuples]),
             (rows._replace(lo=rows.hi), [(a, hi, hi, *rest) for a, _, hi, *rest in tuples]),
         ):
-            nonzero |= assert_same_checks(f, *wrong, grid, (fx, left, jump, ts), QUANTILE_PAIRS)
+            table = (fx, left, jump, ts)
+            nonzero |= assert_same_checks(f, evaluated(f, moved), with_q, wrong, grid, table, QUANTILE_PAIRS)
     assert nonzero == {"transform_sandwich", "quantile_sandwich", "quantile_range_of_point", "sublevel_union"}
 
 
 def test_set_checks_equal_the_row_bodies_on_faulted_rows(small_population, fm):
     # each fault injected into the rows of sets has a counterpart in the columns:
     # {q} left out of every split clears with_q, and a flat piece made to start left
-    # of lo moves start.  On each faulted input (both faults at once too), and on a
-    # grid table out of order,
+    # of lo moves start, with F taken again at the moved ends.  On each faulted input
+    # (both faults at once too), and on a grid table out of order,
     # every check that reads a level's sets reports what its row body reports, and
     # the checks that the fault concerns report another value than on the true rows
     moved = Counter()
     for f in (fm, *small_population[:6]):
-        rows, tuples, grid, parts = oracle_inputs(f)
-        clean = [run_pair(pair, f, rows, tuples, grid, parts)[1] for pair in SET_PAIRS]
+        rows, with_q, tuples, grid, parts = oracle_inputs(f)
+        clean = [run_pair(pair, f, rows, with_q, tuples, grid, parts)[1] for pair in SET_PAIRS]
         faults = {
-            "without {q}": (*without_point(rows, tuples), grid, parts),
-            **{f"started below {n}": (*pair, grid, parts) for n, pair in enumerate(widenings(rows, tuples))},
+            "without {q}": (*without_point(rows, with_q, tuples), grid, parts),
+            **{
+                f"started below {n}": (*wide, grid, parts)
+                for n, wide in enumerate(widenings(f, rows, with_q, tuples))
+            },
             # the piece right of lo then holds lo, which the split leaves out
-            "both": (*widenings(*without_point(rows, tuples))[1], grid, parts),
-            "reversed table": (rows, tuples, grid, reversed_table(parts)),
+            "both": (*widenings(f, *without_point(rows, with_q, tuples))[1], grid, parts),
+            "reversed table": (rows, with_q, tuples, grid, reversed_table(parts)),
         }
         for fault, inputs in faults.items():
             for pair, true in zip(SET_PAIRS, clean):

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from stepdist import Cdf, cdf, checks, measure, transform
+from stepdist import Cdf, cdf, checks, measure, stochastic, transform
 from stepdist.checks import (
     LAMBDA_GRID,
     alpha_population,
@@ -54,13 +54,52 @@ class TestAnalyticSuite:
         # The level rows are one left-quantile pass, and so are the jump levels of
         # the uniformity check.  These array checks, and the jump-gap round trip,
         # outside the null sets and their measures, scan no level and evaluate F
-        # at no single point: none of them does so once per jump
+        # at no single point: none of them does so once per jump.  Each of the three
+        # level tables (the rows, the jump levels, the law of the transform's own)
+        # takes F, F(x-) and the jump at its ends from one value_parts search, its
+        # only search outside the ramp corrections of its left quantiles, and no
+        # check searches those ends again; the law of the transform evaluates only
+        # the law there
         grids = []
         calls = Counter()
         inside = [None]
+        building = [None]  # "table" while a level table is built, "correcting" in its ramp corrections
+        ends = []  # the ends of every level table built in this run
 
         def on_grid(x):
             return bool(grids) and x is grids[-1]
+
+        def at_ends(f, x):
+            # the grid and the breakpoints are no level ends, even where every value is one
+            x = np.asarray(x)
+            if not ends or not x.size or on_grid(x) or np.array_equal(x, f.xs):
+                return False
+            return bool(np.isin(x, np.concatenate(ends)).all())
+
+        def tabled(module):
+            inner = module._level_ends
+
+            def run(f, a):
+                calls["level table"] += 1
+                building[0] = "table"
+                try:
+                    table = inner(f, a)
+                finally:
+                    building[0] = None
+                ends.append(np.concatenate((table.lo, table.hi, table.start)))
+                return table
+
+            monkeypatch.setattr(module, "_level_ends", run)
+
+        raise_to_level = cdf._raise_to_level
+
+        def correcting(*args):
+            before = building[0]
+            building[0] = before and "correcting"
+            try:
+                return raise_to_level(*args)
+            finally:
+                building[0] = before
 
         def wrapped(owner, name, key):
             inner = getattr(owner, name)
@@ -93,6 +132,12 @@ class TestAnalyticSuite:
         for module in (cdf, transform, measure):
             wrapped(module, "_left_quantile_unchecked", lambda f, a: ("scan", inside[0]))
         wrapped(MonotoneStepLinear, "_point", lambda self, x: ("point", inside[0]))
+        monkeypatch.setattr(cdf, "_raise_to_level", correcting)
+        wrapped(MonotoneStepLinear, "value_parts", lambda self, x: ("value_parts", building[0]))
+        wrapped(MonotoneStepLinear, "_locate", lambda self, x: ("search", building[0]))
+        wrapped(MonotoneStepLinear, "_locate", lambda self, x: ("at ends", building[0] or inside[0], at_ends(self, x)))
+        for module in (checks, stochastic):
+            tabled(module)
         array_checks = (
             "_check_transform_sandwich",
             "_check_quantile_sandwich",
@@ -108,8 +153,13 @@ class TestAnalyticSuite:
             flagged(name, None)
         for f in (fm, *small_population[:4]):
             calls.clear()
+            ends.clear()
             failed = [c for c in analytic_checks(f) if not c.passed]
             assert not failed, failed
+            assert calls["level table"] == calls["value_parts", "table"] == calls["search", "table"] == 3
+            # the law's F and jump at q, and F and F(x-) at the ends of flat pieces
+            law = 3 + 2 * bool(f.plateau_levels)
+            assert all(calls["at ends", name, True] == law * (name == "_check_transform_cdf") for name in array_checks)
             assert calls["search", True] == 3 + len(LAMBDA_GRID)
             # the five transform searches are value_parts calls inside lambda_transforms
             assert calls["value_parts", True] == 3 + len(LAMBDA_GRID)

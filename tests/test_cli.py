@@ -67,6 +67,22 @@ class TestEval:
         assert code == 2
         assert "atom" in err
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b"\xff\xfe{}", "can't decode byte 0xff"),
+            (b'{"breakpoints": [{"x": 1' + b"0" * 400 + b', "atom": 1}]}', "breakpoints[0].x: must be finite"),
+            (b'{"base": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+        ],
+        ids=["not UTF-8", "integer beyond the float range", "integer too long to read"],
+    )
+    def test_spec_that_is_no_text_or_number_exits_2(self, tmp_path, capsys, body, message):
+        p = tmp_path / "unreadable.json"
+        p.write_bytes(body)
+        code, out, err = run(capsys, "verify", "--dist", str(p), "--suite", "analytic")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {p}") and err.count("\n") == 1 and message in err
+
 
 class TestQuantile:
     def test_bernoulli_level_set(self, dists, capsys):
@@ -101,6 +117,13 @@ class TestOtherCommands:
         assert code == 2 and "interval" in err
         code, _, err = run(capsys, "measure", "--dist", dists["mixed"], "--interval", "[inf,inf]")
         assert code == 2 and "lower endpoint inf must be finite or an open -inf" in err
+
+    @pytest.mark.parametrize("text", ["{abc}", "(abc,1]", "[0,abc)"])
+    def test_measure_endpoint_that_is_no_number(self, dists, capsys, text):
+        # a point and both endpoints of an interval are read alike: one error line, exit 2
+        code, out, err = run(capsys, "measure", "--dist", dists["mixed"], "--interval", text)
+        assert code == 2 and out == ""
+        assert err == f"error: interval {text!r}: could not convert string to float: 'abc'\n"
 
     def test_sample_reproducible(self, dists, capsys):
         code, out1, _ = run(capsys, "sample", "--dist", dists["mixed"], "--n", "50", "--seed", "7")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -98,6 +99,15 @@ class TestParseErrors:
         with pytest.raises(ValidationError):
             parse_distribution([1, 2, 3])
 
+    def test_integer_beyond_the_float_range(self):
+        # an integer literal too large for a float names its field, like an infinite one
+        big = 10**400
+        doc = {"breakpoints": [{"x": 0.0, "atom": 1.0}, {"x": big}]}
+        with pytest.raises(ValidationError, match=r"^distribution\.breakpoints\[1\]\.x: must be finite, got an integer"):
+            parse_distribution(doc)
+        with pytest.raises(ValidationError, match=r"^distribution\.base: must be finite"):
+            parse_distribution({"base": -big, "segments": [{"from": 0, "to": 1, "increase": 1}]})
+
 
 class TestLoad:
     def test_round_trip(self, tmp_path, fb):
@@ -110,6 +120,24 @@ class TestLoad:
         p.write_text("{\n  \"breakpoints\": [,]\n}")
         with pytest.raises(ValidationError, match="line 2"):
             load_distribution(p)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+            (b'{"segments": [{"from": 0, "to": 1' + b"0" * 400 + b', "increase": 1}]}', r"segments\[0\]\.to: must be finite"),
+            (b'{"base": ' + b"1" * 5000 + b"}", r"Exceeds the limit \(4300 digits\)"),
+        ],
+        ids=["not UTF-8", "integer beyond the float range", "integer too long to read"],
+    )
+    def test_unreadable_text_or_number_names_the_path(self, tmp_path, body, message):
+        # bytes that are not UTF-8 and integer literals that are no float raise a
+        # ValidationError that starts with the path, as malformed JSON does
+        p = tmp_path / "unreadable.json"
+        p.write_bytes(body)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(p))}") as caught:
+            load_distribution(p)
+        assert re.search(message, str(caught.value))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError):

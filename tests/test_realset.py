@@ -90,6 +90,23 @@ class TestRealSet:
         assert not s.contains(math.nan)
         assert s.contains_many([math.nan, 0.5]).tolist() == [False, s.contains(0.5)]
 
+    def test_components_that_are_input_intervals_are_those_objects(self):
+        # sorted, disjoint intervals with nonzero ends are already the normal form
+        ivs = (Interval.open(-INF, -1.0), Interval.closed(0.5, 1.0), Interval.open_closed(1.5, 2.0), Interval.point(3.0))
+        assert all(got is iv for got, iv in zip(RealSet(ivs).components, ivs, strict=True))
+        assert all(got is iv for got, iv in zip(RealSet(ivs[::-1]).components, ivs, strict=True))
+        # an interval that the other set covers is the intersection's component
+        inner = RealSet.of(Interval.closed(0.25, 0.75))
+        assert inner.intersect(RealSet.of(Interval.open(0.0, 1.0))).components[0] is inner.components[0]
+        # a merge, ends from two intervals and a zero end are built anew
+        merged = RealSet.of(Interval.open(0.0, 1.0), Interval.closed(1.0, 2.0))
+        assert merged.components == (Interval.open_closed(0.0, 2.0),)
+        crossing = (Interval.open(-1.0, 1.0), Interval.open(0.5, 2.0))
+        assert RealSet(crossing).components[0] not in crossing
+        at_zero = Interval.closed(-0.0, 1.0)
+        got = RealSet.of(at_zero, Interval.point(5.0)).components[0]
+        assert got == at_zero and got is not at_zero
+
     def test_empty(self):
         assert RealSet.empty().is_empty()
         assert not RealSet.empty().contains(0.0)

@@ -235,19 +235,28 @@ def _check_population(small_population, fb, fm, fu):
 
 
 def suite_inputs(f):
-    """The level rows, the probe grid and the grid's table, as ``analytic_checks`` builds them."""
+    """The level table and ``with_q`` beside it, the probe grid and the grid's table, as
+    ``analytic_checks`` builds them."""
     grid = probe_grid(f)
-    return _level_rows(f, alpha_population(f)), grid, _grid_parts(f, grid)
+    return *_level_rows(f, alpha_population(f)), grid, _grid_parts(f, grid)
 
 
-def without_point(rows, tuples):
+def evaluated(f, rows):
+    """The level table with F, F(x-) and the jump taken again at its ends, as
+    ``cdf._level_ends`` takes them: an end moved by ``_replace`` reaches every check
+    with the values F has there."""
+    fx, left, jump = f.value_parts(np.stack((rows.lo, rows.hi, rows.start)))
+    return rows._replace(fx=fx, left=left, jump=jump)
+
+
+def without_point(rows, with_q, tuples):
     """The columns and the rows of sets with {q} left out of every split: at a level
     that is not flat the union is then (-inf, q), whose count is off wherever q is on
     the grid."""
-    return rows._replace(with_q=np.zeros_like(rows.with_q)), [(*row[:7], ()) for row in tuples]
+    return rows, np.zeros_like(with_q), [(*row[:7], ()) for row in tuples]
 
 
-def started_below(rows, tuples, start):
+def started_below(f, rows, with_q, tuples, start):
     """The columns and the rows of sets with every flat piece starting at ``start(lo)``,
     left of lo: its level set and the part of its splits right of lo then reach into
     (-inf, lo), and that part holds lo."""
@@ -257,15 +266,15 @@ def started_below(rows, tuples, start):
         if not beyond.is_empty():
             level, beyond = (RealSet.of(dataclasses.replace(part.components[0], lo=s)) for part in (level, beyond))
         out.append((a, lo, hi, level, beyond, *rest))
-    return rows._replace(start=moved), out
+    return evaluated(f, rows._replace(start=moved)), with_q, out
 
 
-def widenings(rows, tuples):
+def widenings(f, rows, with_q, tuples):
     """Both forms of the rows with each flat piece starting one float, and half a unit,
     left of lo."""
     return [
-        started_below(rows, tuples, lambda lo: np.nextafter(lo, -math.inf)),
-        started_below(rows, tuples, lambda lo: lo - 0.5),
+        started_below(f, rows, with_q, tuples, lambda lo: np.nextafter(lo, -math.inf)),
+        started_below(f, rows, with_q, tuples, lambda lo: lo - 0.5),
     ]
 
 
@@ -273,11 +282,12 @@ def test_halfline_counts(small_population, fb, fm, fu):
     nonzero = 0
     for f in _check_population(small_population, fb, fm, fu):
         alphas = alpha_population(f)
-        rows, grid, parts = suite_inputs(f)
+        rows, _, grid, parts = suite_inputs(f)
         res = _check_halfline_sets(f, rows, grid, parts)
         assert res.value == halfline_by_point(f, alphas) == halfline_by_level(f, rows, grid, parts)
         nonzero += res.value > 0
-    assert _check_halfline_sets(OVERSHOOTING_UNIFORM, *suite_inputs(OVERSHOOTING_UNIFORM)).value == 2
+    rows, _, grid, parts = suite_inputs(OVERSHOOTING_UNIFORM)
+    assert _check_halfline_sets(OVERSHOOTING_UNIFORM, rows, grid, parts).value == 2
     assert nonzero > 0
 
 
@@ -294,7 +304,7 @@ def test_halfline_check_reads_the_rows_left_quantiles(small_population, fm, monk
         return run
 
     for f in (fm, *small_population[:5], OVERSHOOTING_UNIFORM):
-        rows, grid, parts = suite_inputs(f)
+        rows, _, grid, parts = suite_inputs(f)
         expected = halfline_by_level(f, rows, grid, parts)
         with monkeypatch.context() as m:
             m.setattr(cdf, "_left_quantile_unchecked", counted("scalar", cdf._left_quantile_unchecked))
@@ -310,16 +320,16 @@ def test_sublevel_counts(small_population, fb, fm, fu):
     nonzero = holed_nonzero = 0
     for n, f in enumerate(_check_population(small_population, fb, fm, fu)):
         alphas = alpha_population(f)
-        rows, grid, parts = suite_inputs(f)
-        res = _check_sublevel_union(f, rows, grid, parts)
+        rows, with_q, grid, parts = suite_inputs(f)
+        res = _check_sublevel_union(f, rows, with_q, grid, parts)
         nonzero += res.value > 0
         if n <= len(small_population) + 3:
             assert res.value == sublevel_by_point(f, alphas)
             continue
-        tuples = sets_of(rows)
+        tuples = sets_of(rows, with_q)
         assert res.value == sublevel_by_level(f, tuples, grid, parts)
-        holed, holed_tuples = without_point(rows, tuples)
-        res = _check_sublevel_union(f, holed, grid, parts)
+        *holed, holed_tuples = without_point(rows, with_q, tuples)
+        res = _check_sublevel_union(f, *holed, grid, parts)
         assert res.value == sublevel_by_level(f, holed_tuples, grid, parts)
         holed_nonzero += res.value > 0
     assert nonzero > 0 and holed_nonzero > 0
@@ -335,19 +345,19 @@ def test_counts_fall_back_where_the_prefix_argument_fails(small_population, fm):
     # F or the transform out of order on the grid: both checks compare point
     # by point, and so count what the element-wise bodies count
     for f in [fm, small_population[3], OVERSHOOTING_UNIFORM]:
-        rows, grid, parts = suite_inputs(f)
-        tuples = sets_of(rows)
-        holed, holed_tuples = without_point(rows, tuples)
+        rows, with_q, grid, parts = suite_inputs(f)
+        tuples = sets_of(rows, with_q)
+        *holed, holed_tuples = without_point(rows, with_q, tuples)
         backwards = reversed_table(parts)
         got = _check_halfline_sets(f, rows, grid, backwards).value
         assert got == halfline_by_level(f, rows, grid, backwards) > 0
-        got = _check_sublevel_union(f, rows, grid, backwards).value
+        got = _check_sublevel_union(f, rows, with_q, grid, backwards).value
         assert got == sublevel_by_level(f, tuples, grid, backwards) > 0
         # at a flat level, a split without {q} is not one left half-line
         if f.plateau_levels:
             assert any(len(beyond.union(below).components) == 2 for *_, beyond, _, below, _ in holed_tuples)
         for table in (parts, backwards):
-            got = _check_sublevel_union(f, holed, grid, table).value
+            got = _check_sublevel_union(f, *holed, grid, table).value
             assert got == sublevel_by_level(f, holed_tuples, grid, table)
     assert _check_sublevel_union(fm, *suite_inputs(fm)).value == 0
 
@@ -359,13 +369,13 @@ def test_overlaps_count_once_per_weight(small_population, fm):
     # unions are counted as the loop over rows of sets counts them
     shown = 0
     for f in [fm, *small_population[:5]]:
-        rows, grid, parts = suite_inputs(f)
-        tuples = sets_of(rows)
-        assert any(0 < n < len(LAMBDA_GRID) for n in rows.with_q.sum(axis=1))
-        overlaps = int((rows.flat * (len(LAMBDA_GRID) + rows.with_q.sum(axis=1))).sum())
+        rows, with_q, grid, parts = suite_inputs(f)
+        tuples = sets_of(rows, with_q)
+        assert any(0 < n < len(LAMBDA_GRID) for n in with_q.sum(axis=1))
+        overlaps = int((rows.flat * (len(LAMBDA_GRID) + with_q.sum(axis=1))).sum())
         assert (overlaps > 0) == bool(f.plateau_levels)
-        for widened, widened_tuples in widenings(rows, tuples):
-            got = _check_sublevel_union(f, widened, grid, parts).value
+        for *widened, widened_tuples in widenings(f, rows, with_q, tuples):
+            got = _check_sublevel_union(f, *widened, grid, parts).value
             assert got == sublevel_by_level(f, widened_tuples, grid, parts) >= overlaps
         shown += overlaps > 0
     assert shown > 1
@@ -388,11 +398,11 @@ def rows_by_scalar_readers(f, alphas):
     return rows
 
 
-def sets_of(rows) -> list:
+def sets_of(rows, with_q) -> list:
     """The sets read off the columns, one row of sets per level, in the form of
     ``rows_by_scalar_readers``."""
     out = []
-    for a, lo, hi, flat, start, closed_end, attained, with_q in zip(*(c.tolist() for c in rows)):
+    for a, lo, hi, flat, start, closed_end, attained, with_q in zip(*(c.tolist() for c in (*rows[:7], with_q))):
         point = RealSet.point(lo)
         empty = RealSet.empty()
         level = RealSet.of(Interval(start, hi, True, closed_end)) if flat else point if attained else empty
@@ -466,22 +476,26 @@ def test_level_rows_are_array_passes_equal_to_the_scalar_readers(population, fb,
     with np.errstate(over="ignore", invalid="ignore"):  # the span that overflows
         for f in functions:
             alphas = alpha_population(f)
-            rows = _level_rows(f, alphas)
-            assert rows.with_q.shape == (len(alphas), len(LAMBDA_GRID))
+            rows, with_q = _level_rows(f, alphas)
+            assert with_q.shape == (len(alphas), len(LAMBDA_GRID))
             # closed_end is whether F equals the level at hi, at every level
             assert np.array_equal(rows.closed_end, f.values(rows.hi) == rows.a)
-            for got, ref in zip(sets_of(rows), rows_by_scalar_readers(f, alphas), strict=True):
+            for got, ref in zip(sets_of(rows, with_q), rows_by_scalar_readers(f, alphas), strict=True):
                 assert [bits(v) for v in got[:3]] == [bits(v) for v in ref[:3]]
                 assert got[3:] == ref[3:]
                 # every weight's split, read off the columns, is the scalar reader's
                 assert per_weight(got) == [(lam, sublevel_decomposition(f, lam, got[0])) for lam in LAMBDA_GRID]
             # the ends cdf._level_ends reads, at these levels, every jump top and level 1,
             # are the quantile pair, the flat table's piece and the level set's ends and
-            # closed flags, bit for bit; the mass of each set below level 1 as the checks
-            # form it is what measure_value_level returns there
+            # closed flags, bit for bit, and F, F(x-) and the jump there are what one
+            # value_parts search of the ends gives; the mass of each set below level 1
+            # as the checks form it is what measure_value_level returns there
             levels = np.array([*alphas, *(j.hi for j in f._jumps), 1.0])
             ends = cdf._level_ends(f, levels)
-            for a, *got in zip(levels.tolist(), *(c.tolist() for c in ends)):
+            assert ends.a is levels
+            for got, ref in zip(ends[-3:], f.value_parts(np.stack((ends.lo, ends.hi, ends.start))), strict=True):
+                assert got.shape == (3, levels.size) and got.tobytes() == ref.tobytes()
+            for a, *got in zip(levels.tolist(), *(c.tolist() for c in ends[1:-3])):
                 ref, parts, level = ends_by_scalar_readers(f, a)
                 assert [bits(v) if isinstance(v, float) else v for v in got] == [
                     bits(v) if isinstance(v, float) else v for v in ref
@@ -489,8 +503,7 @@ def test_level_rows_are_array_passes_equal_to_the_scalar_readers(population, fb,
                 assert [tuple(map(bits, iv[:2])) + iv[2:] for iv in parts] == [
                     (bits(iv.lo), bits(iv.hi), iv.closed_lo, iv.closed_hi) for iv in level.components
                 ]
-            at = checks._Rows(levels, *ends, None)
-            masses = 0.0 + checks._level_masses(at, checks._end_parts(f, at))[1]
+            masses = 0.0 + checks._level_masses(ends)[1]
             below = levels < 1.0
             ref = [measure_value_level(f, a) for a in levels[below].tolist()]
             assert [bits(m) for m in masses[below].tolist()] == [bits(m) for m in ref]
