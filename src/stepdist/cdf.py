@@ -389,17 +389,27 @@ def level_set(f: Cdf, alpha: float) -> RealSet:
     return _level_set_unchecked(f, _check_alpha(alpha))
 
 
+def _jump_columns(f: Cdf) -> np.ndarray:
+    """The jump table as four arrays: x, F(x-), F(x) and the mass of every jump."""
+    return np.array(f._jumps, dtype=float).reshape(-1, 4).T
+
+
 def jump_set(f: Cdf) -> list[tuple[float, float]]:
     """All jump points with their masses, cross-checked against the quantiles.
 
     For each atom, a level strictly inside its value gap must map back to the
     same point under both generalized inverses; a mismatch would mean the
-    stored structure and the scans disagree, so it raises.
+    stored structure and the scans disagree, so it raises for the first such
+    atom.  The quantile pairs of all those levels come from one ``_level_ends``
+    pass.
     """
-    for x, lo, hi, mass in f._jumps:
-        u = lo + 0.5 * mass
-        if lo < u < hi and 0.0 < u < 1.0:
-            pair = _quantile_pair_unchecked(f, u)
-            if pair != (x, x):
-                raise ValidationError(f"jump at {x} fails the quantile round trip: got {tuple(pair)}")
+    x, lo, hi, mass = _jump_columns(f)
+    u = lo + 0.5 * mass
+    inside = (lo < u) & (u < hi) & (0.0 < u) & (u < 1.0)
+    x, ends = x[inside], _level_ends(f, u[inside])
+    wrong = np.flatnonzero((ends.lo != x) | (ends.hi != x))
+    if wrong.size:
+        n = wrong[0]
+        pair = (ends.lo[n].item(), ends.hi[n].item())
+        raise ValidationError(f"jump at {x[n].item()} fails the quantile round trip: got {pair}")
     return [(j.x, j.mass) for j in f._jumps]

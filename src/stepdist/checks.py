@@ -10,16 +10,18 @@ ends from one search), and beside it the weights whose sublevel split keeps the 
 quantile.  The checks read every level's sets, and F at their ends, off that table:
 they build no set per level and evaluate F at no level end themselves.  The uniformity
 check reads the level F(x) of every jump from a table of its own.  The suite evaluates
-the probe grid once into a table: F, F(x-), the jump and the four transforms, from one
-search plus one per weight, and builds the set of attained values once for both
+the probe grid once into a table: F, F(x-) and the jump from one search, and the four
+transforms formed from them, as the transforms at each level's left quantile are
+formed from the level table; it builds the set of attained values once for both
 jump-gap checks.  A check that verifies a function runs that function's array form on
 the whole grid or on every level: the transform at weights 0, 0.3 and 0.7
 (``lambda_transforms``), the quantile range of each point (``_quantile_ranges``,
 mapped back in one ``_left_quantiles`` pass), the exact law of the transform
-(``_transform_cdf_totals``) and its inversion (one ``_left_quantiles`` pass per
-weight).  Tier-1 pins ``lambda_transform``, ``quantile_range_of_point``,
-``left_quantile``, ``transform_cdf_exact`` and ``invert_transform`` to those array
-forms bit for bit.
+(``_transform_cdf_totals``), its inversion (one ``_left_quantiles`` pass over the
+transforms of every weight) and the jump-gap round trip (the array kernels of
+``jump_gap_values`` and ``jump_gap_weights``).  Tier-1 pins ``lambda_transform``,
+``quantile_range_of_point``, ``left_quantile``, ``transform_cdf_exact``,
+``invert_transform`` and the two jump-gap functions to those array forms bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .copula import (
     sklar_identity_check,
 )
 from .errors import StepDistError
-from .measure import measure_interval, measure_set
+from .measure import measure_set
 from .monotone import df_condition_report
 from .realset import Interval, RealSet
 from .stochastic import (
@@ -52,11 +54,12 @@ from .stochastic import (
     sample_inverse,
 )
 from .transform import (
+    _jump_gap_values,
+    _jump_gap_weights,
     _quantile_ranges,
+    _transforms_of_parts,
     attained_values,
     inversion_null_set,
-    jump_gap_values,
-    jump_gap_weights,
     lambda_transforms,
 )
 
@@ -116,7 +119,8 @@ def _level_rows(f: Cdf, alphas) -> tuple[_LevelEnds, np.ndarray]:
     ``sublevel_decomposition`` return at the level, bit for bit.
     """
     rows = _level_ends(f, np.array(alphas, dtype=float))
-    return rows, np.column_stack([lambda_transforms(f, rows.lo, lam) <= rows.a for lam in LAMBDA_GRID])
+    at_q = _transforms_of_parts(rows.fx[0], rows.left[0], rows.jump[0], LAMBDA_GRID)
+    return rows, np.column_stack([t <= rows.a for t in at_q])
 
 
 def _level_masses(rows: _LevelEnds) -> tuple:
@@ -129,8 +133,10 @@ def _level_masses(rows: _LevelEnds) -> tuple:
 
 
 def _grid_parts(f: Cdf, grid: np.ndarray) -> tuple:
-    """The grid's table (F, F(x-), jump, ts), ts one transform per weight of LAMBDA_GRID."""
-    return *f.value_parts(grid), tuple(lambda_transforms(f, grid, lam) for lam in LAMBDA_GRID)
+    """The grid's table (F, F(x-), jump, ts), ts one transform per weight of LAMBDA_GRID,
+    all from one search of the grid."""
+    fx, left, jump = f.value_parts(grid)
+    return fx, left, jump, _transforms_of_parts(fx, left, jump, LAMBDA_GRID)
 
 
 def _nondecreasing(v: np.ndarray) -> bool:
@@ -346,38 +352,43 @@ def _check_jump_gaps(f: Cdf, attained):
 
 @_analytic("jump_gap_roundtrip", EXACT_TOL)
 def _check_phi_roundtrip(f: Cdf, attained):
-    rng = np.random.default_rng(20240901)
-    m = len(f._jumps)
-    worst = 0.0
-    bad = 0
-    for _ in range(8):
-        lams = rng.uniform(0.05, 0.95, size=m).tolist()
-        vals = jump_gap_values(f, lams)
-        bad += int(np.count_nonzero(attained.contains_many(vals)))
-        back = jump_gap_weights(f, vals)
-        if m:
-            worst = max(worst, max(abs(b - l) for b, l in zip(back, lams)))
+    # eight rounds of one weight per jump, one round per row: the draws eight calls of
+    # size m would give, mapped into the gaps and back in one pass each
+    lams = np.random.default_rng(20240901).uniform(0.05, 0.95, size=(8, len(f._jumps)))
+    vals = _jump_gap_values(f, lams)
+    bad = int(np.count_nonzero(attained.contains_many(vals)))
+    back = _jump_gap_weights(f, vals)
     if bad:
         return bad + 1.0, "output hit an attained level"
-    return worst
+    return _worst(np.abs(back - lams))
 
 
 @_analytic("null_set_inversion", EXACT_TOL)
 def _check_null_sets(f: Cdf, grid, parts):
     # t = 0 or 1 lies in the exceptional set, and no t is NaN; a t in (0, 1) inverts
-    # to at most x, and to x off that set (within INVERSION_TOL where F has no jump)
+    # to at most x, and to x off that set (within INVERSION_TOL where F has no jump).
+    # The set depends on the weight only through lam == 1: each of its two reports is
+    # built, measured and searched once, and the t in (0, 1) of every weight are
+    # inverted in one pass
+    reports = {}
+    for lam in LAMBDA_GRID:
+        if (lam == 1.0) not in reports:
+            rep = inversion_null_set(f, lam)
+            plateau = abs(measure_set(f, rep.plateau_union))
+            total = abs(rep.total_measure) if measure_set(f, rep.zero_set.union(rep.one_set)) == 0.0 else 0.0
+            reports[lam == 1.0] = plateau, total, rep.union().contains_many(grid)
+    ts = parts[3]
+    insides = [(0.0 < t) & (t < 1.0) for t in ts]
+    ys = _left_quantiles(f, np.concatenate([t[inside] for t, inside in zip(ts, insides)]))
+    ys = np.split(ys, np.cumsum([np.count_nonzero(inside) for inside in insides])[:-1])
     worst = 0.0
     bad = 0
     tol = np.where(parts[2] > 0.0, 0.0, INVERSION_TOL)
-    for lam, t in zip(LAMBDA_GRID, parts[3]):
-        rep = inversion_null_set(f, lam)
-        worst = max(worst, abs(measure_set(f, rep.plateau_union)))
-        if measure_set(f, rep.zero_set.union(rep.one_set)) == 0.0:
-            worst = max(worst, abs(rep.total_measure))
-        excepted = rep.union().contains_many(grid)
+    for lam, t, inside, y in zip(LAMBDA_GRID, ts, insides, ys):
+        plateau, total, excepted = reports[lam == 1.0]
+        worst = max(worst, plateau, total)
         edge = (t == 0.0) | (t == 1.0)
-        inside = (0.0 < t) & (t < 1.0)
-        x, y = grid[inside], _left_quantiles(f, t[inside])
+        x = grid[inside]
         wrong = (y > x + EXACT_TOL, ~excepted[inside] & (np.abs(y - x) > tol[inside]))
         bad += sum(map(np.count_nonzero, (edge & ~excepted, ~(edge | inside), *wrong)))
     return worst + bad
@@ -416,9 +427,14 @@ def _check_total_mass(f: Cdf):
     lo = xs[0] - 1.0
     hi = xs[-1] + 1.0
     cuts = np.linspace(lo, hi, 17)
-    parts = sum(
-        measure_interval(f, Interval.open_closed(a, b)) for a, b in zip(cuts, cuts[1:])
-    )
+    # the 16 cells (a, b], each measured as measure_interval measures it, from one
+    # evaluation of the cuts; the first cell that is no interval raises as it does
+    a, b = cuts[:-1], cuts[1:]
+    malformed = np.flatnonzero(~(a <= b) | (a == math.inf) | np.isinf(b))
+    if malformed.size:
+        Interval.open_closed(a[malformed[0]], b[malformed[0]])
+    v = f.values(cuts)
+    parts = sum(np.where(a < b, v[1:] - v[:-1], 0.0).tolist())
     worst = max(worst, abs(parts - (f.value(hi) - f.value(lo))))
     rep = df_condition_report(f)
     if not (rep.all_agree() and rep.is_distribution_function()):

@@ -17,6 +17,7 @@ mass must equal 1 within 1e-9; accepted inputs are renormalized exactly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -134,14 +135,22 @@ def parse_distribution(doc, name: str = "distribution") -> Cdf:
     return normalize(g)
 
 
+def _read_int(path, literal: str) -> int:
+    try:
+        return int(literal)
+    except ValueError:  # past the int conversion limit, so far past the float range
+        digits = len(literal.lstrip("-"))
+        raise ValidationError(f"{path}: integer literal of {digits} digits is beyond the float range") from None
+
+
 def load_distribution(path) -> Cdf:
     """Parse and validate one spec file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=functools.partial(_read_int, path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or an integer literal too long to read
+    except (OSError, ValueError) as exc:  # unreadable or not UTF-8
         raise ValidationError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
     return parse_distribution(doc, name=str(path))
 

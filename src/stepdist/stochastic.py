@@ -186,19 +186,18 @@ def transform_cdf_exact(f: Cdf, law_of_x: Cdf, alpha: float) -> TransformCdfBrea
 def _transform_cdf_totals(f: Cdf, law_of_x: Cdf, a: np.ndarray) -> np.ndarray:
     """Array form of ``transform_cdf_exact(f, law_of_x, a_i).total`` for levels already
     inside (0, 1): the same terms from the levels' ends and F and the jump there
-    (``_level_ends``), and array evaluations of the law, summed in the scalar's
-    order, so each total equals the scalar's bit for bit."""
-    _, q, hi, flat, start, closed, _, fx, _, jump = _level_ends(f, a)
+    (``_level_ends``), and the law's F, F(x-) and jump at the same ends, summed in the
+    scalar's order, so each total equals the scalar's bit for bit.  The law's parts are
+    those of the table where the law is F itself, else one search of the ends."""
+    _, q, hi, flat, start, closed, _, fx, left, jump = _level_ends(f, a)
+    law_fx, law_left, law_jump = (fx, left, jump) if law_of_x is f else law_of_x.value_parts(np.stack((q, hi, start)))
     fq, beta = fx[0], jump[0]
     coef = np.zeros(a.shape)
     np.divide(a - fq, beta, out=coef, where=beta != 0.0)
-    term_flat = np.zeros(a.shape)
     # the law's mass on each flat piece right of its left end, read as measure_interval reads it
-    hi, closed = hi[flat], closed[flat]
-    top = np.where(closed, law_of_x.values(hi), law_of_x.left_values(hi))
-    term_flat[flat] = top - law_of_x.values(start[flat])
-    term_atom = coef * (law_of_x.jumps(q) - beta)
-    term_left = law_of_x.values(q) - fq
+    term_flat = np.where(flat, np.where(closed, law_fx[1], law_left[1]) - law_fx[2], 0.0)
+    term_atom = coef * (law_jump[0] - beta)
+    term_left = law_fx[0] - fq
     return a + term_flat + term_atom + term_left
 
 

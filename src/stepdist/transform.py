@@ -9,10 +9,12 @@ stays strictly inside (0, 1) F-almost everywhere.
 
 This module is the one place the rule is written: :func:`lambda_transform`
 at one point, and one array kernel that returns F(x) and F(x-) + v * jump(x)
-for a weight v per point (or one weight for all).  The array transform, the
-sublevel split, the distributional transform and its inversion check
-(stochastic.py) and the transform of each copula coordinate (copula.py) all
-call one of the two.
+for a weight v per point (or one weight for all), with its form over parts
+already read for tables that hold F, F(x-) and the jump.  The array
+transform, the sublevel split, the distributional transform and its
+inversion check (stochastic.py), the transform of each copula coordinate
+(copula.py) and the tables of the analytic suite (checks.py) all call one
+of them.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .cdf import (
     Cdf,
     _check_alpha,
     _flat_or_point,
+    _jump_columns,
     _left_quantile_unchecked,
     _level_set_unchecked,
 )
@@ -86,6 +89,14 @@ def _transform_parts(f: Cdf, x: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
     jump *= v
     u += jump
     return fx, u
+
+
+def _transforms_of_parts(fx, left, jump, lams) -> tuple:
+    """The transform at each weight of ``lams`` (each in (0, 1]) from F, F(x-) and the
+    jump already read at the same points: F(x) at weight 1, else F(x-) + lam * jump(x),
+    the arithmetic of ``_transform_parts``, so each equals ``lambda_transforms`` at
+    those points bit for bit without searching them again."""
+    return tuple(fx if lam == 1.0 else left + jump * lam for lam in lams)
 
 
 def lambda_transforms(f: Cdf, x, lam: float) -> np.ndarray:
@@ -180,6 +191,29 @@ def _quantile_ranges(f: Cdf, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return np.where(jumped, lo, hi), hi, closed_lo, closed_hi
 
 
+def _jump_gap_values(f: Cdf, lams: np.ndarray) -> np.ndarray:
+    """Array form of :func:`jump_gap_values` for weights already inside (0, 1), one per
+    jump along the last axis: the same sum and the same moves off a gap's ends."""
+    _, lo, hi, mass = _jump_columns(f)
+    v = lo + lams * mass
+    # float rounding with sub-ulp masses could touch a gap endpoint
+    v = np.where(v <= lo, np.nextafter(lo, math.inf), v)
+    return np.where(v >= hi, np.nextafter(hi, -math.inf), v)
+
+
+def _jump_gap_weights(f: Cdf, alphas: np.ndarray) -> np.ndarray:
+    """Array form of :func:`jump_gap_weights`, one level per jump along the last axis.
+    The first level (in C order) outside its open gap raises AlphaNotInJumpInterval."""
+    _, lo, hi, mass = _jump_columns(f)
+    outside = np.flatnonzero(~((lo < alphas) & (alphas < hi)))  # NaN too
+    if outside.size:
+        n = int(outside[0] % lo.size)
+        _, gap_lo, gap_hi, _ = f._jumps[n]
+        level = float(alphas.flat[outside[0]])
+        raise AlphaNotInJumpInterval(n, f"level {level} not inside ({gap_lo}, {gap_hi})")
+    return (alphas - lo) / mass
+
+
 def jump_gap_values(f: Cdf, lams) -> list[float]:
     """Map one interior weight per jump to a level inside that jump's value gap.
 
@@ -191,18 +225,10 @@ def jump_gap_values(f: Cdf, lams) -> list[float]:
     lams = [float(v) for v in lams]
     if len(lams) != len(f._jumps):
         raise LengthMismatch(f"{len(lams)} weights for {len(f._jumps)} jump points")
-    out = []
-    for n, ((_, lo, hi, mass), lam) in enumerate(zip(f._jumps, lams)):
+    for n, lam in enumerate(lams):
         if math.isnan(lam) or not 0.0 < lam < 1.0:
             raise LambdaOutOfRange(f"weight {n} must lie strictly inside (0, 1), got {lam}")
-        v = lo + lam * mass
-        # float rounding with sub-ulp masses could touch a gap endpoint
-        if v <= lo:
-            v = math.nextafter(lo, math.inf)
-        if v >= hi:
-            v = math.nextafter(hi, -math.inf)
-        out.append(v)
-    return out
+    return _jump_gap_values(f, np.array(lams)).tolist()
 
 
 def jump_gap_weights(f: Cdf, alphas) -> list[float]:
@@ -220,12 +246,7 @@ def jump_gap_weights(f: Cdf, alphas) -> list[float]:
     alphas = [float(a) for a in alphas]
     if len(alphas) != len(f._jumps):
         raise LengthMismatch(f"{len(alphas)} levels for {len(f._jumps)} jump points")
-    out = []
-    for n, ((_, lo, hi, mass), a) in enumerate(zip(f._jumps, alphas)):
-        if math.isnan(a) or not lo < a < hi:
-            raise AlphaNotInJumpInterval(n, f"level {a} not inside ({lo}, {hi})")
-        out.append((a - lo) / mass)
-    return out
+    return _jump_gap_weights(f, np.array(alphas)).tolist()
 
 
 def attained_values(f: Cdf) -> RealSet:

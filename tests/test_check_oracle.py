@@ -11,7 +11,11 @@ rows come from the scalar readers.  Each array check must return the same
 themselves are pinned to the array kernels the checks call, bit for bit,
 ``attained_values`` to its earlier construction from every breakpoint's values, and
 ``jump_gap_weights``, which reads each weight off the jump table, to its earlier
-left-quantile scan.
+left-quantile scan.  The checks that read each table once are pinned to their earlier
+bodies too: the null-set check to one report and one inversion pass per weight, the
+jump-gap round trip to eight rounds of the public list functions, the total mass to one
+``measure_interval`` call per cell, ``jump_set`` to one quantile-pair scan per jump,
+and the transforms formed off the tables to ``lambda_transforms``.
 """
 
 import copy
@@ -24,12 +28,32 @@ import pytest
 
 import stepdist as sd
 from stepdist import checks, transform
-from stepdist.cdf import _Jump, jump_set, left_quantile
-from stepdist.checks import EXACT_TOL, LAMBDA_GRID, _analytic, _nondecreasing, alpha_population, probe_grid
+from stepdist.cdf import _FlatRun, _Jump, _left_quantiles, _quantile_pair_unchecked, jump_set, left_quantile
+from stepdist.checks import (
+    EXACT_TOL,
+    LAMBDA_GRID,
+    _analytic,
+    _grid_parts,
+    _level_rows,
+    _nondecreasing,
+    alpha_population,
+    probe_grid,
+)
 from stepdist.measure import measure_interval, measure_level_set, measure_set, measure_value_level
+from stepdist.monotone import df_condition_report
 from stepdist.realset import Interval, RealSet
-from stepdist.stochastic import _transform_cdf_totals, transform_cdf_exact
-from stepdist.transform import _quantile_ranges, attained_values, lambda_transform, quantile_range_of_point
+from stepdist.stochastic import INVERSION_TOL, _transform_cdf_totals, transform_cdf_exact
+from stepdist.transform import (
+    _quantile_ranges,
+    _transforms_of_parts,
+    attained_values,
+    inversion_null_set,
+    jump_gap_values,
+    jump_gap_weights,
+    lambda_transform,
+    lambda_transforms,
+    quantile_range_of_point,
+)
 from test_vector_oracle import (
     FLOAT_RESOLUTION_LAWS,
     OVERSHOOTING_UNIFORM,
@@ -239,6 +263,93 @@ def transform_cdf_by_level(f, rows):
         br = transform_cdf_exact(f, f, a)
         worst = max(worst, abs(br.total - a))
     return worst
+
+
+@_analytic("null_set_inversion", EXACT_TOL)
+def null_sets_by_weight(f, grid, parts):
+    """The earlier body: one exceptional-set report, its measures, its membership on
+    the grid and one left-quantile pass per weight."""
+    worst = 0.0
+    bad = 0
+    tol = np.where(parts[2] > 0.0, 0.0, INVERSION_TOL)
+    for lam, t in zip(LAMBDA_GRID, parts[3]):
+        rep = inversion_null_set(f, lam)
+        worst = max(worst, abs(measure_set(f, rep.plateau_union)))
+        if measure_set(f, rep.zero_set.union(rep.one_set)) == 0.0:
+            worst = max(worst, abs(rep.total_measure))
+        excepted = rep.union().contains_many(grid)
+        edge = (t == 0.0) | (t == 1.0)
+        inside = (0.0 < t) & (t < 1.0)
+        x, y = grid[inside], _left_quantiles(f, t[inside])
+        wrong = (y > x + EXACT_TOL, ~excepted[inside] & (np.abs(y - x) > tol[inside]))
+        bad += sum(map(np.count_nonzero, (edge & ~excepted, ~(edge | inside), *wrong)))
+    return worst + bad
+
+
+@_analytic("jump_gap_roundtrip", EXACT_TOL)
+def phi_roundtrip_by_round(f, attained):
+    """The earlier body: eight rounds, each drawing one weight per jump and mapping
+    them into the gaps and back with the public list functions."""
+    rng = np.random.default_rng(20240901)
+    m = len(f._jumps)
+    worst = 0.0
+    bad = 0
+    for _ in range(8):
+        lams = rng.uniform(0.05, 0.95, size=m).tolist()
+        vals = jump_gap_values(f, lams)
+        bad += int(np.count_nonzero(attained.contains_many(vals)))
+        back = jump_gap_weights(f, vals)
+        if m:
+            worst = max(worst, max(abs(b - l) for b, l in zip(back, lams)))
+    if bad:
+        return bad + 1.0, "output hit an attained level"
+    return worst
+
+
+@_analytic("total_mass_and_df_conditions", EXACT_TOL)
+def total_mass_by_cell(f):
+    """The earlier body: the 16 cells measured one ``measure_interval`` call each."""
+    worst = abs(measure_set(f, RealSet.reals()) - 1.0)
+    xs = f.xs
+    lo = xs[0] - 1.0
+    hi = xs[-1] + 1.0
+    cuts = np.linspace(lo, hi, 17)
+    parts = sum(measure_interval(f, Interval.open_closed(a, b)) for a, b in zip(cuts, cuts[1:]))
+    worst = max(worst, abs(parts - (f.value(hi) - f.value(lo))))
+    rep = df_condition_report(f)
+    if not (rep.all_agree() and rep.is_distribution_function()):
+        worst = max(worst, 1.0)
+    return worst
+
+
+def jump_set_by_scan(f):
+    """The earlier body of ``jump_set``: one scalar quantile-pair scan per jump."""
+    for x, lo, hi, mass in f._jumps:
+        u = lo + 0.5 * mass
+        if lo < u < hi and 0.0 < u < 1.0:
+            pair = _quantile_pair_unchecked(f, u)
+            if pair != (x, x):
+                raise sd.ValidationError(f"jump at {x} fails the quantile round trip: got {tuple(pair)}")
+    return [(j.x, j.mass) for j in f._jumps]
+
+
+def jump_gap_values_by_jump(f, lams) -> list:
+    """The earlier body of ``jump_gap_values``: one sum per jump, moved off a gap's
+    ends one float at a time."""
+    lams = [float(v) for v in lams]
+    if len(lams) != len(f._jumps):
+        raise sd.LengthMismatch(f"{len(lams)} weights for {len(f._jumps)} jump points")
+    out = []
+    for n, ((_, lo, hi, mass), lam) in enumerate(zip(f._jumps, lams)):
+        if math.isnan(lam) or not 0.0 < lam < 1.0:
+            raise sd.LambdaOutOfRange(f"weight {n} must lie strictly inside (0, 1), got {lam}")
+        v = lo + lam * mass
+        if v <= lo:
+            v = math.nextafter(lo, math.inf)
+        if v >= hi:
+            v = math.nextafter(hi, -math.inf)
+        out.append(v)
+    return out
 
 
 # -- comparison ------------------------------------------------------------------
@@ -537,3 +648,154 @@ def test_transform_cdf_exact_totals_equal_the_array_kernel(population, fb, fm, f
         assert [bits(v) for v in got.tolist()] == [bits(r.total) for r in refs], (f, g)
         flat_terms += sum(r.term_flat != 0.0 for r in refs)
     assert flat_terms > 20  # g differs from f on flat levels of f
+
+
+# -- the checks that read each table once ------------------------------------------
+
+# the span that overflows, the ramp narrower than the float grid, the sub-ulp atom and
+# the uniform law whose ramp solve overshoots
+DEFECT_LAWS = [*FLOAT_RESOLUTION_LAWS, SUB_ULP_CASES[0], OVERSHOOTING_UNIFORM]
+
+
+def outcome(call, *args):
+    """What a call returns, or the type and arguments of the exception it raises."""
+    try:
+        return call(*args)
+    except sd.StepDistError as exc:
+        return type(exc), exc.args
+
+
+def moved_gaps(f, rng):
+    """A copy of f whose jump rows keep their points and masses but have gaps moved to
+    random ends, empty and overlapping ones included."""
+    g = copy.copy(f)
+    ends = (0.0, 0.25, 0.5, 0.75, 1.0)
+    rows = [_Jump(j.x, *sorted(rng.choice(ends, 2).tolist()), j.mass) for j in f._jumps]
+    object.__setattr__(g, "_jump_rows", tuple(rows))
+    return g
+
+
+def test_checks_reading_each_table_once_equal_the_earlier_bodies(population, fb, fm, fu):
+    # the null-set check with two reports and one inversion pass, the round trip with
+    # one draw of 8 x m weights and the gap kernels, the total mass from one evaluation
+    # of the cuts, and jump_set from one level-table pass each return what the earlier
+    # bodies return, bit for bit; on the defect laws too, where some of them FAIL or raise
+    failed = set()
+    with np.errstate(over="ignore", invalid="ignore"):  # the span that overflows
+        for f in (*population, fb, fm, fu, *DEFECT_LAWS, mixed(2000)):
+            grid = probe_grid(f)
+            parts = _grid_parts(f, grid)
+            attained = attained_values(f)
+            for got, ref in (
+                (checks._check_null_sets(f, grid, parts), null_sets_by_weight(f, grid, parts)),
+                (checks._check_phi_roundtrip(f, attained), phi_roundtrip_by_round(f, attained)),
+                (checks._check_total_mass(f), total_mass_by_cell(f)),
+            ):
+                assert same_result(got, ref), (f, got, ref)
+                if not ref.passed:
+                    failed.add((ref.name, ref.detail.split(":")[0]))
+            assert outcome(jump_set, f) == outcome(jump_set_by_scan, f)
+    # the sub-ulp atom's second gap holds no float; the span that overflows FAILs the
+    # null-set check and its cuts are NaN; mixed(2000)'s round trip misses by 1.142e-12
+    assert failed == {
+        ("jump_gap_roundtrip", "raised AlphaNotInJumpInterval"),
+        ("jump_gap_roundtrip", ""),
+        ("null_set_inversion", ""),
+        ("total_mass_and_df_conditions", "raised MalformedInterval"),
+    }
+
+
+def test_checks_reading_each_table_once_equal_the_earlier_bodies_on_wrong_inputs(small_population, fb, fm, fu):
+    # grid tables that disagree with F (F and F(x-) exchanged, F one float high, F(x-)
+    # halved, the weights' transforms in reverse order, one transform NaN), jump rows
+    # whose gaps are moved (the values then hit attained levels, or a gap holds no
+    # float), jump rows whose points are moved to the next jump's point, and a flat
+    # piece put at the level jump_set checks inside the first gap: every input gives
+    # the earlier body's result, and each kind of fault shows
+    rng = np.random.default_rng(67)
+    nonzero = Counter()
+    for f in (fb, fm, fu, *DEFECT_LAWS[2:], *small_population[:10]):
+        grid = probe_grid(f)
+        fx, left, jump, ts = _grid_parts(f, grid)
+        nan = ts[1].copy()
+        nan[len(grid) // 2] = math.nan
+        for table in (
+            (left, fx, jump, ts),
+            (np.nextafter(fx, math.inf), left, jump, ts),
+            (fx, 0.5 * left, jump, ts),
+            (fx, left, jump, ts[::-1]),
+            (fx, left, jump, (ts[0], nan, *ts[2:])),
+        ):
+            got, ref = checks._check_null_sets(f, grid, table), null_sets_by_weight(f, grid, table)
+            assert same_result(got, ref), (f, got, ref)
+            nonzero["null sets"] += ref.value > 0
+        if len(f._jumps) < 2:
+            continue
+        g = moved_gaps(f, rng)
+        got, ref = checks._check_phi_roundtrip(g, attained_values(g)), phi_roundtrip_by_round(g, attained_values(g))
+        assert same_result(got, ref), (f, got, ref)
+        nonzero[ref.detail.split(":")[0]] += 1
+        shifted = copy.copy(f)
+        points = [j.x for j in f._jumps]
+        object.__setattr__(shifted, "_jump_rows", tuple(j._replace(x=x) for j, x in zip(f._jumps, points[1:] + points[:1])))
+        ref = outcome(jump_set_by_scan, shifted)
+        assert outcome(jump_set, shifted) == ref
+        nonzero["jump_set"] += ref[0] is sd.ValidationError
+        flat = copy.copy(f)
+        x, lo, _, mass = f._jumps[0]
+        runs = {**f._flat_runs, lo + 0.5 * mass: _FlatRun(x, x + 1.0, False)}
+        object.__setattr__(flat, "_flat_table", runs)
+        ref = outcome(jump_set_by_scan, flat)
+        assert outcome(jump_set, flat) == ref
+        nonzero["jump_set flat"] += ref[0] is sd.ValidationError
+    assert nonzero["null sets"] > 20 and nonzero["jump_set"] > 5 and nonzero["jump_set flat"] > 5
+    assert nonzero["output hit an attained level"] > 0 and nonzero["raised AlphaNotInJumpInterval"] > 0
+
+
+def test_gap_kernels_equal_the_list_functions_row_by_row(population, fb, fm, fu):
+    # the array kernels take one vector per row: each row maps as the list function
+    # maps it, bit for bit, and a matrix with levels outside their gaps raises what the
+    # first raising row raises; one draw of 8 x m weights is eight draws of m
+    rng = np.random.default_rng(71)
+    raised = mapped = 0
+    for f in (*population, fb, fm, fu, *DEFECT_LAWS, *SUB_ULP_CASES[1:]):
+        m = len(f._jumps)
+        lams = np.random.default_rng(20240901).uniform(0.05, 0.95, size=(8, m))
+        draws = np.random.default_rng(20240901)
+        assert [bits(v) for v in lams.ravel().tolist()] == [bits(v) for _ in range(8) for v in draws.uniform(0.05, 0.95, size=m).tolist()]
+        vals = transform._jump_gap_values(f, lams)
+        assert [bits(v) for v in vals.ravel().tolist()] == [bits(v) for row in lams for v in jump_gap_values_by_jump(f, row)]
+        assert [bits(v) for v in vals.ravel().tolist()] == [bits(v) for row in lams for v in jump_gap_values(f, row)]
+        # levels from the gaps, three rows of them moved up by 1 (past the gaps' ends)
+        # or by 0 from a random jump on
+        levels = vals.copy()
+        if m:
+            for r in rng.choice(8, 3, replace=False):
+                levels[r, rng.integers(m) :] += rng.choice([0.0, 1.0])
+        rows = [outcome(jump_gap_weights, f, row.tolist()) for row in levels]
+        first = next((row for row in rows if not isinstance(row, list)), None)
+        got = outcome(transform._jump_gap_weights, f, levels)
+        if first is None:
+            assert [bits(v) for v in got.ravel().tolist()] == [bits(v) for row in rows for v in row]
+            mapped += 1
+        else:
+            assert got == first
+            raised += 1
+    assert raised > 100 and mapped > 10
+
+
+def test_transforms_formed_off_the_tables_equal_lambda_transforms(population, fb, fm, fu):
+    # the grid table's transforms and the rows' with_q, formed from F, F(x-) and the
+    # jump already in the tables, are what lambda_transforms returns from a search of
+    # the same points, bit for bit
+    with np.errstate(over="ignore", invalid="ignore"):  # the span that overflows
+        for f in (*population, fb, fm, fu, *DEFECT_LAWS, *SUB_ULP_CASES[1:], mixed(2000)):
+            grid = probe_grid(f)
+            for lam, t in zip(LAMBDA_GRID, _grid_parts(f, grid)[3], strict=True):
+                assert t.tobytes() == lambda_transforms(f, grid, lam).tobytes(), (f, lam)
+            rows, with_q = _level_rows(f, alpha_population(f))
+            at_q = _transforms_of_parts(rows.fx[0], rows.left[0], rows.jump[0], LAMBDA_GRID)
+            for lam, t, keeps_q in zip(LAMBDA_GRID, at_q, with_q.T, strict=True):
+                ref = lambda_transforms(f, rows.lo, lam)
+                assert t.tobytes() == ref.tobytes(), (f, lam)
+                assert np.array_equal(keeps_q, ref <= rows.a)

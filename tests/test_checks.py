@@ -45,21 +45,22 @@ class TestAnalyticSuite:
 
     def test_probe_grid_is_searched_once_per_table_column(self, fm, small_population, monkeypatch):
         # one run builds one grid table: F, F(x-) and the jump from one
-        # value_parts search, and one transform search per weight.  Two checks
-        # search the grid once more for the function they verify: the sandwich
-        # check the transform at weight 0, the quantile-range check
-        # _quantile_ranges.  The null-set check inverts each weight's transforms
-        # in one left-quantile pass, the quantile-range check maps its levels back
-        # in one more, and the law of the transform reads its levels' ends in one.
-        # The level rows are one left-quantile pass, and so are the jump levels of
-        # the uniformity check.  These array checks, and the jump-gap round trip,
-        # outside the null sets and their measures, scan no level and evaluate F
-        # at no single point: none of them does so once per jump.  Each of the three
-        # level tables (the rows, the jump levels, the law of the transform's own)
-        # takes F, F(x-) and the jump at its ends from one value_parts search, its
-        # only search outside the ramp corrections of its left quantiles, and no
-        # check searches those ends again; the law of the transform evaluates only
-        # the law there
+        # value_parts search, and the transform at every weight formed from them
+        # without a search.  Two checks search the grid once more for the function
+        # they verify: the sandwich check the transform at weight 0, the
+        # quantile-range check _quantile_ranges.  The null-set check inverts the
+        # transforms of all weights in one left-quantile pass, the quantile-range
+        # check maps its levels back in one more, and the law of the transform reads
+        # its levels' ends in one.  The level rows are one left-quantile pass, with
+        # the transform at q formed off the rows, and so are the jump levels of the
+        # uniformity check and the round-trip levels of jump_set.  These array
+        # checks, and the jump-gap round trip, outside the null sets and their
+        # measures, scan no level and evaluate F at no single point: none of them
+        # does so once per jump.  Each of the three level tables (the rows, the jump
+        # levels, the law of the transform's own) takes F, F(x-) and the jump at its
+        # ends from one value_parts search, its only search outside the ramp
+        # corrections of its left quantiles, and no check searches those ends again:
+        # where the law of X is F, the law of the transform reads it off its table
         grids = []
         calls = Counter()
         inside = [None]
@@ -157,20 +158,19 @@ class TestAnalyticSuite:
             failed = [c for c in analytic_checks(f) if not c.passed]
             assert not failed, failed
             assert calls["level table"] == calls["value_parts", "table"] == calls["search", "table"] == 3
-            # the law's F and jump at q, and F and F(x-) at the ends of flat pieces
-            law = 3 + 2 * bool(f.plateau_levels)
-            assert all(calls["at ends", name, True] == law * (name == "_check_transform_cdf") for name in array_checks)
-            assert calls["search", True] == 3 + len(LAMBDA_GRID)
-            # the five transform searches are value_parts calls inside lambda_transforms
-            assert calls["value_parts", True] == 3 + len(LAMBDA_GRID)
-            assert all(calls["transform", True, lam] == 1 for lam in (0.0, *LAMBDA_GRID))
-            # the sandwich's weights 0.3 and 0.7, only where F does not jump
+            assert all(calls["at ends", name, True] == 0 for name in array_checks)
+            # the table, the sandwich's weight 0 and _quantile_ranges, each a value_parts call
+            assert calls["search", True] == calls["value_parts", True] == 3
+            assert calls["transform", True, 0.0] == 1
+            assert all(calls["transform", True, lam] == 0 for lam in LAMBDA_GRID)
+            # the sandwich's weights 0.3 and 0.7, only where F does not jump; none at the rows
             assert calls["transform", False, 0.3] == calls["transform", False, 0.7] == 1
-            assert calls["left quantiles", "_check_null_sets"] == len(LAMBDA_GRID)
+            assert sum(calls[key] for key in calls if key[0] == "transform") == 3
+            assert calls["left quantiles", "_check_null_sets"] == 1
             assert calls["left quantiles", "_check_quantile_ranges"] == 1
             assert calls["left quantiles", "_check_transform_cdf"] == 1
             assert calls["left quantiles", "_check_uniformity_displays"] == 1  # the jump levels
-            assert calls["left quantiles", None] == 1  # the level rows
+            assert calls["left quantiles", None] == 2  # the level rows and jump_set's levels
             assert all(calls[kind, name] == 0 for kind in ("scan", "point") for name in array_checks)
             assert calls["point", None] > 0
 

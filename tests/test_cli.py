@@ -72,7 +72,7 @@ class TestEval:
         [
             (b"\xff\xfe{}", "can't decode byte 0xff"),
             (b'{"breakpoints": [{"x": 1' + b"0" * 400 + b', "atom": 1}]}', "breakpoints[0].x: must be finite"),
-            (b'{"base": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+            (b'{"base": ' + b"1" * 5000 + b"}", "integer literal of 5000 digits is beyond the float range\n"),
         ],
         ids=["not UTF-8", "integer beyond the float range", "integer too long to read"],
     )

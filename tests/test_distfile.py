@@ -126,9 +126,10 @@ class TestLoad:
         [
             (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
             (b'{"segments": [{"from": 0, "to": 1' + b"0" * 400 + b', "increase": 1}]}', r"segments\[0\]\.to: must be finite"),
-            (b'{"base": ' + b"1" * 5000 + b"}", r"Exceeds the limit \(4300 digits\)"),
+            (b'{"base": ' + b"1" * 5000 + b"}", r": integer literal of 5000 digits is beyond the float range$"),
+            (b'{"segments": [{"from": -' + b"9" * 4400 + b', "to": 1, "increase": 1}]}', r": integer literal of 4400 digits is beyond"),
         ],
-        ids=["not UTF-8", "integer beyond the float range", "integer too long to read"],
+        ids=["not UTF-8", "integer beyond the float range", "integer too long to read", "negative integer too long to read"],
     )
     def test_unreadable_text_or_number_names_the_path(self, tmp_path, body, message):
         # bytes that are not UTF-8 and integer literals that are no float raise a
