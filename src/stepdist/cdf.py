@@ -19,7 +19,7 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import compress, repeat, starmap
+from itertools import chain, compress, repeat, starmap
 from typing import NamedTuple
 
 import numpy as np
@@ -332,6 +332,11 @@ class _LevelEnds(NamedTuple):
     left: np.ndarray
     jump: np.ndarray
 
+    def take(self, s) -> "_LevelEnds":
+        """The table of the levels ``a[s]``: each column indexed by ``s``, each row of
+        ``fx``, ``left`` and ``jump`` too.  A slice ``s`` gives views, no copies."""
+        return _LevelEnds(*(c[s] for c in self[:7]), *(c[:, s] for c in self[7:]))
+
 
 def _level_ends(f: Cdf, a: np.ndarray) -> _LevelEnds:
     """Array form of :func:`quantile_pair` and :func:`level_set` for levels already
@@ -390,8 +395,30 @@ def level_set(f: Cdf, alpha: float) -> RealSet:
 
 
 def _jump_columns(f: Cdf) -> np.ndarray:
-    """The jump table as four arrays: x, F(x-), F(x) and the mass of every jump."""
-    return np.array(f._jumps, dtype=float).reshape(-1, 4).T
+    """The jump table as four arrays: x, F(x-), F(x) and the mass of every jump (the
+    rows' floats read in one pass, a few times faster than ``np.array`` of the rows)."""
+    return np.fromiter(chain.from_iterable(f._jumps), float, 4 * len(f._jumps)).reshape(-1, 4).T
+
+
+def _jump_round_trip_levels(f: Cdf) -> tuple[np.ndarray, np.ndarray]:
+    """The levels ``jump_set`` maps back: lo + mass/2 at every jump where that level
+    lies strictly inside both the gap (lo, hi) and (0, 1), and the jump points x of
+    those jumps, as ``(x, levels)``."""
+    x, lo, hi, mass = _jump_columns(f)
+    u = lo + 0.5 * mass
+    inside = (lo < u) & (u < hi) & (0.0 < u) & (u < 1.0)
+    return x[inside], u[inside]
+
+
+def _check_jump_round_trip(x: np.ndarray, ends: _LevelEnds) -> None:
+    """Raise ValidationError for the first jump point x_n whose level does not map back
+    to x_n under both generalized inverses; ``ends`` is the level table of the levels
+    of :func:`_jump_round_trip_levels`, in their order."""
+    wrong = np.flatnonzero((ends.lo != x) | (ends.hi != x))
+    if wrong.size:
+        n = wrong[0]
+        pair = (ends.lo[n].item(), ends.hi[n].item())
+        raise ValidationError(f"jump at {x[n].item()} fails the quantile round trip: got {pair}")
 
 
 def jump_set(f: Cdf) -> list[tuple[float, float]]:
@@ -403,13 +430,6 @@ def jump_set(f: Cdf) -> list[tuple[float, float]]:
     atom.  The quantile pairs of all those levels come from one ``_level_ends``
     pass.
     """
-    x, lo, hi, mass = _jump_columns(f)
-    u = lo + 0.5 * mass
-    inside = (lo < u) & (u < hi) & (0.0 < u) & (u < 1.0)
-    x, ends = x[inside], _level_ends(f, u[inside])
-    wrong = np.flatnonzero((ends.lo != x) | (ends.hi != x))
-    if wrong.size:
-        n = wrong[0]
-        pair = (ends.lo[n].item(), ends.hi[n].item())
-        raise ValidationError(f"jump at {x[n].item()} fails the quantile round trip: got {pair}")
+    x, u = _jump_round_trip_levels(f)
+    _check_jump_round_trip(x, _level_ends(f, u))
     return [(j.x, j.mass) for j in f._jumps]

@@ -8,18 +8,23 @@ passes: the level table of ``cdf._level_ends`` (each level's left quantile, the 
 its flat piece, whether F equals the level there, and F, F(x-) and the jump at those
 ends from one search), and beside it the weights whose sublevel split keeps the left
 quantile.  The checks read every level's sets, and F at their ends, off that table:
-they build no set per level and evaluate F at no level end themselves.  The uniformity
-check reads the level F(x) of every jump from a table of its own.  The suite evaluates
-the probe grid once into a table: F, F(x-) and the jump from one search, and the four
-transforms formed from them, as the transforms at each level's left quantile are
-formed from the level table; it builds the set of attained values once for both
-jump-gap checks.  A check that verifies a function runs that function's array form on
-the whole grid or on every level: the transform at weights 0, 0.3 and 0.7
-(``lambda_transforms``), the quantile range of each point (``_quantile_ranges``,
-mapped back in one ``_left_quantiles`` pass), the exact law of the transform
-(``_transform_cdf_totals``), its inversion (one ``_left_quantiles`` pass over the
-transforms of every weight) and the jump-gap round trip (the array kernels of
-``jump_gap_values`` and ``jump_gap_weights``).  Tier-1 pins ``lambda_transform``,
+they build no set per level and evaluate F at no level end themselves.  A run builds
+one level table: beside the levels of the rows it holds the level F(x) of every jump,
+which the uniformity check reads, and the levels ``jump_set`` maps back, on which the
+jump characterization runs ``jump_set``'s cross-check; each reads its slice.  The
+suite evaluates the probe grid once into a table: F, F(x-) and the jump from one
+search, and the four transforms formed from them, as the transforms at each level's
+left quantile are formed from the level table.  It builds the attained values once
+for both jump-gap checks, as the sorted ends of their closed components: the
+complement check compares them with the merged jump gaps as arrays, and the round trip
+looks its outputs up in them with one search.  A check that verifies a function runs
+that function's array form on the whole grid or on every level: the transform at
+weights 0, 0.3 and 0.7 (``lambda_transforms``), the quantile range of each point
+(``_quantile_ranges_of`` from F and F(x-) in the grid table, mapped back in one
+``_left_quantiles`` pass), the exact law of the transform (``_transform_cdf_totals_of``
+on the level table), its inversion (one ``_left_quantiles`` pass over the transforms
+of every weight) and the jump-gap round trip (the array kernels of ``jump_gap_values``
+and ``jump_gap_weights``).  Tier-1 pins ``lambda_transform``,
 ``quantile_range_of_point``, ``left_quantile``, ``transform_cdf_exact``,
 ``invert_transform`` and the two jump-gap functions to those array forms bit for bit.
 """
@@ -33,7 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdf import Cdf, _LevelEnds, _left_quantiles, _level_ends, jump_set
+from .cdf import (
+    Cdf,
+    _LevelEnds,
+    _check_jump_round_trip,
+    _jump_columns,
+    _jump_round_trip_levels,
+    _left_quantiles,
+    _level_ends,
+)
 from .copula import (
     dt_copula,
     copula_at_flat_alpha,
@@ -48,17 +61,18 @@ from .stochastic import (
     INVERSION_TOL,
     SeededStream,
     _transform_cdf_totals,
+    _transform_cdf_totals_of,
     distributional_transform,
     inversion_check,
     ks_uniformity,
     sample_inverse,
 )
 from .transform import (
+    _attained_ends,
     _jump_gap_values,
     _jump_gap_weights,
-    _quantile_ranges,
+    _quantile_ranges_of,
     _transforms_of_parts,
-    attained_values,
     inversion_null_set,
     lambda_transforms,
 )
@@ -105,22 +119,29 @@ def probe_grid(f: Cdf) -> np.ndarray:
     return np.unique(np.concatenate(pts))
 
 
-def _level_rows(f: Cdf, alphas) -> tuple[_LevelEnds, np.ndarray]:
+def _level_rows(f: Cdf, alphas, *more) -> tuple:
     """The columns of every level, from array passes: the level table (``cdf._level_ends``:
     the ends of every level's set, and F, F(x-) and the jump there), and beside it
     ``with_q`` (levels x weights), whether the transform at the left quantile q is at
-    most the level at each weight of LAMBDA_GRID.  Built outside the checks' guard:
-    no call raises for a level in (0, 1), whose left quantile is a finite float in
+    most the level at each weight of LAMBDA_GRID.  Each further array of levels in
+    ``more`` gets a table of its own after those two, sliced off the same one
+    ``_level_ends`` pass over all the levels.  Built outside the checks' guard: no call
+    raises for a level in (0, 1], whose left quantile is a finite float in
     [xs[0], xs[-1]].
 
     Every sublevel split at a level is (-inf, q), the part (start, hi] right of q where
     the level is flat, and {q} at the weights of its row of ``with_q``.  The sets read
     off each level's columns equal what ``quantile_pair``, ``level_set`` and
-    ``sublevel_decomposition`` return at the level, bit for bit.
+    ``sublevel_decomposition`` return at the level, bit for bit.  Each level's entry
+    depends on that level alone, so a level's entries in the one table are those of a
+    table of its own.
     """
-    rows = _level_ends(f, np.array(alphas, dtype=float))
+    levels = [np.asarray(alphas, dtype=float), *more]
+    table = _level_ends(f, np.concatenate(levels))
+    bounds = np.cumsum([0, *(a.size for a in levels)]).tolist()
+    rows, *tables = (table.take(slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
     at_q = _transforms_of_parts(rows.fx[0], rows.left[0], rows.jump[0], LAMBDA_GRID)
-    return rows, np.column_stack([t <= rows.a for t in at_q])
+    return rows, np.column_stack([t <= rows.a for t in at_q]), *tables
 
 
 def _level_masses(rows: _LevelEnds) -> tuple:
@@ -314,7 +335,7 @@ def _check_quantile_ranges(f: Cdf, grid, parts):
     # iff it maps back to x (inside rising segments a round trip may land an ulp off,
     # which the set semantics must not depend on)
     fx, left = parts[0], parts[1]
-    lo, hi, closed_lo, closed_hi = _quantile_ranges(f, grid)
+    lo, hi, closed_lo, closed_hi = _quantile_ranges_of(f, grid, fx, left)
     nonempty = (lo < hi) | (closed_lo & closed_hi)
     jumped = fx > left
     bad = np.count_nonzero(nonempty & ((lo < left) | (hi > fx)))
@@ -340,23 +361,38 @@ def _check_quantile_ranges(f: Cdf, grid, parts):
 
 @_analytic("jump_gap_complement", 0)
 def _check_jump_gaps(f: Cdf, attained):
-    raw = [Interval.open(j.lo, j.hi) for j in f._jumps]
-    unit = RealSet.of(Interval.open(0.0, 1.0))
-    expected = unit.difference(attained)
-    bad = 0 if RealSet(tuple(raw)).intersect(unit) == expected else 1
+    # the open jump gaps, as a set within (0, 1), are the complement there of the attained
+    # values, whose components [lo_k, hi_k] leave the gaps (hi_k, lo_{k+1}).  The raw gaps
+    # are merged as a union of open intervals merges them: empty ones drop out, those
+    # that overlap merge, and those that touch stay apart
+    _, lo, hi, _ = _jump_columns(f)
+    gap_lo, gap_hi = np.maximum(lo, 0.0), np.minimum(hi, 1.0)
+    keep = gap_lo < gap_hi
+    gap_lo, gap_hi = gap_lo[keep], gap_hi[keep]
+    order = np.argsort(gap_lo)  # gaps with one left end never start apart, in any order
+    gap_lo, gap_hi = gap_lo[order], np.maximum.accumulate(gap_hi[order])
+    start = np.ones(gap_lo.size, dtype=bool)
+    start[1:] = gap_lo[1:] >= gap_hi[:-1]
+    # a merged gap ends where the next one starts, the last one at the last gap
+    merged = gap_lo[start], gap_hi[np.roll(start, -1)]
+    expected = attained[1][:-1], attained[0][1:]
+    bad = 0 if all(map(np.array_equal, merged, expected)) else 1
     # the gaps of successive jumps are disjoint (the merged set would hide an overlap):
     # two open gaps meet iff the larger left end lies below the smaller right end
-    lo, hi = np.array([iv.lo for iv in raw]), np.array([iv.hi for iv in raw])
     return bad + int(np.count_nonzero(np.maximum(lo[:-1], lo[1:]) < np.minimum(hi[:-1], hi[1:])))
 
 
 @_analytic("jump_gap_roundtrip", EXACT_TOL)
 def _check_phi_roundtrip(f: Cdf, attained):
     # eight rounds of one weight per jump, one round per row: the draws eight calls of
-    # size m would give, mapped into the gaps and back in one pass each
+    # size m would give, mapped into the gaps and back in one pass each; a value is
+    # attained iff it lies at or above the start of the last component that starts at
+    # or below it, and at or below that component's end
     lams = np.random.default_rng(20240901).uniform(0.05, 0.95, size=(8, len(f._jumps)))
     vals = _jump_gap_values(f, lams)
-    bad = int(np.count_nonzero(attained.contains_many(vals)))
+    starts, stops = attained
+    k = np.searchsorted(starts, vals, side="right") - 1
+    bad = int(np.count_nonzero((k >= 0) & (vals <= stops[k])))
     back = _jump_gap_weights(f, vals)
     if bad:
         return bad + 1.0, "output hit an attained level"
@@ -375,8 +411,9 @@ def _check_null_sets(f: Cdf, grid, parts):
         if (lam == 1.0) not in reports:
             rep = inversion_null_set(f, lam)
             plateau = abs(measure_set(f, rep.plateau_union))
-            total = abs(rep.total_measure) if measure_set(f, rep.zero_set.union(rep.one_set)) == 0.0 else 0.0
-            reports[lam == 1.0] = plateau, total, rep.union().contains_many(grid)
+            ends = rep.zero_set.union(rep.one_set)  # rep.union() is ends.union(plateau_union)
+            total = abs(rep.total_measure) if measure_set(f, ends) == 0.0 else 0.0
+            reports[lam == 1.0] = plateau, total, ends.union(rep.plateau_union).contains_many(grid)
     ts = parts[3]
     insides = [(0.0 < t) & (t < 1.0) for t in ts]
     ys = _left_quantiles(f, np.concatenate([t[inside] for t, inside in zip(ts, insides)]))
@@ -396,26 +433,29 @@ def _check_null_sets(f: Cdf, grid, parts):
 
 @_analytic("transform_cdf_uniform", EXACT_TOL)
 def _check_transform_cdf(f: Cdf, rows):
-    return _worst(np.abs(_transform_cdf_totals(f, f, rows.a) - rows.a))
+    # the law of X is F: the totals read F's parts at the level ends off the rows
+    return _worst(np.abs(_transform_cdf_totals_of(rows) - rows.a))
 
 
 @_analytic("uniformity_displays", EXACT_TOL)
-def _check_uniformity_displays(f: Cdf, rows):
+def _check_uniformity_displays(f: Cdf, rows, at):
     # on flat levels (the rows with hi > lo): P(F(X) <= a) = a = P(X <= left quantile)
     # (-inf, hi] carries F(hi), or F(hi-) without hi where F jumps past a there
     (f_lo, f_hi, _), left_hi = rows.fx, rows.left[1]
     wide = rows.hi > rows.lo
     below = np.where(f_hi == rows.a, f_hi, left_hi)
-    # every jump puts an equally sized atom on the law of F(X), at F(x) (j.hi): the
-    # mass of that level's set, or 1 - F(q-) at level 1, whose set is [q, inf)
-    at = _level_ends(f, np.array([j.hi for j in f._jumps]))
+    # every jump puts an equally sized atom on the law of F(X), at F(x) (j.hi, the
+    # levels of the table ``at``): the mass of that level's set, or 1 - F(q-) at level 1,
+    # whose set is [q, inf)
     mass = np.where(at.a == 1.0, 1.0 - at.left[0], _level_masses(at)[1])
     return _worst(np.abs(below - rows.a)[wide], np.abs(f_lo - rows.a)[wide], np.abs(mass - f.jump_masses))
 
 
 @_analytic("jump_characterization", 0)
-def _check_jump_characterization(f: Cdf, rows):
-    jump_set(f)  # raises if the stored atoms and the quantile scans disagree
+def _check_jump_characterization(f: Cdf, rows, trip):
+    # jump_set's cross-check on the table of its levels: raises if the stored atoms and
+    # the quantiles disagree
+    _check_jump_round_trip(*trip)
     # the part of a split right of lo is a flat piece, nonempty iff hi > lo
     return int(np.count_nonzero((rows.hi > rows.lo) != rows.flat))
 
@@ -447,11 +487,14 @@ def analytic_checks(f: Cdf) -> list[CheckResult]:
 
     A check that raises a StepDistError reports that as its own FAIL.
     """
-    rows, with_q = _level_rows(f, alpha_population(f))
+    # one level table: the levels of the rows, F(x) at every jump for the uniformity
+    # check, and the levels jump_set maps back, at the jump points ``points``
+    points, trip_levels = _jump_round_trip_levels(f)
+    rows, with_q, at_jumps, trip = _level_rows(f, alpha_population(f), _jump_columns(f)[2], trip_levels)
     grid = probe_grid(f)
     parts = _grid_parts(f, grid)
-    # like the rows, outside the guard: F(x_i) <= F(x_{i+1}-), so no piece is malformed
-    attained = attained_values(f)
+    # like the rows, outside the guard: two arrays from one search of the breakpoints
+    attained = _attained_ends(f)
     return [
         _check_transform_sandwich(f, grid, parts),
         _check_quantile_sandwich(f, rows),
@@ -464,8 +507,8 @@ def analytic_checks(f: Cdf) -> list[CheckResult]:
         _check_phi_roundtrip(f, attained),
         _check_null_sets(f, grid, parts),
         _check_transform_cdf(f, rows),
-        _check_uniformity_displays(f, rows),
-        _check_jump_characterization(f, rows),
+        _check_uniformity_displays(f, rows, at_jumps),
+        _check_jump_characterization(f, rows, (points, trip)),
         _check_total_mass(f),
     ]
 

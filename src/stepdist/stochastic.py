@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdf import Cdf, _check_alpha, _left_quantile_unchecked, _left_quantiles, _level_ends
+from .cdf import Cdf, _LevelEnds, _check_alpha, _left_quantile_unchecked, _left_quantiles, _level_ends
 from .errors import EmptySample, StreamCollision, ValidationError
 from .measure import measure_interval
 from .transform import _transform_parts
@@ -185,12 +185,21 @@ def transform_cdf_exact(f: Cdf, law_of_x: Cdf, alpha: float) -> TransformCdfBrea
 
 def _transform_cdf_totals(f: Cdf, law_of_x: Cdf, a: np.ndarray) -> np.ndarray:
     """Array form of ``transform_cdf_exact(f, law_of_x, a_i).total`` for levels already
-    inside (0, 1): the same terms from the levels' ends and F and the jump there
-    (``_level_ends``), and the law's F, F(x-) and jump at the same ends, summed in the
-    scalar's order, so each total equals the scalar's bit for bit.  The law's parts are
-    those of the table where the law is F itself, else one search of the ends."""
-    _, q, hi, flat, start, closed, _, fx, left, jump = _level_ends(f, a)
-    law_fx, law_left, law_jump = (fx, left, jump) if law_of_x is f else law_of_x.value_parts(np.stack((q, hi, start)))
+    inside (0, 1), each equal to the scalar's bit for bit: the level table of ``a``
+    (``_level_ends``) and, where the law is not F itself, the law's F, F(x-) and jump
+    at the table's ends from one search, summed by :func:`_transform_cdf_totals_of`."""
+    table = _level_ends(f, a)
+    law = None if law_of_x is f else law_of_x.value_parts(np.stack((table.lo, table.hi, table.start)))
+    return _transform_cdf_totals_of(table, law)
+
+
+def _transform_cdf_totals_of(table: _LevelEnds, law_parts=None) -> np.ndarray:
+    """The totals of :func:`_transform_cdf_totals` off a level table of F: the terms of
+    ``transform_cdf_exact`` from the levels' ends and F and the jump there, and the
+    law's F, F(x-) and jump at the same ends (``law_parts``, one row per end; the
+    table's own where the law is F), summed in the scalar's order."""
+    a, q, hi, flat, start, closed, _, fx, left, jump = table
+    law_fx, law_left, law_jump = (fx, left, jump) if law_parts is None else law_parts
     fq, beta = fx[0], jump[0]
     coef = np.zeros(a.shape)
     np.divide(a - fq, beta, out=coef, where=beta != 0.0)

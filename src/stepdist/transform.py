@@ -164,7 +164,18 @@ def quantile_range_of_point(f: Cdf, x: float) -> RealSet:
 
 def _quantile_ranges(f: Cdf, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Array form of :func:`quantile_range_of_point`: ``(lo, hi, closed_lo, closed_hi)``,
-    one interval per point, whose ``RealSet`` equals the scalar's bit for bit.
+    one interval per point, whose ``RealSet`` equals the scalar's bit for bit; F and
+    F(x-) from one ``value_parts`` call, the rest from :func:`_quantile_ranges_of`."""
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise ValidationError("evaluation point is NaN")
+    fx, left, _ = f.value_parts(x)
+    return _quantile_ranges_of(f, x, fx, left)
+
+
+def _quantile_ranges_of(f: Cdf, x: np.ndarray, fx: np.ndarray, left: np.ndarray) -> tuple:
+    """The ranges of :func:`_quantile_ranges` at points x that hold no NaN, from F and
+    F(x-) already read there.
 
     The interval is (F(x-), F(x)) with the scalar's endpoint flags where F jumps
     at x, else {F(x)} (both flags set) or the empty set (F(x) at both ends, both
@@ -172,10 +183,6 @@ def _quantile_ranges(f: Cdf, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     values from one ``value_parts`` call, F(x_i-) == F(x_{i-1}), as the scalar
     reads it.
     """
-    x = np.asarray(x, dtype=float)
-    if np.isnan(x).any():
-        raise ValidationError("evaluation point is NaN")
-    hi, lo, _ = f.value_parts(x)
     xs = np.asarray(f.xs)
     at, left_at, _ = f.value_parts(xs)
     # segment i-1 is flat where F(xs[i]-) == F(xs[i-1]); x sits in (xs[i-1], xs[i]]
@@ -184,11 +191,11 @@ def _quantile_ranges(f: Cdf, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     inside = (xs[0] < x) & (x <= xs[-1])
     flat_left = ~inside
     flat_left[inside] = flat_segment[i[inside] - 1]
-    jumped = hi > lo
-    point = ~jumped & ~flat_left & (0.0 < hi) & (hi < 1.0)
-    closed_lo = (jumped & ~flat_left & (lo > 0.0)) | point
-    closed_hi = (jumped & (hi < 1.0)) | point
-    return np.where(jumped, lo, hi), hi, closed_lo, closed_hi
+    jumped = fx > left
+    point = ~jumped & ~flat_left & (0.0 < fx) & (fx < 1.0)
+    closed_lo = (jumped & ~flat_left & (left > 0.0)) | point
+    closed_hi = (jumped & (fx < 1.0)) | point
+    return np.where(jumped, left, fx), fx, closed_lo, closed_hi
 
 
 def _jump_gap_values(f: Cdf, lams: np.ndarray) -> np.ndarray:
@@ -249,17 +256,36 @@ def jump_gap_weights(f: Cdf, alphas) -> list[float]:
     return _jump_gap_weights(f, np.array(alphas)).tolist()
 
 
+def _attained_ends(f: Cdf) -> tuple[np.ndarray, np.ndarray]:
+    """The closed components [lo_k, hi_k] of :func:`attained_values`, as two sorted
+    arrays ``(lo, hi)``.
+
+    The pieces {0}, [F(x_i), F(x_{i+1}-)] on each segment and {1}, read at the
+    breakpoints from one ``value_parts`` call, are already in order, as
+    F(x_i) <= F(x_{i+1}-) <= F(x_{i+1}); a component starts at every piece that
+    starts above the end of the piece before it, so pieces that touch or overlap
+    merge, and ends at the piece before the next start.  A zero end is +0.0, the
+    float of {0}, as the union of the pieces as ``RealSet``s has it.
+    """
+    values, lefts, _ = f.value_parts(f.xs)
+    lo = np.concatenate(([0.0], values[:-1], [1.0]))
+    hi = np.concatenate(([0.0], lefts[1:], [1.0]))
+    start = np.ones(lo.size, dtype=bool)
+    start[1:] = lo[1:] > hi[:-1]
+    return lo[start], hi[np.roll(start, -1)] + 0.0
+
+
 def attained_values(f: Cdf) -> RealSet:
     """All levels attained by F or by its left limits, as an exact set.
 
     These are {0}, {1} and, on each segment, [F(x_i), F(x_{i+1}-)] (a point
     on a flat segment), read at the breakpoints from one ``value_parts``
-    call.  The complement of this set within (0,1) is precisely the
-    disjoint union of the open jump gaps.
+    call and merged into their components (:func:`_attained_ends`).  The
+    complement of this set within (0,1) is precisely the disjoint union of
+    the open jump gaps.
     """
-    values, lefts, _ = f.value_parts(f.xs)
-    pieces = map(Interval.closed, values.tolist()[:-1], lefts.tolist()[1:])
-    return RealSet((Interval.point(0.0), Interval.point(1.0), *pieces))
+    lo, hi = _attained_ends(f)
+    return RealSet(tuple(map(Interval.closed, lo.tolist(), hi.tolist())))
 
 
 @dataclass(frozen=True)

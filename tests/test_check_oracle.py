@@ -15,7 +15,11 @@ left-quantile scan.  The checks that read each table once are pinned to their ea
 bodies too: the null-set check to one report and one inversion pass per weight, the
 jump-gap round trip to eight rounds of the public list functions, the total mass to one
 ``measure_interval`` call per cell, ``jump_set`` to one quantile-pair scan per jump,
-and the transforms formed off the tables to ``lambda_transforms``.
+and the transforms formed off the tables to ``lambda_transforms``.  The checks that
+read the suite's one level table and the sorted ends of the attained values are pinned
+to the bodies that built their own: the jump-gap complement to the ``RealSet`` of the
+gaps, the round trip to ``RealSet`` membership, and the law of the transform to the
+totals that build a level table of their own.
 """
 
 import copy
@@ -28,7 +32,18 @@ import pytest
 
 import stepdist as sd
 from stepdist import checks, transform
-from stepdist.cdf import _FlatRun, _Jump, _left_quantiles, _quantile_pair_unchecked, jump_set, left_quantile
+from stepdist.cdf import (
+    _check_jump_round_trip,
+    _FlatRun,
+    _Jump,
+    _jump_columns,
+    _jump_round_trip_levels,
+    _left_quantiles,
+    _level_ends,
+    _quantile_pair_unchecked,
+    jump_set,
+    left_quantile,
+)
 from stepdist.checks import (
     EXACT_TOL,
     LAMBDA_GRID,
@@ -42,8 +57,11 @@ from stepdist.checks import (
 from stepdist.measure import measure_interval, measure_level_set, measure_set, measure_value_level
 from stepdist.monotone import df_condition_report
 from stepdist.realset import Interval, RealSet
-from stepdist.stochastic import INVERSION_TOL, _transform_cdf_totals, transform_cdf_exact
+from stepdist.stochastic import INVERSION_TOL, _transform_cdf_totals, _transform_cdf_totals_of, transform_cdf_exact
 from stepdist.transform import (
+    _attained_ends,
+    _jump_gap_values,
+    _jump_gap_weights,
     _quantile_ranges,
     _transforms_of_parts,
     attained_values,
@@ -248,7 +266,7 @@ def jump_gap_weights_by_scan(f, alphas) -> list:
 
 @_analytic("jump_characterization", 0)
 def jump_characterization_by_row(f, rows):
-    jump_set(f)
+    jump_set_by_scan(f)
     bad = 0
     for _, lo, hi, _, beyond, *_ in rows:
         if (hi > lo) != (not beyond.is_empty()):
@@ -352,6 +370,63 @@ def jump_gap_values_by_jump(f, lams) -> list:
     return out
 
 
+@_analytic("jump_gap_complement", 0)
+def jump_gaps_by_set(f, attained):
+    """The earlier body of the complement check: the gaps' ``RealSet`` against the
+    complement of the attained values in (0, 1)."""
+    raw = [Interval.open(j.lo, j.hi) for j in f._jumps]
+    unit = RealSet.of(Interval.open(0.0, 1.0))
+    expected = unit.difference(attained)
+    bad = 0 if RealSet(tuple(raw)).intersect(unit) == expected else 1
+    lo, hi = np.array([iv.lo for iv in raw]), np.array([iv.hi for iv in raw])
+    return bad + int(np.count_nonzero(np.maximum(lo[:-1], lo[1:]) < np.minimum(hi[:-1], hi[1:])))
+
+
+@_analytic("jump_gap_roundtrip", EXACT_TOL)
+def phi_roundtrip_by_set(f, attained):
+    """The earlier body of the round trip: one draw of 8 x m weights and the gap
+    kernels, with membership in the attained values' ``RealSet``."""
+    lams = np.random.default_rng(20240901).uniform(0.05, 0.95, size=(8, len(f._jumps)))
+    vals = _jump_gap_values(f, lams)
+    bad = int(np.count_nonzero(attained.contains_many(vals)))
+    back = _jump_gap_weights(f, vals)
+    if bad:
+        return bad + 1.0, "output hit an attained level"
+    return checks._worst(np.abs(back - lams))
+
+
+def transform_cdf_totals_by_own_table(f, law_of_x, a):
+    """The earlier body of ``_transform_cdf_totals``: a level table of its own, and the
+    law's parts off it where the law is F, else from one search of its ends."""
+    _, q, hi, flat, start, closed, _, fx, left, jump = _level_ends(f, a)
+    law_fx, law_left, law_jump = (fx, left, jump) if law_of_x is f else law_of_x.value_parts(np.stack((q, hi, start)))
+    fq, beta = fx[0], jump[0]
+    coef = np.zeros(a.shape)
+    np.divide(a - fq, beta, out=coef, where=beta != 0.0)
+    term_flat = np.where(flat, np.where(closed, law_fx[1], law_left[1]) - law_fx[2], 0.0)
+    term_atom = coef * (law_jump[0] - beta)
+    term_left = law_fx[0] - fq
+    return a + term_flat + term_atom + term_left
+
+
+def jump_tables(f):
+    """The two tables ``analytic_checks`` slices off its one level table beside the
+    rows: that of F(x) at every jump, and (jump points, table) of jump_set's levels."""
+    points, levels = _jump_round_trip_levels(f)
+    _, _, at_jumps, trip = _level_rows(f, alpha_population(f), _jump_columns(f)[2], levels)
+    return at_jumps, (points, trip)
+
+
+def uniformity_displays(f, rows):
+    """The uniformity check, with the table of the jump levels from ``jump_tables``."""
+    return checks._check_uniformity_displays(f, rows, jump_tables(f)[0])
+
+
+def jump_characterization(f, rows):
+    """The jump characterization, with jump_set's levels from ``jump_tables``."""
+    return checks._check_jump_characterization(f, rows, jump_tables(f)[1])
+
+
 # -- comparison ------------------------------------------------------------------
 
 
@@ -400,8 +475,8 @@ PAIRS = [
     (checks._check_sublevel_union, sublevel_union_by_row, "both"),
     (checks._check_quantile_ranges, quantile_ranges_by_point, "grid"),
     (checks._check_transform_cdf, transform_cdf_by_level, "rows"),
-    (checks._check_uniformity_displays, uniformity_displays_by_row, "rows"),
-    (checks._check_jump_characterization, jump_characterization_by_row, "rows"),
+    (uniformity_displays, uniformity_displays_by_row, "rows"),
+    (jump_characterization, jump_characterization_by_row, "rows"),
 ]
 # the checks that read the grid's table, those that read a level's sets, and those
 # that read only its quantiles
@@ -458,25 +533,40 @@ def test_array_checks_equal_the_point_loops_on_wrong_tables(small_population, fb
     # F(x-) halved, whose levels inside the made-up jumps map back left of x.  Rows:
     # the two quantiles exchanged; the left quantile moved to the right one, where
     # only the strict part of the sandwich shows at a flat level.  F is taken again
-    # at the moved ends, as the level table takes it
+    # at the moved ends, as the level table takes it.  The quantile-range check builds
+    # its ranges from F and F(x-) in the grid table, and the transform-CDF check its
+    # totals from the level table, so each is pinned to its loop on the true table
+    # beside the wrong ones, and must read a wrong table as a nonzero value
+    (sandwich, transform_cdf), ranges = QUANTILE_PAIRS, PAIRS[5]
+    others = [pair for pair in GRID_PAIRS if pair is not ranges]
     nonzero = set()
+    read_wrong = Counter()
     for f in (fb, fm, fu, OVERSHOOTING_UNIFORM, *small_population[:6]):
         rows, with_q, tuples, grid, (fx, left, jump, ts) = oracle_inputs(f)
+        true = (fx, left, jump, ts)
         up = np.nextafter(fx, math.inf)
-        for table in (
+        nonzero |= assert_same_checks(f, rows, with_q, tuples, grid, true, [ranges])
+        for n, table in enumerate((
             (left, fx, jump, ts),
             (up, left, jump, ts),
             (up, left, jump, (*ts[:-1], np.nextafter(ts[-1], math.inf))),
             (fx, 0.5 * left, jump, ts),
-        ):
-            nonzero |= assert_same_checks(f, rows, with_q, tuples, grid, table, GRID_PAIRS)
-        for moved, wrong in (
+        )):
+            nonzero |= assert_same_checks(f, rows, with_q, tuples, grid, table, others)
+            read_wrong["grid", n] += checks._check_quantile_ranges(f, grid, table).value > 0
+        for n, (moved, wrong) in enumerate((
             (rows._replace(lo=rows.hi, hi=rows.lo), [(a, hi, lo, *rest) for a, lo, hi, *rest in tuples]),
             (rows._replace(lo=rows.hi), [(a, hi, hi, *rest) for a, _, hi, *rest in tuples]),
-        ):
-            table = (fx, left, jump, ts)
-            nonzero |= assert_same_checks(f, evaluated(f, moved), with_q, wrong, grid, table, QUANTILE_PAIRS)
-    assert nonzero == {"transform_sandwich", "quantile_sandwich", "quantile_range_of_point", "sublevel_union"}
+        )):
+            moved = evaluated(f, moved)
+            nonzero |= assert_same_checks(f, moved, with_q, wrong, grid, true, [sandwich])
+            nonzero |= assert_same_checks(f, rows, with_q, wrong, grid, true, [transform_cdf])
+            read_wrong["rows", n] += checks._check_transform_cdf(f, moved).value > 0
+    assert nonzero == {"transform_sandwich", "quantile_sandwich", "sublevel_union"}
+    # every wrong grid table shows in the quantile ranges; the exchanged quantiles show
+    # in the law of the transform (a left quantile moved to the right one does not)
+    assert all(read_wrong["grid", n] > 5 for n in range(4)), read_wrong
+    assert read_wrong["rows", 0] > 3 and read_wrong["rows", 1] == 0, read_wrong
 
 
 def test_set_checks_equal_the_row_bodies_on_faulted_rows(small_population, fm):
@@ -524,7 +614,7 @@ def test_successive_gaps_are_counted_as_the_pairwise_intersections(oracle_laws):
     tampered = 0
     for f in oracle_laws:
         with np.errstate(over="ignore", invalid="ignore"):  # the span that overflows
-            assert same_result(checks._check_jump_gaps(f, attained_values(f)), jump_gaps_by_pair(f))
+            assert same_result(checks._check_jump_gaps(f, _attained_ends(f)), jump_gaps_by_pair(f))
         if len(f._jumps) < 2:
             continue
         # gaps moved to random ends, empty ones included, on a copy of the law
@@ -534,7 +624,7 @@ def test_successive_gaps_are_counted_as_the_pairwise_intersections(oracle_laws):
             lo, hi = sorted(rng.choice(ends, 2).tolist())
             rows.append(_Jump(j.x, lo, hi, j.mass))
         object.__setattr__(g, "_jump_rows", tuple(rows))
-        got, ref = checks._check_jump_gaps(g, attained_values(g)), jump_gaps_by_pair(g)
+        got, ref = checks._check_jump_gaps(g, _attained_ends(g)), jump_gaps_by_pair(g)
         assert same_result(got, ref)
         tampered += ref.value > 1
     assert tampered > 10
@@ -618,6 +708,7 @@ def test_attained_values_equal_the_breakpoint_construction(population, fb, fm, f
         sd.Cdf(xs=(0.0, 1.0, 2.0), atoms=(-0.0, -0.0, 1.0), rises=(-0.0, -0.0), base=-0.0),
         mixed(2000),
     ]
+    # the wrapper builds one set of the merged components of _attained_ends
     built = []
     monkeypatch.setattr(transform, "RealSet", lambda parts: built.append(len(parts)) or RealSet(parts))
     kinds = set()
@@ -625,8 +716,10 @@ def test_attained_values_equal_the_breakpoint_construction(population, fb, fm, f
         for f in functions:
             built.clear()
             got = transform.attained_values(f)
-            assert built == [2 + len(f.xs) - 1]
+            assert built == [len(got.components)]
             assert range_bits(got) == range_bits(attained_by_breakpoint(f)), f
+            lo, hi = _attained_ends(f)
+            assert [(bits(a), bits(b)) for a, b in zip(lo.tolist(), hi.tolist())] == [r[:2] for r in range_bits(got)]
             kinds.update(iv.is_point() for iv in got.components)
     assert kinds == {True, False}
 
@@ -688,7 +781,7 @@ def test_checks_reading_each_table_once_equal_the_earlier_bodies(population, fb,
             attained = attained_values(f)
             for got, ref in (
                 (checks._check_null_sets(f, grid, parts), null_sets_by_weight(f, grid, parts)),
-                (checks._check_phi_roundtrip(f, attained), phi_roundtrip_by_round(f, attained)),
+                (checks._check_phi_roundtrip(f, _attained_ends(f)), phi_roundtrip_by_round(f, attained)),
                 (checks._check_total_mass(f), total_mass_by_cell(f)),
             ):
                 assert same_result(got, ref), (f, got, ref)
@@ -732,7 +825,7 @@ def test_checks_reading_each_table_once_equal_the_earlier_bodies_on_wrong_inputs
         if len(f._jumps) < 2:
             continue
         g = moved_gaps(f, rng)
-        got, ref = checks._check_phi_roundtrip(g, attained_values(g)), phi_roundtrip_by_round(g, attained_values(g))
+        got, ref = checks._check_phi_roundtrip(g, _attained_ends(g)), phi_roundtrip_by_round(g, attained_values(g))
         assert same_result(got, ref), (f, got, ref)
         nonzero[ref.detail.split(":")[0]] += 1
         shifted = copy.copy(f)
@@ -799,3 +892,116 @@ def test_transforms_formed_off_the_tables_equal_lambda_transforms(population, fb
                 ref = lambda_transforms(f, rows.lo, lam)
                 assert t.tobytes() == ref.tobytes(), (f, lam)
                 assert np.array_equal(keeps_q, ref <= rows.a)
+
+
+# -- the checks that read the suite's one level table and the attained ends ----------
+
+
+def with_rows(f, rows):
+    """A copy of f whose jump table is ``rows``."""
+    g = copy.copy(f)
+    object.__setattr__(g, "_jump_rows", tuple(rows))
+    return g
+
+
+def cross_checked(f, trip):
+    """What jump_set returns, or raises, with its cross-check run on ``trip``, a pair
+    (jump points, level table) from ``jump_tables``."""
+    _check_jump_round_trip(*trip)
+    return [(j.x, j.mass) for j in f._jumps]
+
+
+def assert_same_gap_checks(f) -> tuple:
+    """The complement and round-trip checks on the sorted ends return what the set
+    bodies return on the breakpoint construction of the attained values; both values."""
+    ends, attained = _attained_ends(f), attained_by_breakpoint(f)
+    results = []
+    for got, ref in (
+        (checks._check_jump_gaps(f, ends), jump_gaps_by_set(f, attained)),
+        (checks._check_phi_roundtrip(f, ends), phi_roundtrip_by_set(f, attained)),
+    ):
+        assert same_result(got, ref), (f, got, ref)
+        results.append(ref)
+    return tuple(results)
+
+
+def test_checks_on_the_suite_tables_equal_the_bodies_that_built_their_own(population, fb, fm, fu):
+    # the one level table sliced into the rows, the jump levels and jump_set's levels
+    # holds, column for column, the tables each would get from a pass of its own; the
+    # law of the transform off a table is the totals that build their own, for the law
+    # F and another; the gap checks on the sorted ends are the set bodies; and the
+    # cross-check on the sliced table is jump_set's scan.  Bit for bit, or the same
+    # exception, on the population, the canonical and defect laws and mixed(2000)
+    laws = [*population, fb, fm, fu, *DEFECT_LAWS, mixed(2000)]
+    failed = set()
+    with np.errstate(over="ignore", invalid="ignore"):  # the span that overflows
+        for n, f in enumerate(laws):
+            points, levels = _jump_round_trip_levels(f)
+            alphas = np.array(alpha_population(f))
+            rows, _, at_jumps, trip = _level_rows(f, alphas, _jump_columns(f)[2], levels)
+            for table, a in ((rows, alphas), (at_jumps, _jump_columns(f)[2]), (trip, levels)):
+                assert [c.tobytes() for c in table] == [c.tobytes() for c in _level_ends(f, a)], f
+            for g in (f, laws[n - 1]):
+                ref = transform_cdf_totals_by_own_table(f, g, alphas)
+                assert _transform_cdf_totals(f, g, alphas).tobytes() == ref.tobytes(), (f, g)
+            assert _transform_cdf_totals_of(rows).tobytes() == transform_cdf_totals_by_own_table(f, f, alphas).tobytes()
+            assert outcome(cross_checked, f, (points, trip)) == outcome(jump_set_by_scan, f)
+            for ref in assert_same_gap_checks(f):
+                if not ref.passed:
+                    failed.add((ref.name, ref.detail.split(":")[0]))
+    # the sub-ulp atom's second gap holds no float; mixed(2000)'s round trip misses by 1.142e-12
+    assert failed == {("jump_gap_roundtrip", "raised AlphaNotInJumpInterval"), ("jump_gap_roundtrip", "")}
+
+
+def test_checks_on_the_suite_tables_equal_the_bodies_that_built_their_own_on_wrong_inputs(small_population, fb, fm, fu):
+    # jump rows whose gaps are moved to random ends (empty, touching and overlapping
+    # ones among them); rows with a copy of part of the first gap put after it, or
+    # with the first gap split into two parts that overlap, which still merge to the
+    # complement of the attained values; and rows whose points are moved to the next
+    # jump's point: the gap checks return what the set bodies return, and the jump
+    # characterization on the sliced table reports what it reports with jump_set's scan
+    rng = np.random.default_rng(73)
+    seen = Counter()
+    gap_law = sd.Cdf(xs=(0.0, 1.0), atoms=(0.5, 0.5), rises=(0.0,))
+    first, second = gap_law._jumps
+    hand_made = [
+        with_rows(gap_law, (first._replace(hi=0.6), second._replace(lo=0.4))),
+        with_rows(gap_law, (first, _Jump(0.5, 0.25, 0.5, 0.25), second)),
+        with_rows(gap_law, (first._replace(hi=0.3), first._replace(lo=0.2), second)),
+        # a gap one float below the attained level 0.5 with a mass too small to leave
+        # its left end: every output is moved up one float, onto {0.5}
+        with_rows(gap_law, (_Jump(0.0, math.nextafter(0.5, 0.0), 0.75, 1e-300), second)),
+    ]
+    got = [tuple((r.value, r.detail) for r in assert_same_gap_checks(g)) for g in hand_made]
+    assert [complement for complement, _ in got] == [(2.0, ""), (1.0, ""), (1.0, ""), (2.0, "")]
+    assert got[3][1] == (9.0, "output hit an attained level")
+    for f in (fb, fm, fu, *DEFECT_LAWS[2:], *SUB_ULP_CASES, *small_population[:10]):
+        if not f._jumps:
+            continue
+        complement, roundtrip = assert_same_gap_checks(moved_gaps(f, rng))
+        seen["moved", complement.value > 1, roundtrip.detail.split(":")[0]] += 1
+        x, lo, hi, mass = f._jumps[0]
+        inner = _Jump(x, lo + 0.25 * (hi - lo), hi, mass)
+        if lo < inner.lo < hi:
+            complement, _ = assert_same_gap_checks(with_rows(f, (f._jumps[0], inner, *f._jumps[1:])))
+            seen["copied", complement.value] += 1
+            split = (f._jumps[0]._replace(hi=lo + 0.6 * (hi - lo)), inner._replace(lo=lo + 0.4 * (hi - lo)))
+            complement, _ = assert_same_gap_checks(with_rows(f, (*split, *f._jumps[1:])))
+            seen["split", complement.value] += 1
+        points = [j.x for j in f._jumps]
+        shifted = with_rows(f, (j._replace(x=x) for j, x in zip(f._jumps, points[1:] + points[:1])))
+        ref = jump_characterization_by_row(shifted, [])
+        assert same_result(jump_characterization(shifted, _level_rows(shifted, [])[0]), ref)
+        seen["shifted", ref.detail.startswith("raised ValidationError")] += 1
+    # gaps moved onto each other (an overlap beside the mismatch), outputs that hit
+    # attained levels and gaps without a float; each copy counts its one overlap alone;
+    # moved points fail the round trip
+    moved = Counter()
+    for key, n in seen.items():
+        if key[0] == "moved":
+            moved[key[1]] += n
+            moved[key[2]] += n
+    assert moved[True] > 5 and moved["output hit an attained level"] > 3 and moved["raised AlphaNotInJumpInterval"] > 3
+    assert seen["copied", 1.0] > 10 and seen["split", 1.0] > 10
+    assert not any(key[0] in ("copied", "split") and key[1] != 1.0 for key in seen)
+    assert seen["shifted", True] > 5

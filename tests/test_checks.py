@@ -16,7 +16,7 @@ from stepdist.checks import (
 )
 from stepdist.monotone import MonotoneStepLinear
 from stepdist.realset import Interval
-from stepdist.transform import attained_values
+from stepdist.transform import _attained_ends
 
 
 class TestAlphaPopulation:
@@ -46,21 +46,21 @@ class TestAnalyticSuite:
     def test_probe_grid_is_searched_once_per_table_column(self, fm, small_population, monkeypatch):
         # one run builds one grid table: F, F(x-) and the jump from one
         # value_parts search, and the transform at every weight formed from them
-        # without a search.  Two checks search the grid once more for the function
-        # they verify: the sandwich check the transform at weight 0, the
-        # quantile-range check _quantile_ranges.  The null-set check inverts the
-        # transforms of all weights in one left-quantile pass, the quantile-range
-        # check maps its levels back in one more, and the law of the transform reads
-        # its levels' ends in one.  The level rows are one left-quantile pass, with
-        # the transform at q formed off the rows, and so are the jump levels of the
-        # uniformity check and the round-trip levels of jump_set.  These array
-        # checks, and the jump-gap round trip, outside the null sets and their
-        # measures, scan no level and evaluate F at no single point: none of them
-        # does so once per jump.  Each of the three level tables (the rows, the jump
-        # levels, the law of the transform's own) takes F, F(x-) and the jump at its
-        # ends from one value_parts search, its only search outside the ramp
-        # corrections of its left quantiles, and no check searches those ends again:
-        # where the law of X is F, the law of the transform reads it off its table
+        # without a search.  One check searches the grid once more for the function
+        # it verifies: the sandwich check the transform at weight 0; the
+        # quantile-range check builds its ranges from F and F(x-) in the table.  The
+        # null-set check inverts the transforms of all weights in one left-quantile
+        # pass, and the quantile-range check maps its levels back in one more.  One
+        # level table holds the levels of the rows (with the transform at q formed
+        # off them), the jump levels of the uniformity check and the round-trip
+        # levels of jump_set: one left-quantile pass, from which the law of the
+        # transform, the uniformity check and the jump characterization read their
+        # slices.  These array checks, and the jump-gap round trip, outside the null
+        # sets and their measures, scan no level and evaluate F at no single point:
+        # none of them does so once per jump.  The level table takes F, F(x-) and
+        # the jump at its ends from one value_parts search, its only search outside
+        # the ramp corrections of its left quantiles, and no check searches those
+        # ends again
         grids = []
         calls = Counter()
         inside = [None]
@@ -157,10 +157,10 @@ class TestAnalyticSuite:
             ends.clear()
             failed = [c for c in analytic_checks(f) if not c.passed]
             assert not failed, failed
-            assert calls["level table"] == calls["value_parts", "table"] == calls["search", "table"] == 3
+            assert calls["level table"] == calls["value_parts", "table"] == calls["search", "table"] == 1
             assert all(calls["at ends", name, True] == 0 for name in array_checks)
-            # the table, the sandwich's weight 0 and _quantile_ranges, each a value_parts call
-            assert calls["search", True] == calls["value_parts", True] == 3
+            # the table and the sandwich's weight 0, each a value_parts call
+            assert calls["search", True] == calls["value_parts", True] == 2
             assert calls["transform", True, 0.0] == 1
             assert all(calls["transform", True, lam] == 0 for lam in LAMBDA_GRID)
             # the sandwich's weights 0.3 and 0.7, only where F does not jump; none at the rows
@@ -168,9 +168,9 @@ class TestAnalyticSuite:
             assert sum(calls[key] for key in calls if key[0] == "transform") == 3
             assert calls["left quantiles", "_check_null_sets"] == 1
             assert calls["left quantiles", "_check_quantile_ranges"] == 1
-            assert calls["left quantiles", "_check_transform_cdf"] == 1
-            assert calls["left quantiles", "_check_uniformity_displays"] == 1  # the jump levels
-            assert calls["left quantiles", None] == 2  # the level rows and jump_set's levels
+            assert calls["left quantiles", "_check_transform_cdf"] == 0
+            assert calls["left quantiles", "_check_uniformity_displays"] == 0
+            assert calls["left quantiles", None] == 1  # the one level table
             assert all(calls[kind, name] == 0 for kind in ("scan", "point") for name in array_checks)
             assert calls["point", None] > 0
 
@@ -191,17 +191,18 @@ class TestAnalyticSuite:
         # (0.4, 1) overlap count once for the overlap, beside the complement mismatch
         # (their merged set (0, 1) has no gap at the attained 0.5)
         f = Cdf(xs=(0.0, 1.0), atoms=(0.5, 0.5), rises=(0.0,))
-        attained = attained_values(f)
+        attained = _attained_ends(f)
         assert checks._check_jump_gaps(f, attained).value == 0
         rows = (f._jumps[0]._replace(hi=0.6), f._jumps[1]._replace(lo=0.4))
         object.__setattr__(f, "_jump_rows", rows)
         assert checks._check_jump_gaps(f, attained).value == 2
 
     def test_attained_values_are_built_once_per_run(self, fm, small_population, monkeypatch):
-        # the two jump-gap checks read the set analytic_checks builds beside the rows
+        # the two jump-gap checks read the component ends analytic_checks builds
+        # beside the rows
         calls = []
-        inner = checks.attained_values
-        monkeypatch.setattr(checks, "attained_values", lambda f: calls.append(f) or inner(f))
+        inner = checks._attained_ends
+        monkeypatch.setattr(checks, "_attained_ends", lambda f: calls.append(f) or inner(f))
         for f in (fm, *small_population[:4]):
             calls.clear()
             failed = [c for c in analytic_checks(f) if not c.passed]
@@ -211,7 +212,9 @@ class TestAnalyticSuite:
     def test_level_columns_build_no_interval(self, fm, small_population, monkeypatch):
         # a level's sets are read off its ends: the level rows and the checks that
         # read them, the uniformity check's jump levels included, construct no
-        # Interval, so no RealSet either, while the rest of the suite does
+        # Interval, so no RealSet either, while the rest of the suite does.  Nor do
+        # the jump-gap checks, which compare and search the sorted ends of the
+        # attained values, and the law of the transform
         built = Counter()
         inside = [None]
         post_init = Interval.__post_init__
@@ -236,6 +239,9 @@ class TestAnalyticSuite:
             "_check_sublevel_union",
             "_check_uniformity_displays",
             "_check_jump_characterization",
+            "_check_jump_gaps",
+            "_check_phi_roundtrip",
+            "_check_transform_cdf",
         )
         for name in names:
             marked(name)
