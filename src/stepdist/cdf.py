@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import AlphaOutOfRange, DegenerateRange, ValidationError
 from .monotone import MonotoneStepLinear
-from .realset import Interval, RealSet
+from .realset import Interval, RealSet, _in_cuts
 
 __all__ = [
     "Cdf",
@@ -78,11 +78,13 @@ class Cdf(MonotoneStepLinear):
     """A distribution function: nondecreasing, right-continuous, limits 0 and 1.
 
     Carries two tables read off the stored breakpoint values on first use:
-    the flat pieces below level 1 and the jumps (atoms).
+    the flat pieces below level 1 and the jumps (atoms), the latter also as
+    columns.
     """
 
     _flat_table: dict | None = field(init=False, repr=False, compare=False)
     _jump_rows: tuple | None = field(init=False, repr=False, compare=False)
+    _jump_cols: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def _derive(self):
         if not self.xs:
@@ -91,11 +93,12 @@ class Cdf(MonotoneStepLinear):
             raise ValidationError(f"base must be exactly 0.0, got {self.base}")
         if float(self._cums[-1]) != 1.0:
             raise ValidationError(f"top must be exactly 1.0, got {float(self._cums[-1])}")
-        # both tables are built on first use: the sampling kernels read neither.
-        # The slots are set here, so filling them keeps every instance's
-        # attribute layout the same (a key added later slows attribute reads on 3.11)
+        # the tables are built on first use: the sampling kernels read none.  The
+        # slots are set here, so filling them keeps every instance's attribute
+        # layout the same (a key added later slows attribute reads on 3.11)
         object.__setattr__(self, "_flat_table", None)
         object.__setattr__(self, "_jump_rows", None)
+        object.__setattr__(self, "_jump_cols", None)
 
     @property
     def _flat_runs(self) -> dict[float, _FlatRun]:
@@ -394,10 +397,100 @@ def level_set(f: Cdf, alpha: float) -> RealSet:
     return _level_set_unchecked(f, _check_alpha(alpha))
 
 
+# -- the exceptional set of the transform inversion -----------------------------
+
+
+class _NullSet(NamedTuple):
+    """The exceptional set of ``transform.inversion_null_set`` at one weight class, as
+    the cuts of the sorted, merged components of its union, and the masses
+    ``measure_set`` gives: ``plateau`` of the plateau union, ``ends`` of the union of
+    the zero and one sets, and ``total`` of the whole set.
+
+    ``cuts`` holds every component's start and end, then a NaN; ``below`` whether each
+    cut lies just below its value (a closed start, an open end) rather than just above
+    it.  These are the cuts ``RealSet.contains_many`` searches.
+    """
+
+    cuts: np.ndarray
+    below: np.ndarray
+    plateau: float
+    ends: float
+    total: float
+
+    def contains_many(self, x) -> np.ndarray:
+        """Whether each point of x lies in the set, from one search of the cuts."""
+        return _in_cuts(self.cuts, self.below, x)
+
+
+def _null_sets(f: Cdf) -> tuple[_NullSet, _NullSet]:
+    """The exceptional sets of the transform inversion for weights below 1 and for
+    weight 1, read off the stored values at breakpoint indices: no evaluation of F and
+    no set sweep.
+
+    Every finite end is a breakpoint.  The zero set is (-inf, z0], or (-inf, z0) where
+    F(z0) > 0, with z0 the right end of the flat piece at level 0, else x0.  The plateau
+    runs follow, (lo, hi] or (lo, hi) as the flat table closes them, at every level
+    above 0, in the table's order, which is their order on the line.  The one set is
+    [z1, inf), or (z1, inf) where the weight is below 1 and F jumps at z1, with z1 the
+    first breakpoint where F = 1.  One search of the finite ends in xs gives their
+    indices.  Each component's mass is the subtraction ``measure_interval`` makes, F or
+    F(x-) read off ``_cums`` and ``_lefts`` at those indices (0 and 1 at infinite
+    ends; x - 0.0 is x), and the mass of a union is the builtin sum of its components'
+    masses in their order from 0.0, as ``measure_set`` sums them.  Components that
+    touch merge, as the set sweep merges them.  On a flat table read off the stored
+    values only the one set can touch anything, and only at weight 1: the zero set of
+    a single jump from 0 to 1, or a plateau that ends in the jump to 1.  Where F does
+    not jump at z1 the two weight classes have one set, returned twice.
+    """
+    cums, lefts, xs = f._cums, f._lefts, f.xs
+    runs = f._flat_runs
+    zero = runs.get(0.0)
+    plateaus = [run for level, run in runs.items() if level > 0.0]
+    p = len(plateaus)
+    run_lo, run_hi, run_closed = np.fromiter(chain.from_iterable(plateaus), float, 3 * p).reshape(-1, 3).T
+    run_closed = run_closed == 1.0
+    z0 = xs[0] if zero is None else zero.hi
+    at = np.searchsorted(f._xs_arr, np.concatenate(([z0], run_lo, run_hi)))
+    i0, lo_at, hi_at = at[0], at[1 : p + 1], at[p + 1 :]
+    i1 = int(np.searchsorted(cums, 1.0))
+    zero_closed = cums.item(i0) == 0.0
+    zero_mass = cums.item(i0) if zero_closed else lefts.item(i0)
+    masses = (np.where(run_closed, cums[hi_at], lefts[hi_at]) - cums[lo_at]).tolist()
+    plateau = sum(masses, 0.0)
+    # the cuts of (-inf, z0], the plateaus and [z1, inf), then NaN
+    cuts = np.empty(2 * p + 5)
+    cuts[:2], cuts[2:-3:2], cuts[3:-3:2], cuts[-3:] = (-math.inf, z0), run_lo, run_hi, (xs[i1], math.inf, math.nan)
+    below = np.zeros(2 * p + 5, dtype=bool)
+    below[1], below[3:-3:2], below[-2] = not zero_closed, ~run_closed, True
+
+    def weight_class(one_closed: bool) -> _NullSet:
+        one_below = below.copy()
+        one_below[-3] = one_closed
+        pieces = [zero_mass, *masses, 1.0 - (lefts if one_closed else cums).item(i1)]
+        ends = sum((zero_mass, pieces[-1]), 0.0)
+        # the one set touches the component before it: they merge into (lo, inf)
+        if cuts[-4] == cuts[-3] and (one_closed or not below[-4]):
+            pieces[-2:] = [1.0 - (cums.item(lo_at[-1]) if p else 0.0)]
+            if not p:
+                ends = pieces[0]
+            return _NullSet(np.delete(cuts, [-4, -3]), np.delete(one_below, [-4, -3]), plateau, ends, sum(pieces, 0.0))
+        return _NullSet(cuts, one_below, plateau, ends, sum(pieces, 0.0))
+
+    if f.atoms[i1] == 0.0:
+        both = weight_class(True)
+        return both, both
+    return weight_class(False), weight_class(True)
+
+
 def _jump_columns(f: Cdf) -> np.ndarray:
-    """The jump table as four arrays: x, F(x-), F(x) and the mass of every jump (the
-    rows' floats read in one pass, a few times faster than ``np.array`` of the rows)."""
-    return np.fromiter(chain.from_iterable(f._jumps), float, 4 * len(f._jumps)).reshape(-1, 4).T
+    """The jump table as four read-only arrays: x, F(x-), F(x) and the mass of every
+    jump, built on first use from the rows (their floats read in one pass, a few times
+    faster than ``np.array`` of the rows) and kept beside them."""
+    if f._jump_cols is None:
+        cols = np.fromiter(chain.from_iterable(f._jumps), float, 4 * len(f._jumps)).reshape(-1, 4).T
+        cols.flags.writeable = False
+        object.__setattr__(f, "_jump_cols", cols)
+    return f._jump_cols
 
 
 def _jump_round_trip_levels(f: Cdf) -> tuple[np.ndarray, np.ndarray]:

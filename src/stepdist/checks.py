@@ -17,7 +17,10 @@ search, and the four transforms formed from them, as the transforms at each leve
 left quantile are formed from the level table.  It builds the attained values once
 for both jump-gap checks, as the sorted ends of their closed components: the
 complement check compares them with the merged jump gaps as arrays, and the round trip
-looks its outputs up in them with one search.  A check that verifies a function runs
+looks its outputs up in them with one search.  The null-set check reads the
+exceptional set of the inversion off the breakpoints (``cdf._null_sets``): the cuts of
+its components and their masses, at breakpoint indices, for weights below 1 and for
+weight 1, with no set built, measured or swept.  A check that verifies a function runs
 that function's array form on the whole grid or on every level: the transform at
 weights 0, 0.3 and 0.7 (``lambda_transforms``), the quantile range of each point
 (``_quantile_ranges_of`` from F and F(x-) in the grid table, mapped back in one
@@ -26,7 +29,8 @@ on the level table), its inversion (one ``_left_quantiles`` pass over the transf
 of every weight) and the jump-gap round trip (the array kernels of ``jump_gap_values``
 and ``jump_gap_weights``).  Tier-1 pins ``lambda_transform``,
 ``quantile_range_of_point``, ``left_quantile``, ``transform_cdf_exact``,
-``invert_transform`` and the two jump-gap functions to those array forms bit for bit.
+``invert_transform`` and the two jump-gap functions to those array forms bit for bit,
+and the null-set table to ``inversion_null_set`` and its measures.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .cdf import (
     _jump_round_trip_levels,
     _left_quantiles,
     _level_ends,
+    _null_sets,
 )
 from .copula import (
     dt_copula,
@@ -73,7 +78,6 @@ from .transform import (
     _jump_gap_weights,
     _quantile_ranges_of,
     _transforms_of_parts,
-    inversion_null_set,
     lambda_transforms,
 )
 
@@ -403,32 +407,26 @@ def _check_phi_roundtrip(f: Cdf, attained):
 def _check_null_sets(f: Cdf, grid, parts):
     # t = 0 or 1 lies in the exceptional set, and no t is NaN; a t in (0, 1) inverts
     # to at most x, and to x off that set (within INVERSION_TOL where F has no jump).
-    # The set depends on the weight only through lam == 1: each of its two reports is
-    # built, measured and searched once, and the t in (0, 1) of every weight are
-    # inverted in one pass
-    reports = {}
-    for lam in LAMBDA_GRID:
-        if (lam == 1.0) not in reports:
-            rep = inversion_null_set(f, lam)
-            plateau = abs(measure_set(f, rep.plateau_union))
-            ends = rep.zero_set.union(rep.one_set)  # rep.union() is ends.union(plateau_union)
-            total = abs(rep.total_measure) if measure_set(f, ends) == 0.0 else 0.0
-            reports[lam == 1.0] = plateau, total, ends.union(rep.plateau_union).contains_many(grid)
-    ts = parts[3]
-    insides = [(0.0 < t) & (t < 1.0) for t in ts]
-    ys = _left_quantiles(f, np.concatenate([t[inside] for t, inside in zip(ts, insides)]))
-    ys = np.split(ys, np.cumsum([np.count_nonzero(inside) for inside in insides])[:-1])
-    worst = 0.0
-    bad = 0
-    tol = np.where(parts[2] > 0.0, 0.0, INVERSION_TOL)
-    for lam, t, inside, y in zip(LAMBDA_GRID, ts, insides, ys):
-        plateau, total, excepted = reports[lam == 1.0]
-        worst = max(worst, plateau, total)
-        edge = (t == 0.0) | (t == 1.0)
-        x = grid[inside]
-        wrong = (y > x + EXACT_TOL, ~excepted[inside] & (np.abs(y - x) > tol[inside]))
-        bad += sum(map(np.count_nonzero, (edge & ~excepted, ~(edge | inside), *wrong)))
-    return worst + bad
+    # The set depends on the weight only through lam == 1: both of its tables come
+    # from one read of the breakpoints (cdf._null_sets), each looked up on the grid
+    # once, and the transforms of all weights are compared as one array, their t in
+    # (0, 1) inverted in one pass.  The plateau mass is zero by construction, as the
+    # flat table and the masses read the same stored values, and so is the total
+    # where it is read, where the zero and one sets carry no mass: both check only
+    # that the tables agree, not the inversion
+    sets = _null_sets(f)
+    looked_up = [sets[0].contains_many(grid)]
+    looked_up.append(looked_up[0] if sets[1] is sets[0] else sets[1].contains_many(grid))
+    excepted = np.stack([looked_up[lam == 1.0] for lam in LAMBDA_GRID])
+    worst = max(0.0, *(m for s in sets for m in (abs(s.plateau), abs(s.total) if s.ends == 0.0 else 0.0)))
+    t = np.stack(parts[3])
+    edge = (t == 0.0) | (t == 1.0)
+    inside = (0.0 < t) & (t < 1.0)
+    x = np.broadcast_to(grid, t.shape)[inside]
+    y = _left_quantiles(f, t[inside])
+    tol = np.broadcast_to(np.where(parts[2] > 0.0, 0.0, INVERSION_TOL), t.shape)[inside]
+    wrong = (y > x + EXACT_TOL, ~excepted[inside] & (np.abs(y - x) > tol))
+    return worst + sum(map(np.count_nonzero, (edge & ~excepted, ~(edge | inside), *wrong)))
 
 
 @_analytic("transform_cdf_uniform", EXACT_TOL)

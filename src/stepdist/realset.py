@@ -181,12 +181,8 @@ class RealSet:
         those of value < x, and a cut ``(x, False)`` is below x too.  NaN sorts past
         the closing NaN cut, so it lies in no set.  Every entry equals ``contains(x_i)``.
         """
-        x = np.asarray(x, dtype=float)
         cuts = _cuts(self.components) + [(math.nan, True)]
-        values = np.array([v for v, _ in cuts])
-        below = np.array([not above for _, above in cuts])
-        i = np.searchsorted(values, x)
-        return np.asarray((i + ((values[i] == x) & below[i])) % 2 == 1)
+        return _in_cuts(np.array([v for v, _ in cuts]), np.array([not above for _, above in cuts]), x)
 
     def union(self, other: "RealSet") -> "RealSet":
         return _merged(_sweep(self.components + other.components))
@@ -207,6 +203,16 @@ class RealSet:
         if not self.components:
             return "(empty)"
         return " U ".join(str(iv) for iv in self.components)
+
+
+def _in_cuts(values: np.ndarray, below: np.ndarray, x) -> np.ndarray:
+    """Whether each point of x lies in the set of the sorted cut values ``values``, each
+    cut just below its value where ``below`` holds and just above it elsewhere, the last
+    a NaN cut just above NaN: the point lies in the set iff an odd number of cuts lie
+    below it, which one search counts (those of value < x, and those at x just below it)."""
+    x = np.asarray(x, dtype=float)
+    i = np.searchsorted(values, x)
+    return np.asarray((i + ((values[i] == x) & below[i])) % 2 == 1)
 
 
 def _merged(components: tuple) -> RealSet:

@@ -294,9 +294,15 @@ class NullSetReport:
 
     ``zero_set``/``one_set`` hold the points the lam-transform sends to 0/1;
     ``plateau_union`` is the union over flat levels of the open-right parts
-    of the flat pieces.  ``total_measure`` is the exact F-mass of the union;
-    the plateau part always carries mass 0, so a positive total flags a
-    failure of the strictly-inside hypothesis.
+    of the flat pieces.  ``total_measure`` is the exact F-mass of the union.
+    The plateau part carries mass 0 by construction: the flat pieces are
+    read off the stored values where F(x_{i+1}-) == F(x_i), and their
+    measures subtract the same stored values, so a nonzero plateau mass
+    shows only that the two readings disagree.  The zero set carries no mass
+    either (F and F(x-) are 0 on it), so where the one set carries none the
+    total is the plateau mass too.  The analytic suite reads the same sets
+    and masses off the breakpoints (``cdf._null_sets``); this report is the
+    scalar route that tier-1 pins that table to.
     """
 
     zero_set: RealSet

@@ -40,6 +40,7 @@ from stepdist.cdf import (
     _jump_round_trip_levels,
     _left_quantiles,
     _level_ends,
+    _null_sets,
     _quantile_pair_unchecked,
     jump_set,
     left_quantile,
@@ -56,7 +57,7 @@ from stepdist.checks import (
 )
 from stepdist.measure import measure_interval, measure_level_set, measure_set, measure_value_level
 from stepdist.monotone import df_condition_report
-from stepdist.realset import Interval, RealSet
+from stepdist.realset import Interval, RealSet, _cuts
 from stepdist.stochastic import INVERSION_TOL, _transform_cdf_totals, _transform_cdf_totals_of, transform_cdf_exact
 from stepdist.transform import (
     _attained_ends,
@@ -438,6 +439,15 @@ def same_result(got, ref) -> bool:
     return got == ref and bits(got.value) == bits(ref.value) and got.detail == ref.detail
 
 
+def with_rows(f, rows):
+    """A copy of f whose jump table is ``rows``, its jump columns to be read from them:
+    the one way the tests hand the checks a jump table that disagrees with F."""
+    g = copy.copy(f)
+    object.__setattr__(g, "_jump_rows", tuple(rows))
+    object.__setattr__(g, "_jump_cols", None)
+    return g
+
+
 def mixed(k):
     """Breakpoints 0, 1, ..., k-1 with about half of them atoms and 60 % of the segments rising."""
     r = np.random.default_rng(0)
@@ -618,12 +628,11 @@ def test_successive_gaps_are_counted_as_the_pairwise_intersections(oracle_laws):
         if len(f._jumps) < 2:
             continue
         # gaps moved to random ends, empty ones included, on a copy of the law
-        g = copy.copy(f)
         rows = []
-        for j in g._jumps:
+        for j in f._jumps:
             lo, hi = sorted(rng.choice(ends, 2).tolist())
             rows.append(_Jump(j.x, lo, hi, j.mass))
-        object.__setattr__(g, "_jump_rows", tuple(rows))
+        g = with_rows(f, rows)
         got, ref = checks._check_jump_gaps(g, _attained_ends(g)), jump_gaps_by_pair(g)
         assert same_result(got, ref)
         tampered += ref.value > 1
@@ -748,6 +757,18 @@ def test_transform_cdf_exact_totals_equal_the_array_kernel(population, fb, fm, f
 # the span that overflows, the ramp narrower than the float grid, the sub-ulp atom and
 # the uniform law whose ramp solve overshoots
 DEFECT_LAWS = [*FLOAT_RESOLUTION_LAWS, SUB_ULP_CASES[0], OVERSHOOTING_UNIFORM]
+# the ends of the exceptional set of the inversion: a single atom (the zero and one
+# sets touch at weight 1), a flat piece at level 0 that ends in a jump and one that F
+# leaves continuously, a ramp that reaches 1 with no atom, a plateau that ends in the
+# jump to 1 (it touches the one set at weight 1) and an atom at x0
+NULL_SET_EDGE_LAWS = [
+    sd.Cdf(xs=(0.5,), atoms=(1.0,), rises=()),
+    sd.Cdf(xs=(0.0, 1.0, 2.0), atoms=(0.0, 0.5, 0.0), rises=(0.0, 0.5)),
+    sd.Cdf(xs=(0.0, 1.0, 2.0), atoms=(0.0, 0.0, 0.0), rises=(0.0, 1.0)),
+    sd.Cdf(xs=(0.0, 1.0, 3.0), atoms=(0.25, 0.0, 0.0), rises=(0.75, 0.0)),
+    sd.Cdf(xs=(-1.0, 1.0, 2.0), atoms=(0.0, 0.0, 0.5), rises=(0.5, 0.0)),
+    sd.Cdf(xs=(0.0, 1.0), atoms=(0.5, 0.0), rises=(0.5,)),
+]
 
 
 def outcome(call, *args):
@@ -761,11 +782,8 @@ def outcome(call, *args):
 def moved_gaps(f, rng):
     """A copy of f whose jump rows keep their points and masses but have gaps moved to
     random ends, empty and overlapping ones included."""
-    g = copy.copy(f)
     ends = (0.0, 0.25, 0.5, 0.75, 1.0)
-    rows = [_Jump(j.x, *sorted(rng.choice(ends, 2).tolist()), j.mass) for j in f._jumps]
-    object.__setattr__(g, "_jump_rows", tuple(rows))
-    return g
+    return with_rows(f, (_Jump(j.x, *sorted(rng.choice(ends, 2).tolist()), j.mass) for j in f._jumps))
 
 
 def test_checks_reading_each_table_once_equal_the_earlier_bodies(population, fb, fm, fu):
@@ -775,7 +793,7 @@ def test_checks_reading_each_table_once_equal_the_earlier_bodies(population, fb,
     # bodies return, bit for bit; on the defect laws too, where some of them FAIL or raise
     failed = set()
     with np.errstate(over="ignore", invalid="ignore"):  # the span that overflows
-        for f in (*population, fb, fm, fu, *DEFECT_LAWS, mixed(2000)):
+        for f in (*population, fb, fm, fu, *DEFECT_LAWS, *NULL_SET_EDGE_LAWS, mixed(2000)):
             grid = probe_grid(f)
             parts = _grid_parts(f, grid)
             attained = attained_values(f)
@@ -796,6 +814,34 @@ def test_checks_reading_each_table_once_equal_the_earlier_bodies(population, fb,
         ("null_set_inversion", ""),
         ("total_mass_and_df_conditions", "raised MalformedInterval"),
     }
+
+
+def test_null_set_table_equals_the_reports(population, fb, fm, fu):
+    # the exceptional set read off the breakpoints is, at every weight, the union of
+    # inversion_null_set's report, component for component, with the measure_set of
+    # its plateau union, of its zero and one sets and of the whole, and its membership
+    # on the probe grid and at infinite and NaN points, bit for bit
+    shapes = []
+    with np.errstate(over="ignore", invalid="ignore"):  # the span that overflows
+        for f in (*NULL_SET_EDGE_LAWS, *population, fb, fm, fu, *DEFECT_LAWS, mixed(2000)):
+            grid = np.concatenate((probe_grid(f), [-math.inf, math.inf, math.nan]))
+            table = _null_sets(f)
+            for lam in LAMBDA_GRID:
+                s, rep = table[lam == 1.0], inversion_null_set(f, lam)
+                union = rep.union()
+                cuts, below = s.cuts.tolist(), s.below.tolist()
+                assert bits(cuts.pop()) == bits(math.nan) and below.pop() is False
+                assert [(bits(v), b) for v, b in zip(cuts, below, strict=True)] == [
+                    (bits(v), not above) for v, above in _cuts(union.components)
+                ], (f, lam)
+                assert bits(s.plateau) == bits(measure_set(f, rep.plateau_union)), (f, lam)
+                assert bits(s.ends) == bits(measure_set(f, rep.zero_set.union(rep.one_set))), (f, lam)
+                assert bits(s.total) == bits(rep.total_measure), (f, lam)
+                assert s.contains_many(grid).tolist() == union.contains_many(grid).tolist(), (f, lam)
+            shapes.append([len(s.cuts) // 2 for s in table])
+    # at weight 1 the single atom's zero and one sets merge into the line, and the
+    # plateau that ends in the jump to 1 merges with the one set
+    assert shapes[: len(NULL_SET_EDGE_LAWS)] == [[2, 1], [2, 2], [2, 2], [2, 2], [3, 2], [2, 2]]
 
 
 def test_checks_reading_each_table_once_equal_the_earlier_bodies_on_wrong_inputs(small_population, fb, fm, fu):
@@ -828,9 +874,8 @@ def test_checks_reading_each_table_once_equal_the_earlier_bodies_on_wrong_inputs
         got, ref = checks._check_phi_roundtrip(g, _attained_ends(g)), phi_roundtrip_by_round(g, attained_values(g))
         assert same_result(got, ref), (f, got, ref)
         nonzero[ref.detail.split(":")[0]] += 1
-        shifted = copy.copy(f)
         points = [j.x for j in f._jumps]
-        object.__setattr__(shifted, "_jump_rows", tuple(j._replace(x=x) for j, x in zip(f._jumps, points[1:] + points[:1])))
+        shifted = with_rows(f, (j._replace(x=x) for j, x in zip(f._jumps, points[1:] + points[:1])))
         ref = outcome(jump_set_by_scan, shifted)
         assert outcome(jump_set, shifted) == ref
         nonzero["jump_set"] += ref[0] is sd.ValidationError
@@ -895,13 +940,6 @@ def test_transforms_formed_off_the_tables_equal_lambda_transforms(population, fb
 
 
 # -- the checks that read the suite's one level table and the attained ends ----------
-
-
-def with_rows(f, rows):
-    """A copy of f whose jump table is ``rows``."""
-    g = copy.copy(f)
-    object.__setattr__(g, "_jump_rows", tuple(rows))
-    return g
 
 
 def cross_checked(f, trip):

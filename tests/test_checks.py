@@ -17,6 +17,7 @@ from stepdist.checks import (
 from stepdist.monotone import MonotoneStepLinear
 from stepdist.realset import Interval
 from stepdist.transform import _attained_ends
+from test_check_oracle import with_rows
 
 
 class TestAlphaPopulation:
@@ -55,12 +56,13 @@ class TestAnalyticSuite:
         # off them), the jump levels of the uniformity check and the round-trip
         # levels of jump_set: one left-quantile pass, from which the law of the
         # transform, the uniformity check and the jump characterization read their
-        # slices.  These array checks, and the jump-gap round trip, outside the null
-        # sets and their measures, scan no level and evaluate F at no single point:
-        # none of them does so once per jump.  The level table takes F, F(x-) and
-        # the jump at its ends from one value_parts search, its only search outside
-        # the ramp corrections of its left quantiles, and no check searches those
-        # ends again
+        # slices.  These array checks, and the jump-gap round trip, scan no level and
+        # evaluate F at no single point: none of them does so once per jump.  The
+        # null-set check reads its exceptional sets off the breakpoints, with no
+        # inversion_null_set report: the one measure_set call of a run is the total
+        # mass check's.  The level table takes F, F(x-) and the jump at its ends from
+        # one value_parts search, its only search outside the ramp corrections of its
+        # left quantiles, and no check searches those ends again
         grids = []
         calls = Counter()
         inside = [None]
@@ -150,8 +152,10 @@ class TestAnalyticSuite:
         )
         for name in array_checks:
             flagged(name, name)
-        for name in ("inversion_null_set", "measure_set"):
-            flagged(name, None)
+        flagged("_check_total_mass", "_check_total_mass")
+        wrapped(transform, "inversion_null_set", lambda f, lam: ("inversion_null_set",))
+        for module in (checks, transform, measure):
+            wrapped(module, "measure_set", lambda f, s: ("measure_set", inside[0]))
         for f in (fm, *small_population[:4]):
             calls.clear()
             ends.clear()
@@ -172,7 +176,9 @@ class TestAnalyticSuite:
             assert calls["left quantiles", "_check_uniformity_displays"] == 0
             assert calls["left quantiles", None] == 1  # the one level table
             assert all(calls[kind, name] == 0 for kind in ("scan", "point") for name in array_checks)
-            assert calls["point", None] > 0
+            assert calls["point", "_check_total_mass"] > 0
+            assert calls["inversion_null_set",] == 0
+            assert {key: n for key, n in calls.items() if key[0] == "measure_set"} == {("measure_set", "_check_total_mass"): 1}
 
     def test_null_set_check_counts_a_nan_transform_as_one_bad_point(self, fm):
         # a NaN transform has no left quantile: the check counts it and does
@@ -194,8 +200,20 @@ class TestAnalyticSuite:
         attained = _attained_ends(f)
         assert checks._check_jump_gaps(f, attained).value == 0
         rows = (f._jumps[0]._replace(hi=0.6), f._jumps[1]._replace(lo=0.4))
-        object.__setattr__(f, "_jump_rows", rows)
-        assert checks._check_jump_gaps(f, attained).value == 2
+        assert checks._check_jump_gaps(with_rows(f, rows), attained).value == 2
+
+    def test_jump_columns_are_built_once_per_cdf(self, fm, small_population):
+        # the readers of the jump table's columns share one read-only conversion of
+        # the rows, made on first use and kept beside them across runs
+        for law in (fm, *small_population[:4]):
+            f = with_rows(law, law._jumps)
+            assert f._jump_cols is None
+            analytic_checks(f)
+            cols = f._jump_cols
+            assert cols.tobytes() == np.array(f._jumps, dtype=float).reshape(-1, 4).T.tobytes()
+            assert not cols.flags.writeable
+            analytic_checks(f)
+            assert cdf._jump_columns(f) is cols
 
     def test_attained_values_are_built_once_per_run(self, fm, small_population, monkeypatch):
         # the two jump-gap checks read the component ends analytic_checks builds
@@ -267,24 +285,28 @@ class TestAnalyticSuite:
         assert not failed, failed
 
     @pytest.mark.parametrize(
-        "f, check, error",
+        "f, check, error, numeric",
         [
             # a 1e-300 atom cannot move F: its jump gap is empty in floats
             (
                 Cdf(xs=(0.0, 1.0, 2.0, 3.0), atoms=(0.5, 1e-300, 0.0, 0.5), rises=(0.0, 0.0, 0.0)),
                 "jump_gap_roundtrip",
                 "AlphaNotInJumpInterval",
+                {},
             ),
-            # the span overflows: the mass check's cut points come out NaN
+            # the span overflows: the mass check's cut points come out NaN, and numpy
+            # warns of the overflow and of the NaN that follow
             (
                 Cdf(xs=(-1e308, 1e308), atoms=(0.0, 0.0), rises=(1.0,)),
                 "total_mass_and_df_conditions",
                 "MalformedInterval",
+                {"over": "ignore", "invalid": "ignore"},
             ),
         ],
     )
-    def test_raised_error_is_that_checks_fail(self, fb, f, check, error):
-        results = analytic_checks(f)
+    def test_raised_error_is_that_checks_fail(self, fb, f, check, error, numeric):
+        with np.errstate(**numeric):
+            results = analytic_checks(f)
         assert len(results) == 14
         assert [c.name for c in results] == [c.name for c in analytic_checks(fb)]
         (raised,) = [c for c in results if c.detail.startswith("raised ")]

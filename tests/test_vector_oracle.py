@@ -1239,7 +1239,7 @@ def test_sampling_never_builds_the_jump_table(fm):
         us = distributional_transform(f, xs, SeededStream(1, 1), x_stream=SeededStream(1, 0))
         ks_uniformity(us)
         inversion_check(f, SeededStream(1, 2), 1000)
-        assert f._jump_rows is None and f._flat_table is None
+        assert f._jump_rows is None and f._jump_cols is None and f._flat_table is None
     f = normalize(sd.MonotoneStepLinear(xs=fm.xs, atoms=fm.atoms, rises=fm.rises))
     assert f.jump_points == (0.5,) and f._jump_rows == f._jumps and f._flat_table is None
     assert f.plateau_levels == (0.25,) and f._flat_table == f._flat_runs
