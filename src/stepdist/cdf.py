@@ -166,6 +166,14 @@ def normalize(g: MonotoneStepLinear) -> Cdf:
     return Cdf._with_profile(g.xs, atoms, rises, 0.0, lefts, cums)
 
 
+def _breakpoint_parts(f: Cdf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(xs, F(x_i), F(x_i-))``: the breakpoints and the values stored there, read by
+    index instead of searched.  The arrays are the stored ones: callers must not write
+    to them.  As values they equal F and F(x-) from a search of xs (a stored -0.0
+    reads +0.0 there)."""
+    return f._xs_arr, f._cums, f._lefts
+
+
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if math.isnan(alpha) or not 0.0 < alpha < 1.0:

@@ -14,18 +14,21 @@ which the uniformity check reads, and the levels ``jump_set`` maps back, on whic
 jump characterization runs ``jump_set``'s cross-check; each reads its slice.  The
 suite evaluates the probe grid once into a table: F, F(x-) and the jump from one
 search, and the four transforms formed from them, as the transforms at each level's
-left quantile are formed from the level table.  It builds the attained values once
-for both jump-gap checks, as the sorted ends of their closed components: the
-complement check compares them with the merged jump gaps as arrays, and the round trip
-looks its outputs up in them with one search.  The null-set check reads the
+left quantile are formed from the level table.  F and F(x-) at the breakpoints are
+read off the stored profile by index (``cdf._breakpoint_parts``), never searched.  It
+builds the attained values once for both jump-gap checks, from that profile, as the
+sorted ends of their closed components: the complement check compares them with the
+merged jump gaps as arrays, and the round trip looks its outputs up in them with one
+search.  The null-set check reads the
 exceptional set of the inversion off the breakpoints (``cdf._null_sets``): the cuts of
 its components and their masses, at breakpoint indices, for weights below 1 and for
 weight 1, with no set built, measured or swept.  A check that verifies a function runs
 that function's array form on the whole grid or on every level: the transform at
 weights 0, 0.3 and 0.7 (``lambda_transforms``), the quantile range of each point
-(``_quantile_ranges_of`` from F and F(x-) in the grid table, mapped back in one
-``_left_quantiles`` pass), the exact law of the transform (``_transform_cdf_totals_of``
-on the level table), its inversion (one ``_left_quantiles`` pass over the transforms
+(``_quantile_ranges_of`` from F and F(x-) in the grid table, compared at the grid's
+breakpoint rows with the stored profile and mapped back in one ``_left_quantiles``
+pass), the exact law of the transform (``_transform_cdf_totals_of`` on the level
+table), its inversion (one ``_left_quantiles`` pass over the transforms
 of every weight) and the jump-gap round trip (the array kernels of ``jump_gap_values``
 and ``jump_gap_weights``).  Tier-1 pins ``lambda_transform``,
 ``quantile_range_of_point``, ``left_quantile``, ``transform_cdf_exact``,
@@ -45,6 +48,7 @@ import numpy as np
 from .cdf import (
     Cdf,
     _LevelEnds,
+    _breakpoint_parts,
     _check_jump_round_trip,
     _jump_columns,
     _jump_round_trip_levels,
@@ -228,8 +232,7 @@ def _check_quantile_sandwich(f: Cdf, rows):
     a, lo, hi = rows.a, rows.lo, rows.hi
     (f_lo, f_hi, _), (left_lo, left_hi, _) = rows.fx, rows.left
     ds = (1e-6, 1e-3, 0.25)
-    points = (*(lo - d for d in ds), *(lo + d for d in ds))
-    shifted = np.split(f.values(np.concatenate(points)), len(points))
+    shifted = f.values(np.stack([*(lo - d for d in ds), *(lo + d for d in ds)]))
     return _worst(
         (lo - hi)[lo > hi],
         left_lo - a,
@@ -334,32 +337,36 @@ def _check_sublevel_union(f: Cdf, rows, with_q, grid, parts):
 
 @_analytic("quantile_range_of_point", 0)
 def _check_quantile_ranges(f: Cdf, grid, parts):
-    # each point's range lies in [F(x-), F(x)], and is that interval where F jumps at x;
-    # levels inside a jump map back to x, and at breakpoints an end belongs to the range
-    # iff it maps back to x (inside rising segments a round trip may land an ulp off,
-    # which the set semantics must not depend on)
+    # at each breakpoint on the grid, the range built from the grid table lies in
+    # [F(x-), F(x)] as stored there, and is that interval where the stored F jumps: the
+    # search against the index.  Levels inside a jump map back to x, and at breakpoints
+    # an end belongs to the range iff it maps back to x (inside rising segments a round
+    # trip may land an ulp off, which the set semantics must not depend on)
     fx, left = parts[0], parts[1]
     lo, hi, closed_lo, closed_hi = _quantile_ranges_of(f, grid, fx, left)
     nonempty = (lo < hi) | (closed_lo & closed_hi)
-    jumped = fx > left
-    bad = np.count_nonzero(nonempty & ((lo < left) | (hi > fx)))
-    bad += np.count_nonzero(jumped & (~nonempty | (lo != left) | (hi != fx)))
+    # the grid's breakpoint rows b (the grid is sorted and unique) and F, F(x-) stored there
+    xs, stored, stored_left = _breakpoint_parts(f)
+    b = np.searchsorted(grid, xs)
+    on_grid = grid.take(b, mode="clip") == xs
+    b, stored, stored_left = b[on_grid], stored[on_grid], stored_left[on_grid]
+    bad = np.count_nonzero(nonempty[b] & ((lo[b] < stored_left) | (hi[b] > stored)))
+    bad += np.count_nonzero((stored > stored_left) & (~nonempty[b] | (lo[b] != stored_left) | (hi[b] != stored)))
     # the levels to map back, each with the index of its point: 1/4, 1/2 and 3/4 of
     # the way across each jump, and the ends F(x-) and F(x) at breakpoints
-    j = np.flatnonzero(jumped)
-    inner_at = np.tile(j, 3)
+    j = np.flatnonzero(fx > left)
+    inner_at = np.concatenate((j, j, j))
     inner = np.concatenate([left[j] + frac * (fx[j] - left[j]) for frac in (0.25, 0.5, 0.75)])
     keep = (left[inner_at] < inner) & (inner < fx[inner_at])
     inner, inner_at = inner[keep], inner_at[keep]
-    b = np.flatnonzero(np.isin(grid, f.xs))
-    ends_at = np.tile(b, 2)
+    ends_at = np.concatenate((b, b))
     ends = np.concatenate([left[b], fx[b]])
     keep = (0.0 < ends) & (ends < 1.0)
     ends, i = ends[keep], ends_at[keep]
-    back_inner, back_ends = np.split(_left_quantiles(f, np.concatenate([inner, ends])), [inner.size])
-    bad += np.count_nonzero(back_inner != grid[inner_at])
+    back = _left_quantiles(f, np.concatenate([inner, ends]))
+    bad += np.count_nonzero(back[: inner.size] != grid[inner_at])
     member = (lo[i] <= ends) & (ends <= hi[i]) & ((ends != lo[i]) | closed_lo[i]) & ((ends != hi[i]) | closed_hi[i])
-    bad += np.count_nonzero(member != (back_ends == grid[i]))
+    bad += np.count_nonzero(member != (back[inner.size :] == grid[i]))
     return int(bad)
 
 
@@ -378,7 +385,7 @@ def _check_jump_gaps(f: Cdf, attained):
     start = np.ones(gap_lo.size, dtype=bool)
     start[1:] = gap_lo[1:] >= gap_hi[:-1]
     # a merged gap ends where the next one starts, the last one at the last gap
-    merged = gap_lo[start], gap_hi[np.roll(start, -1)]
+    merged = gap_lo[start], gap_hi[np.concatenate((start[1:], start[:1]))]
     expected = attained[1][:-1], attained[0][1:]
     bad = 0 if all(map(np.array_equal, merged, expected)) else 1
     # the gaps of successive jumps are disjoint (the merged set would hide an overlap):
@@ -422,10 +429,11 @@ def _check_null_sets(f: Cdf, grid, parts):
     t = np.stack(parts[3])
     edge = (t == 0.0) | (t == 1.0)
     inside = (0.0 < t) & (t < 1.0)
-    x = np.broadcast_to(grid, t.shape)[inside]
-    y = _left_quantiles(f, t[inside])
-    tol = np.broadcast_to(np.where(parts[2] > 0.0, 0.0, INVERSION_TOL), t.shape)[inside]
-    wrong = (y > x + EXACT_TOL, ~excepted[inside] & (np.abs(y - x) > tol))
+    w, col = np.nonzero(inside)  # in the C order of the masks
+    x = grid[col]
+    y = _left_quantiles(f, t[w, col])
+    tol = np.where(parts[2] > 0.0, 0.0, INVERSION_TOL)[col]
+    wrong = (y > x + EXACT_TOL, ~excepted[w, col] & (np.abs(y - x) > tol))
     return worst + sum(map(np.count_nonzero, (edge & ~excepted, ~(edge | inside), *wrong)))
 
 

@@ -28,6 +28,7 @@ import numpy as np
 from .cdf import (
     _EMPTY,
     Cdf,
+    _breakpoint_parts,
     _check_alpha,
     _flat_or_point,
     _jump_columns,
@@ -179,18 +180,13 @@ def _quantile_ranges_of(f: Cdf, x: np.ndarray, fx: np.ndarray, left: np.ndarray)
 
     The interval is (F(x-), F(x)) with the scalar's endpoint flags where F jumps
     at x, else {F(x)} (both flags set) or the empty set (F(x) at both ends, both
-    flags clear).  Whether F is flat just left of x is read off the breakpoint
-    values from one ``value_parts`` call, F(x_i-) == F(x_{i-1}), as the scalar
-    reads it.
+    flags clear).  Whether F is flat just left of x is read off the stored
+    breakpoint values by index, F(x_i-) == F(x_{i-1}), as the scalar reads it.
     """
-    xs = np.asarray(f.xs)
-    at, left_at, _ = f.value_parts(xs)
-    # segment i-1 is flat where F(xs[i]-) == F(xs[i-1]); x sits in (xs[i-1], xs[i]]
-    flat_segment = left_at[1:] == at[:-1]
-    i = np.searchsorted(xs, x, side="left")
-    inside = (xs[0] < x) & (x <= xs[-1])
-    flat_left = ~inside
-    flat_left[inside] = flat_segment[i[inside] - 1]
+    xs, at, left_at = _breakpoint_parts(f)
+    # x sits in (xs[i-1], xs[i]], where segment i-1 is flat iff F(xs[i]-) == F(xs[i-1]);
+    # F is flat left of xs[0] and right of xs[-1]
+    flat_left = np.concatenate(([True], left_at[1:] == at[:-1], [True]))[np.searchsorted(xs, x, side="left")]
     jumped = fx > left
     point = ~jumped & ~flat_left & (0.0 < fx) & (fx < 1.0)
     closed_lo = (jumped & ~flat_left & (left > 0.0)) | point
@@ -260,27 +256,27 @@ def _attained_ends(f: Cdf) -> tuple[np.ndarray, np.ndarray]:
     """The closed components [lo_k, hi_k] of :func:`attained_values`, as two sorted
     arrays ``(lo, hi)``.
 
-    The pieces {0}, [F(x_i), F(x_{i+1}-)] on each segment and {1}, read at the
-    breakpoints from one ``value_parts`` call, are already in order, as
+    The pieces {0}, [F(x_i), F(x_{i+1}-)] on each segment and {1}, read off the
+    stored breakpoint values by index, are already in order, as
     F(x_i) <= F(x_{i+1}-) <= F(x_{i+1}); a component starts at every piece that
     starts above the end of the piece before it, so pieces that touch or overlap
     merge, and ends at the piece before the next start.  A zero end is +0.0, the
-    float of {0}, as the union of the pieces as ``RealSet``s has it.
+    float of {0}, as the union of the pieces as ``RealSet``s has it (a stored -0.0
+    never starts a component, as it lies no higher than the end before it).
     """
-    values, lefts, _ = f.value_parts(f.xs)
+    _, values, lefts = _breakpoint_parts(f)
     lo = np.concatenate(([0.0], values[:-1], [1.0]))
     hi = np.concatenate(([0.0], lefts[1:], [1.0]))
-    start = np.ones(lo.size, dtype=bool)
-    start[1:] = lo[1:] > hi[:-1]
-    return lo[start], hi[np.roll(start, -1)] + 0.0
+    start = np.concatenate(([True], lo[1:] > hi[:-1]))
+    return lo[start], hi[np.concatenate((start[1:], start[:1]))] + 0.0
 
 
 def attained_values(f: Cdf) -> RealSet:
     """All levels attained by F or by its left limits, as an exact set.
 
     These are {0}, {1} and, on each segment, [F(x_i), F(x_{i+1}-)] (a point
-    on a flat segment), read at the breakpoints from one ``value_parts``
-    call and merged into their components (:func:`_attained_ends`).  The
+    on a flat segment), read off the stored breakpoint values by index and
+    merged into their components (:func:`_attained_ends`).  The
     complement of this set within (0,1) is precisely the disjoint union of
     the open jump gaps.
     """

@@ -33,6 +33,7 @@ import pytest
 import stepdist as sd
 from stepdist import checks, transform
 from stepdist.cdf import (
+    _breakpoint_parts,
     _check_jump_round_trip,
     _FlatRun,
     _Jump,
@@ -685,8 +686,33 @@ def range_bits(s: RealSet) -> list:
     return [(bits(iv.lo), bits(iv.hi), iv.closed_lo, iv.closed_hi) for iv in s.components]
 
 
+# F(x_0) is stored as -0.0 (-0.0 + -0.0), where value_parts reads +0.0 (-0.0 + 0.0 * 0.0)
+SIGNED_ZERO_LAW = sd.Cdf(xs=(0.0, 1.0, 2.0), atoms=(-0.0, 0.5, 0.5), rises=(0.0, 0.0), base=-0.0)
+
+
+def test_breakpoint_parts_equal_value_parts_at_the_breakpoints(population, fb, fm, fu):
+    # the stored profile is what a search of the breakpoints reads, as values: the
+    # signs of a zero may differ, which every reader compares with == or adds + 0.0 to
+    laws = [*population, fb, fm, fu, *DEFECT_LAWS, *SUB_ULP_CASES[1:], mixed(2000), SIGNED_ZERO_LAW]
+    for f in laws:
+        xs, fx, left = _breakpoint_parts(f)
+        with np.errstate(over="ignore", invalid="ignore"):  # the span that overflows
+            at, left_at, _ = f.value_parts(f.xs)
+        assert xs.tolist() == list(f.xs) and fx.tolist() == at.tolist() and left.tolist() == left_at.tolist(), f
+    _, fx, _ = _breakpoint_parts(SIGNED_ZERO_LAW)
+    assert (bits(fx[0]), bits(SIGNED_ZERO_LAW.value_parts(0.0)[0])) == (bits(-0.0), bits(0.0))
+
+
 def test_quantile_range_of_point_equals_the_array_kernel(population, fb, fm, fu):
-    functions = [*population, fb, fm, fu, *rescaled_functions(np.random.default_rng(47), 30), *SUB_ULP_CASES]
+    functions = [
+        *population,
+        fb,
+        fm,
+        fu,
+        *rescaled_functions(np.random.default_rng(47), 30),
+        *SUB_ULP_CASES,
+        SIGNED_ZERO_LAW,
+    ]
     kinds = set()
     for f in functions:
         xs = np.asarray(f.xs)
@@ -715,6 +741,7 @@ def test_attained_values_equal_the_breakpoint_construction(population, fb, fm, f
         sd.point_mass(0.0),
         # F and F(x-) are -0.0 at the first two breakpoints: the set keeps {0}'s +0.0
         sd.Cdf(xs=(0.0, 1.0, 2.0), atoms=(-0.0, -0.0, 1.0), rises=(-0.0, -0.0), base=-0.0),
+        SIGNED_ZERO_LAW,
         mixed(2000),
     ]
     # the wrapper builds one set of the merged components of _attained_ends

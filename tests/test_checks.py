@@ -62,7 +62,8 @@ class TestAnalyticSuite:
         # inversion_null_set report: the one measure_set call of a run is the total
         # mass check's.  The level table takes F, F(x-) and the jump at its ends from
         # one value_parts search, its only search outside the ramp corrections of its
-        # left quantiles, and no check searches those ends again
+        # left quantiles, and no check searches those ends again.  F and F(x-) at the
+        # breakpoints are read off the stored profile by index: no search of f.xs
         grids = []
         calls = Counter()
         inside = [None]
@@ -139,6 +140,8 @@ class TestAnalyticSuite:
         wrapped(MonotoneStepLinear, "value_parts", lambda self, x: ("value_parts", building[0]))
         wrapped(MonotoneStepLinear, "_locate", lambda self, x: ("search", building[0]))
         wrapped(MonotoneStepLinear, "_locate", lambda self, x: ("at ends", building[0] or inside[0], at_ends(self, x)))
+        for name in ("_locate", "value_parts"):
+            wrapped(MonotoneStepLinear, name, lambda self, x: ("breakpoints", np.array_equal(x, self.xs)))
         for module in (checks, stochastic):
             tabled(module)
         array_checks = (
@@ -178,6 +181,7 @@ class TestAnalyticSuite:
             assert all(calls[kind, name] == 0 for kind in ("scan", "point") for name in array_checks)
             assert calls["point", "_check_total_mass"] > 0
             assert calls["inversion_null_set",] == 0
+            assert calls["breakpoints", True] == 0 and calls["breakpoints", False] > 0
             assert {key: n for key, n in calls.items() if key[0] == "measure_set"} == {("measure_set", "_check_total_mass"): 1}
 
     def test_null_set_check_counts_a_nan_transform_as_one_bad_point(self, fm):
@@ -191,6 +195,45 @@ class TestAnalyticSuite:
             t[k] = np.nan
             res = checks._check_null_sets(fm, grid, (fx, left, jump, (t, *ts[1:])))
             assert res.value == 1 and not res.detail
+
+    def test_quantile_ranges_hold_on_a_grid_without_some_breakpoints(self, fb, fm, small_population):
+        # the check finds the grid's breakpoint rows by position, so a grid without
+        # every other breakpoint, or cut below the last one, leaves it at 0
+        for f in (fb, fm, *small_population[:6]):
+            full = probe_grid(f)
+            for grid in (full[~np.isin(full, f.xs[::2])], full[full < f.xs[-1]]):
+                assert checks._check_quantile_ranges(f, grid, checks._grid_parts(f, grid)).value == 0
+
+    def test_quantile_ranges_are_compared_with_the_stored_profile(self, fm, small_population):
+        # a grid table whose F(x-) or F(x) is moved at one breakpoint x where F jumps
+        # gives a range that is no longer exactly [F(x-), F(x)] as stored.  Moved into
+        # the gap, or F(x-) up to F(x), where F is not flat just left of x, that is
+        # one count, which no round trip adds to, since every level of the moved range
+        # still maps back to x; the ranges built from the table alone agree with it
+        # and count nothing.  F(x) one float up leaves [F(x-), F(x)] too (one more
+        # count), and its new end maps back right of x (one more)
+        moved = Counter()
+        for f in (fm, *small_population[:10]):
+            grid = probe_grid(f)
+            parts = checks._grid_parts(f, grid)
+            fx, left = parts[:2]
+            _, _, closed_lo, _ = transform._quantile_ranges(f, grid)
+            assert checks._check_quantile_ranges(f, grid, parts).value == 0
+            for b in np.flatnonzero(fx > left):
+                at_b = np.arange(grid.size) == b
+                inside = left[b] + 0.5 * (fx[b] - left[b])
+                up = np.nextafter(fx[b], np.inf)
+                tables = {"F(x) inside": (np.where(at_b, inside, fx), left, 1)}
+                if closed_lo[b]:
+                    tables["F(x-) inside"] = (fx, np.where(at_b, inside, left), 1)
+                    tables["F(x-) at F(x)"] = (fx, np.where(at_b, fx, left), 1)
+                if up < 1.0:
+                    tables["F(x) up"] = (np.where(at_b, up, fx), left, 3)
+                for name, (moved_fx, moved_left, count) in tables.items():
+                    got = checks._check_quantile_ranges(f, grid, (moved_fx, moved_left, *parts[2:]))
+                    assert got.value == count, (f, b, name)
+                    moved[name] += 1
+        assert min(moved.values()) > 10 and len(moved) == 4, moved
 
     def test_overlapping_jump_gaps_are_counted(self):
         # the gaps of successive jumps must be disjoint; rows whose gaps (0, 0.6) and
