@@ -188,10 +188,11 @@ def _check_alpha(alpha: float) -> float:
 # (atom jumps past it, or the ramp arrives exactly there) or strictly inside
 # the rising segment [x0, x1) before it, where one linear solve inverts the
 # ramp.  A solve that lands a few ulps short (F(x) < a in floats), or that
-# rounds to or past x1 although F(x1-) > a, is moved up to the least float
-# with F >= a, from x0 in the second case: the defining inequality always
-# holds and the result stays on the segment.  Only the array kernel
-# corrects; the scalar scan passes it the levels whose solve needs it.
+# rounds to or past x1 although F(x1-) > a, is moved to the least float
+# above x0 with F >= a: up from the solve in the first case, down from x1 in
+# the second.  The defining inequality always holds and the result stays on
+# the segment.  Only the array kernel corrects; the scalar scan passes it
+# the levels whose solve needs it.
 #
 # Right quantile at a in [0, 1): it differs from the left one only where F
 # is flat at level a, and then it is the right end of that flat piece.
@@ -211,38 +212,54 @@ def _order_float(u: np.ndarray) -> np.ndarray:
     return np.where(u >= _SIGN_BIT, u & ~_SIGN_BIT, ~u).view(np.float64)
 
 
-def _raise_to_level(f: Cdf, x: np.ndarray, a: np.ndarray, cap: np.ndarray) -> np.ndarray:
+def _raise_to_level(
+    f: Cdf, x: np.ndarray, a: np.ndarray, cap: np.ndarray, down: np.ndarray | None = None
+) -> np.ndarray:
     """The least float y > x_i with F(y) >= a_i, for every ramp solve x_i to correct.
 
     Requires F(x_i) < a_i <= F(cap_i), with x_i and cap_i on one rising
     segment (cap_i its right breakpoint).  F evaluated in floats is
-    nondecreasing there, so stepping 1, 2, 4, ... floats up from x_i (never
-    past cap_i) and then bisecting the last step returns the same float as
-    walking up one float at a time, in O(log distance) evaluations of F on
-    the entries still open.  The order counts +0.0 as a float of its own,
-    which the walk skips (from -0.0 it steps to the least positive
-    subnormal); F(+0.0) == F(-0.0), so the answer is the same.
+    nondecreasing there, so the answer is the float a walk up from x_i one
+    float at a time stops at.  Most solves are one float short: one
+    ``values`` pass at the float after each x_i settles those.  The rest are
+    searched in an order of the floats (+0.0 a float of its own, just above
+    -0.0): up from x_i by 1, 2, 4, ... floats (never past cap_i), or where
+    ``down`` holds, down from cap_i, for a solve that reached cap_i and whose
+    answer lies at or just below it; then the last step is bisected.  That
+    takes O(log distance) evaluations of F on the entries still open and
+    returns the walk's float: the walk skips +0.0 (from -0.0 it steps to the
+    least positive subnormal), and F(+0.0) == F(-0.0) puts the order's answer
+    at -0.0 wherever it could be +0.0.
     """
-    lo = _float_order(x)  # F < a at lo
-    top = _float_order(cap)
-    hi = top.copy()  # F >= a at hi
+    y = np.nextafter(x, math.inf)
+    open_ = (f.values(y) < a).nonzero()[0]
+    if not open_.size:
+        return y
+    lo = _float_order(y[open_])  # F < a at lo
+    hi = _float_order(cap[open_])  # F >= a at hi
+    a = a[open_]
+    down = np.zeros(open_.size, dtype=bool) if down is None else down[open_]
+    # gallop: up from lo until F >= a, or down from hi until F < a
     step = 1
-    open_ = np.arange(lo.size)
-    while open_.size:
-        probe = lo[open_] + np.minimum(np.uint64(step), top[open_] - lo[open_])
-        ok = f.values(_order_float(probe)) >= a[open_]
-        hi[open_[ok]] = probe[ok]
-        lo[open_[~ok]] = probe[~ok]
-        open_ = open_[~ok]
+    live = np.arange(open_.size)
+    while live.size:
+        gap = np.minimum(np.uint64(step), hi[live] - lo[live])
+        d = down[live]
+        probe = np.where(d, hi[live] - gap, lo[live] + gap)
+        ok = f.values(_order_float(probe)) >= a[live]
+        hi[live[ok]] = probe[ok]
+        lo[live[~ok]] = probe[~ok]
+        live = live[ok == d]
         step = min(2 * step, 1 << 63)
-    open_ = np.flatnonzero(hi - lo > 1)
-    while open_.size:
-        mid = lo[open_] + (hi[open_] - lo[open_]) // np.uint64(2)
-        ok = f.values(_order_float(mid)) >= a[open_]
-        hi[open_[ok]] = mid[ok]
-        lo[open_[~ok]] = mid[~ok]
-        open_ = open_[hi[open_] - lo[open_] > 1]
-    return _order_float(hi)
+    live = (hi - lo > 1).nonzero()[0]
+    while live.size:
+        mid = lo[live] + (hi[live] - lo[live]) // np.uint64(2)
+        ok = f.values(_order_float(mid)) >= a[live]
+        hi[live[ok]] = mid[ok]
+        lo[live[~ok]] = mid[~ok]
+        live = live[hi[live] - lo[live] > 1]
+    y[open_] = _order_float(hi)
+    return y
 
 
 def _ramp_solve(a, x0, x1, c0, rise):
@@ -309,12 +326,13 @@ def _left_quantiles(f: Cdf, a: np.ndarray) -> np.ndarray:
     ai = a[interior]
     x0, x1 = xs[ij], xs[ij + 1]
     solved, fs = _ramp_solve(ai, x0, x1, cums[ij], f._rises_arr[ij])
-    # a solve at or past x1 (or NaN) is corrected from x0, where F = c0 < a
+    # a solve at or past x1 (or NaN) is corrected from x0, where F = c0 < a, by a
+    # search down from x1, where F > a: its answer lies at or just below x1
     past = ~(solved < x1)
     solved[past] = x0[past]
-    short = np.flatnonzero(past | (fs < ai))
+    short = (past | (fs < ai)).nonzero()[0]
     if short.size:
-        solved[short] = _raise_to_level(f, solved[short], ai[short], x1[short])
+        solved[short] = _raise_to_level(f, solved[short], ai[short], x1[short], past[short])
     out[interior] = solved
     return out
 
@@ -362,7 +380,7 @@ def _level_ends(f: Cdf, a: np.ndarray) -> _LevelEnds:
     start, hi, closed_end = lo.copy(), lo.copy(), np.zeros(a.shape, dtype=bool)
     if flat.any():
         start[flat], hi[flat], closed_end[flat] = zip(*filter(None, runs))
-    fx, left, jump = f.value_parts(np.stack((lo, hi, start)))
+    fx, left, jump = f.value_parts(np.array((lo, hi, start)))
     attained = fx[0] == a
     return _LevelEnds(a, lo, hi, flat, start, closed_end | ~flat & attained, attained, fx, left, jump)
 
@@ -458,9 +476,9 @@ def _null_sets(f: Cdf) -> tuple[_NullSet, _NullSet]:
     run_lo, run_hi, run_closed = np.fromiter(chain.from_iterable(plateaus), float, 3 * p).reshape(-1, 3).T
     run_closed = run_closed == 1.0
     z0 = xs[0] if zero is None else zero.hi
-    at = np.searchsorted(f._xs_arr, np.concatenate(([z0], run_lo, run_hi)))
+    at = f._xs_arr.searchsorted(np.concatenate(([z0], run_lo, run_hi)))
     i0, lo_at, hi_at = at[0], at[1 : p + 1], at[p + 1 :]
-    i1 = int(np.searchsorted(cums, 1.0))
+    i1 = int(cums.searchsorted(1.0))
     zero_closed = cums.item(i0) == 0.0
     zero_mass = cums.item(i0) if zero_closed else lefts.item(i0)
     masses = (np.where(run_closed, cums[hi_at], lefts[hi_at]) - cums[lo_at]).tolist()
@@ -515,7 +533,7 @@ def _check_jump_round_trip(x: np.ndarray, ends: _LevelEnds) -> None:
     """Raise ValidationError for the first jump point x_n whose level does not map back
     to x_n under both generalized inverses; ``ends`` is the level table of the levels
     of :func:`_jump_round_trip_levels`, in their order."""
-    wrong = np.flatnonzero((ends.lo != x) | (ends.hi != x))
+    wrong = ((ends.lo != x) | (ends.hi != x)).nonzero()[0]
     if wrong.size:
         n = wrong[0]
         pair = (ends.lo[n].item(), ends.hi[n].item())

@@ -19,7 +19,11 @@ read off the stored profile by index (``cdf._breakpoint_parts``), never searched
 builds the attained values once for both jump-gap checks, from that profile, as the
 sorted ends of their closed components: the complement check compares them with the
 merged jump gaps as arrays, and the round trip looks its outputs up in them with one
-search.  The null-set check reads the
+search.  The round trip's weights are the first 8m draws of one seeded stream, drawn
+once per process and read-only, not a generator built per run.  The levels of the rows
+(``alpha_population``) and the probe grid are sorted and made distinct as arrays, and
+the run's path calls the array methods (``a.searchsorted``, ``.nonzero()``, ``.all()``)
+rather than their numpy wrapper functions.  The null-set check reads the
 exceptional set of the inversion off the breakpoints (``cdf._null_sets``): the cuts of
 its components and their masses, at breakpoint indices, for weights below 1 and for
 weight 1, with no set built, measured or swept.  A check that verifies a function runs
@@ -105,26 +109,30 @@ def _result(name, value, threshold, detail="") -> CheckResult:
     return CheckResult(name, bool(value <= threshold), float(value), float(threshold), detail)
 
 
-def alpha_population(f: Cdf) -> list[float]:
-    """Levels in (0,1): a percent grid, every flat level, every jump-gap interior."""
-    levels = {i / 100.0 for i in range(1, 100)}
-    levels.update(f.plateau_levels)
-    for _, lo, hi, _ in f._jumps:
-        mid = lo + 0.5 * (hi - lo)
-        if lo < mid < hi:
-            levels.add(mid)
-    return sorted(a for a in levels if 0.0 < a < 1.0)
+_PERCENTS = np.arange(1, 100) / 100.0
+
+
+def alpha_population(f: Cdf) -> np.ndarray:
+    """Levels in (0,1), sorted and distinct: a percent grid, every flat level, and the
+    mid-level lo + (hi - lo)/2 of every jump gap (lo, hi) that holds it strictly.  Each
+    lies in (0, 1): the flat levels are those above 0 below level 1, and a gap lies in
+    [0, 1]."""
+    _, lo, hi, _ = _jump_columns(f)
+    mid = lo + 0.5 * (hi - lo)
+    return np.unique(np.concatenate((_PERCENTS, f.plateau_levels, mid[(lo < mid) & (mid < hi)])))
 
 
 def probe_grid(f: Cdf) -> np.ndarray:
-    """Evaluation points: breakpoints, small and large offsets, segment midpoints."""
-    xs = np.asarray(f.xs)
-    pts = [xs, xs - 1e-6, xs + 1e-6, xs - 0.25, xs + 0.25]
-    if len(xs) > 1:
-        pts.append((xs[:-1] + xs[1:]) / 2.0)
-    lo, hi = xs[0], xs[-1]
-    pts.append(np.array([lo - 7.0, hi + 7.0]))
-    return np.unique(np.concatenate(pts))
+    """Evaluation points, sorted and distinct: breakpoints, small and large offsets,
+    segment midpoints."""
+    xs = _breakpoint_parts(f)[0]
+    pts = [xs, xs - 1e-6, xs + 1e-6, xs - 0.25, xs + 0.25, (xs[:-1] + xs[1:]) / 2.0, (xs[0] - 7.0, xs[-1] + 7.0)]
+    grid = np.concatenate(pts)
+    grid.sort()
+    keep = np.empty(grid.size, dtype=bool)
+    keep[0] = True
+    keep[1:] = grid[1:] != grid[:-1]
+    return grid[keep]
 
 
 def _level_rows(f: Cdf, alphas, *more) -> tuple:
@@ -146,10 +154,10 @@ def _level_rows(f: Cdf, alphas, *more) -> tuple:
     """
     levels = [np.asarray(alphas, dtype=float), *more]
     table = _level_ends(f, np.concatenate(levels))
-    bounds = np.cumsum([0, *(a.size for a in levels)]).tolist()
+    bounds = list(itertools.accumulate((a.size for a in levels), initial=0))
     rows, *tables = (table.take(slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
     at_q = _transforms_of_parts(rows.fx[0], rows.left[0], rows.jump[0], LAMBDA_GRID)
-    return rows, np.column_stack([t <= rows.a for t in at_q]), *tables
+    return rows, (np.array(at_q) <= rows.a).T, *tables
 
 
 def _level_masses(rows: _LevelEnds) -> tuple:
@@ -171,7 +179,7 @@ def _grid_parts(f: Cdf, grid: np.ndarray) -> tuple:
 def _nondecreasing(v: np.ndarray) -> bool:
     """Whether v never decreases along its axis (a NaN counts as a decrease): on
     the sorted probe grid, each set {v < a} and {v <= a} is then a prefix."""
-    return bool(np.all(v[1:] >= v[:-1]))
+    return bool((v[1:] >= v[:-1]).all())
 
 
 def _worst(*deviations: np.ndarray) -> float:
@@ -232,7 +240,7 @@ def _check_quantile_sandwich(f: Cdf, rows):
     a, lo, hi = rows.a, rows.lo, rows.hi
     (f_lo, f_hi, _), (left_lo, left_hi, _) = rows.fx, rows.left
     ds = (1e-6, 1e-3, 0.25)
-    shifted = f.values(np.stack([*(lo - d for d in ds), *(lo + d for d in ds)]))
+    shifted = f.values(np.array([*(lo - d for d in ds), *(lo + d for d in ds)]))
     return _worst(
         (lo - hi)[lo > hi],
         left_lo - a,
@@ -252,8 +260,8 @@ def _check_halfline_sets(f: Cdf, rows, grid, parts):
     # they mismatch at as many points as their lengths differ
     fx = parts[0]
     if _nondecreasing(fx):
-        below = np.searchsorted(fx, rows.a, side="left")
-        return 2 * int(np.abs(below - np.searchsorted(grid, rows.lo, side="left")).sum())
+        below = fx.searchsorted(rows.a, side="left")
+        return 2 * int(np.abs(below - grid.searchsorted(rows.lo, side="left")).sum())
     bad = 0
     for a, xi in zip(rows.a.tolist(), rows.lo.tolist()):
         bad += int(np.count_nonzero((fx >= a) != (grid >= xi)))
@@ -319,14 +327,14 @@ def _check_sublevel_union(f: Cdf, rows, with_q, grid, parts):
     bad = int(np.sum(early * (len(LAMBDA_GRID) + with_q.sum(axis=1))))
     past_hi = np.where(rows.closed_end, np.nextafter(rows.hi, math.inf), rows.hi)
     past_lo = np.nextafter(rows.lo, math.inf)
-    at = np.searchsorted(grid, rows.lo)
+    at = grid.searchsorted(rows.lo)
     on_grid = grid.take(at, mode="clip") == rows.lo
     for keeps_q, t in zip(with_q.T, parts[3]):
         end = np.where(rows.flat, past_hi, np.where(keeps_q, past_lo, rows.lo))
         hole = rows.flat & ~keeps_q & ~early
         if _nondecreasing(t):
-            member = np.searchsorted(t, rows.a, side="right")
-            bad += int(np.abs(member - np.searchsorted(grid, end)).sum())
+            member = t.searchsorted(rows.a, side="right")
+            bad += int(np.abs(member - grid.searchsorted(end)).sum())
             bad += int(np.where(at < member, 1, -1)[hole & on_grid].sum())
         else:
             for a, e, lo, out in zip(rows.a.tolist(), end.tolist(), rows.lo.tolist(), hole.tolist()):
@@ -347,14 +355,14 @@ def _check_quantile_ranges(f: Cdf, grid, parts):
     nonempty = (lo < hi) | (closed_lo & closed_hi)
     # the grid's breakpoint rows b (the grid is sorted and unique) and F, F(x-) stored there
     xs, stored, stored_left = _breakpoint_parts(f)
-    b = np.searchsorted(grid, xs)
+    b = grid.searchsorted(xs)
     on_grid = grid.take(b, mode="clip") == xs
     b, stored, stored_left = b[on_grid], stored[on_grid], stored_left[on_grid]
     bad = np.count_nonzero(nonempty[b] & ((lo[b] < stored_left) | (hi[b] > stored)))
     bad += np.count_nonzero((stored > stored_left) & (~nonempty[b] | (lo[b] != stored_left) | (hi[b] != stored)))
     # the levels to map back, each with the index of its point: 1/4, 1/2 and 3/4 of
     # the way across each jump, and the ends F(x-) and F(x) at breakpoints
-    j = np.flatnonzero(fx > left)
+    j = (fx > left).nonzero()[0]
     inner_at = np.concatenate((j, j, j))
     inner = np.concatenate([left[j] + frac * (fx[j] - left[j]) for frac in (0.25, 0.5, 0.75)])
     keep = (left[inner_at] < inner) & (inner < fx[inner_at])
@@ -393,16 +401,30 @@ def _check_jump_gaps(f: Cdf, attained):
     return bad + int(np.count_nonzero(np.maximum(lo[:-1], lo[1:]) < np.minimum(hi[:-1], hi[1:])))
 
 
+_draws = np.empty(0)
+
+
+def _round_trip_draws(m: int) -> np.ndarray:
+    """``np.random.default_rng(20240901).uniform(0.05, 0.95, size=(8, m))``, read-only: a
+    view of the first 8m draws of that stream, which is drawn once and drawn again, at
+    least twice as long, when a larger m needs more (the first draws stay the same)."""
+    global _draws
+    if _draws.size < 8 * m:
+        _draws = np.random.default_rng(20240901).uniform(0.05, 0.95, size=max(8 * m, 2 * _draws.size))
+        _draws.flags.writeable = False
+    return _draws[: 8 * m].reshape(8, m)
+
+
 @_analytic("jump_gap_roundtrip", EXACT_TOL)
 def _check_phi_roundtrip(f: Cdf, attained):
     # eight rounds of one weight per jump, one round per row: the draws eight calls of
     # size m would give, mapped into the gaps and back in one pass each; a value is
     # attained iff it lies at or above the start of the last component that starts at
     # or below it, and at or below that component's end
-    lams = np.random.default_rng(20240901).uniform(0.05, 0.95, size=(8, len(f._jumps)))
+    lams = _round_trip_draws(len(f._jumps))
     vals = _jump_gap_values(f, lams)
     starts, stops = attained
-    k = np.searchsorted(starts, vals, side="right") - 1
+    k = starts.searchsorted(vals, side="right") - 1
     bad = int(np.count_nonzero((k >= 0) & (vals <= stops[k])))
     back = _jump_gap_weights(f, vals)
     if bad:
@@ -424,9 +446,9 @@ def _check_null_sets(f: Cdf, grid, parts):
     sets = _null_sets(f)
     looked_up = [sets[0].contains_many(grid)]
     looked_up.append(looked_up[0] if sets[1] is sets[0] else sets[1].contains_many(grid))
-    excepted = np.stack([looked_up[lam == 1.0] for lam in LAMBDA_GRID])
+    excepted = np.array([looked_up[lam == 1.0] for lam in LAMBDA_GRID])
     worst = max(0.0, *(m for s in sets for m in (abs(s.plateau), abs(s.total) if s.ends == 0.0 else 0.0)))
-    t = np.stack(parts[3])
+    t = np.array(parts[3])
     edge = (t == 0.0) | (t == 1.0)
     inside = (0.0 < t) & (t < 1.0)
     w, col = np.nonzero(inside)  # in the C order of the masks
@@ -476,7 +498,7 @@ def _check_total_mass(f: Cdf):
     # the 16 cells (a, b], each measured as measure_interval measures it, from one
     # evaluation of the cuts; the first cell that is no interval raises as it does
     a, b = cuts[:-1], cuts[1:]
-    malformed = np.flatnonzero(~(a <= b) | (a == math.inf) | np.isinf(b))
+    malformed = (~(a <= b) | (a == math.inf) | np.isinf(b)).nonzero()[0]
     if malformed.size:
         Interval.open_closed(a[malformed[0]], b[malformed[0]])
     v = f.values(cuts)

@@ -211,7 +211,7 @@ def _in_cuts(values: np.ndarray, below: np.ndarray, x) -> np.ndarray:
     a NaN cut just above NaN: the point lies in the set iff an odd number of cuts lie
     below it, which one search counts (those of value < x, and those at x just below it)."""
     x = np.asarray(x, dtype=float)
-    i = np.searchsorted(values, x)
+    i = values.searchsorted(x)
     return np.asarray((i + ((values[i] == x) & below[i])) % 2 == 1)
 
 

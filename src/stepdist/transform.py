@@ -186,7 +186,7 @@ def _quantile_ranges_of(f: Cdf, x: np.ndarray, fx: np.ndarray, left: np.ndarray)
     xs, at, left_at = _breakpoint_parts(f)
     # x sits in (xs[i-1], xs[i]], where segment i-1 is flat iff F(xs[i]-) == F(xs[i-1]);
     # F is flat left of xs[0] and right of xs[-1]
-    flat_left = np.concatenate(([True], left_at[1:] == at[:-1], [True]))[np.searchsorted(xs, x, side="left")]
+    flat_left = np.concatenate(([True], left_at[1:] == at[:-1], [True]))[xs.searchsorted(x, side="left")]
     jumped = fx > left
     point = ~jumped & ~flat_left & (0.0 < fx) & (fx < 1.0)
     closed_lo = (jumped & ~flat_left & (left > 0.0)) | point
@@ -208,7 +208,7 @@ def _jump_gap_weights(f: Cdf, alphas: np.ndarray) -> np.ndarray:
     """Array form of :func:`jump_gap_weights`, one level per jump along the last axis.
     The first level (in C order) outside its open gap raises AlphaNotInJumpInterval."""
     _, lo, hi, mass = _jump_columns(f)
-    outside = np.flatnonzero(~((lo < alphas) & (alphas < hi)))  # NaN too
+    outside = (~((lo < alphas) & (alphas < hi))).ravel().nonzero()[0]  # NaN too
     if outside.size:
         n = int(outside[0] % lo.size)
         _, gap_lo, gap_hi, _ = f._jumps[n]

@@ -949,6 +949,22 @@ def test_gap_kernels_equal_the_list_functions_row_by_row(population, fb, fm, fu)
     assert raised > 100 and mapped > 10
 
 
+def test_round_trip_draws_are_one_seeded_stream_read_once(monkeypatch):
+    # every m in 0..64, in shuffled order from an empty stream, so that the stream
+    # grows mid-sequence: the round trip's weights are the draws of a fresh generator
+    # of that seed, bit for bit, and a write to them raises
+    monkeypatch.setattr(checks, "_draws", np.empty(0))
+    lengths = set()
+    for m in np.random.default_rng(17).permutation(65).tolist():
+        got = checks._round_trip_draws(m)
+        lengths.add(checks._draws.size)
+        want = np.random.default_rng(20240901).uniform(0.05, 0.95, size=(8, m))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), m
+        with pytest.raises(ValueError, match="read-only"):
+            got[...] = 0.5
+    assert len(lengths) > 1
+
+
 def test_transforms_formed_off_the_tables_equal_lambda_transforms(population, fb, fm, fu):
     # the grid table's transforms and the rows' with_q, formed from F, F(x-) and the
     # jump already in the tables, are what lambda_transforms returns from a search of

@@ -1337,6 +1337,64 @@ def test_solves_below_left_limits_stay_on_segment():
     assert reached_x1 > 0
 
 
+def walk_up(f, x, a):
+    """The float a walk up from x one float at a time stops at: the first with F >= a."""
+    x = math.nextafter(x, math.inf)
+    while f.value(x) < a:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def walk_down_to_short(f, x, a):
+    """The first float below x with F < a, walking down one float at a time."""
+    x = math.nextafter(x, -math.inf)
+    while f.value(x) >= a:
+        x = math.nextafter(x, -math.inf)
+    return x
+
+
+def floats_from(x, n, direction):
+    for _ in range(n):
+        x = math.nextafter(x, direction)
+    return x
+
+
+def test_ramp_correction_returns_the_walks_float():
+    # on a ramp that crosses 0 in steps of single subnormals, levels 1, 2, 3 and 40
+    # floats above -0.0, -5e-324 and +0.0 (the walk skips +0.0: up from -0.0 it steps
+    # to 5e-324), searched up from those starts and down from x1 in one call, and
+    # levels 1, 2, 3 and 40 floats below x1 searched down, on that ramp and on a wide
+    # one: each comes back as the float the walk up stops at, bit for bit.  Down from
+    # x1 the walk starts at the first float below the answer
+    tiny = sd.Cdf(xs=(-1e-321, 1e-321), atoms=(0.0, 0.0), rises=(1.0,))
+    checked = 0
+    for f in (tiny, OVERSHOOTING_UNIFORM):
+        x0, x1 = f.xs
+        starts, levels = [], []
+        if f is tiny:
+            for s in (-0.0, -5e-324, 0.0):
+                for d in (1, 2, 3, 40):
+                    starts.append(s)
+                    levels.append(f.value(floats_from(s, d, math.inf)))
+        ups = len(starts)
+        for d in (1, 2, 3, 40):
+            starts.append(x0)
+            levels.append(f.value(floats_from(x1, d, -math.inf)))
+        levels += levels[:ups]
+        starts += [x0] * ups
+        n = len(levels)
+        down = np.arange(n) >= ups
+        got = _raise_to_level(f, np.array(starts), np.array(levels), np.full(n, x1), down)
+        for s, a, is_down, y in zip(starts, levels, down.tolist(), got.tolist()):
+            assert f.value(s) < a <= f.value(x1)
+            ref = walk_up(f, walk_down_to_short(f, x1, a) if is_down else s, a)
+            assert bits(y) == bits(ref), (f, s, a, is_down)
+            checked += 1
+        # searched up from x0 as the kernel did before it searched down: the same floats
+        assert same(_raise_to_level(f, np.full(n, x0), np.array(levels), np.full(n, x1))[down], got[down])
+    assert checked == 2 * 3 * 4 + 2 * 4
+
+
 def test_ramp_solves_are_corrected_by_one_kernel(fm, monkeypatch):
     # _raise_to_level runs only inside _left_quantiles: a scalar scan whose
     # solve needs correcting hands its level to the array kernel once, and
