@@ -19,7 +19,7 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat, starmap
+from itertools import chain, compress, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -47,15 +47,6 @@ class QuantilePair(NamedTuple):
     hi: float
 
 
-class _Jump(NamedTuple):
-    """One atom: its point ``x``, ``lo`` = F(x-), ``hi`` = F(x) and the stored ``mass``."""
-
-    x: float
-    lo: float
-    hi: float
-    mass: float
-
-
 class _FlatRun(NamedTuple):
     """One maximal flat piece of positive length at a level in [0, 1).
 
@@ -78,12 +69,10 @@ class Cdf(MonotoneStepLinear):
     """A distribution function: nondecreasing, right-continuous, limits 0 and 1.
 
     Carries two tables read off the stored breakpoint values on first use:
-    the flat pieces below level 1 and the jumps (atoms), the latter also as
-    columns.
+    the flat pieces below level 1, and the jumps (atoms) as four columns.
     """
 
     _flat_table: dict | None = field(init=False, repr=False, compare=False)
-    _jump_rows: tuple | None = field(init=False, repr=False, compare=False)
     _jump_cols: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def _derive(self):
@@ -97,7 +86,6 @@ class Cdf(MonotoneStepLinear):
         # slots are set here, so filling them keeps every instance's attribute
         # layout the same (a key added later slows attribute reads on 3.11)
         object.__setattr__(self, "_flat_table", None)
-        object.__setattr__(self, "_jump_rows", None)
         object.__setattr__(self, "_jump_cols", None)
 
     @property
@@ -123,20 +111,12 @@ class Cdf(MonotoneStepLinear):
         return self._flat_table
 
     @property
-    def _jumps(self) -> tuple[_Jump, ...]:
-        """One row per positive stored atom (atoms are >= 0), built on first use."""
-        if self._jump_rows is None:
-            rows = zip(self.xs, memoryview(self._lefts), self._cums.tolist(), self.atoms)
-            object.__setattr__(self, "_jump_rows", tuple(starmap(_Jump, compress(rows, self.atoms))))
-        return self._jump_rows
-
-    @property
     def jump_points(self) -> tuple[float, ...]:
-        return tuple(j.x for j in self._jumps)
+        return tuple(_jump_columns(self)[0].tolist())
 
     @property
     def jump_masses(self) -> tuple[float, ...]:
-        return tuple(j.mass for j in self._jumps)
+        return tuple(_jump_columns(self)[3].tolist())
 
     @property
     def plateau_levels(self) -> tuple[float, ...]:
@@ -509,11 +489,12 @@ def _null_sets(f: Cdf) -> tuple[_NullSet, _NullSet]:
 
 
 def _jump_columns(f: Cdf) -> np.ndarray:
-    """The jump table as four read-only arrays: x, F(x-), F(x) and the mass of every
-    jump, built on first use from the rows (their floats read in one pass, a few times
-    faster than ``np.array`` of the rows) and kept beside them."""
+    """The jump table: one read-only 4 x m array of the point x, F(x-), F(x) and the
+    mass of every positive stored atom (atoms are >= 0, and a -0.0 atom has no column),
+    in breakpoint order, built on first use from one mask of the stored arrays."""
     if f._jump_cols is None:
-        cols = np.fromiter(chain.from_iterable(f._jumps), float, 4 * len(f._jumps)).reshape(-1, 4).T
+        at = f._atoms_arr > 0.0
+        cols = np.array((f._xs_arr[at], f._lefts[at], f._cums[at], f._atoms_arr[at]))
         cols.flags.writeable = False
         object.__setattr__(f, "_jump_cols", cols)
     return f._jump_cols
@@ -549,6 +530,7 @@ def jump_set(f: Cdf) -> list[tuple[float, float]]:
     atom.  The quantile pairs of all those levels come from one ``_level_ends``
     pass.
     """
-    x, u = _jump_round_trip_levels(f)
-    _check_jump_round_trip(x, _level_ends(f, u))
-    return [(j.x, j.mass) for j in f._jumps]
+    points, u = _jump_round_trip_levels(f)
+    _check_jump_round_trip(points, _level_ends(f, u))
+    x, _, _, mass = _jump_columns(f)
+    return list(zip(x.tolist(), mass.tolist()))

@@ -421,7 +421,7 @@ def _check_phi_roundtrip(f: Cdf, attained):
     # size m would give, mapped into the gaps and back in one pass each; a value is
     # attained iff it lies at or above the start of the last component that starts at
     # or below it, and at or below that component's end
-    lams = _round_trip_draws(len(f._jumps))
+    lams = _round_trip_draws(_jump_columns(f).shape[1])
     vals = _jump_gap_values(f, lams)
     starts, stops = attained
     k = starts.searchsorted(vals, side="right") - 1
@@ -472,11 +472,11 @@ def _check_uniformity_displays(f: Cdf, rows, at):
     (f_lo, f_hi, _), left_hi = rows.fx, rows.left[1]
     wide = rows.hi > rows.lo
     below = np.where(f_hi == rows.a, f_hi, left_hi)
-    # every jump puts an equally sized atom on the law of F(X), at F(x) (j.hi, the
-    # levels of the table ``at``): the mass of that level's set, or 1 - F(q-) at level 1,
-    # whose set is [q, inf)
+    # every jump puts an equally sized atom on the law of F(X), at F(x) (the jump
+    # table's third column, the levels of the table ``at``): the mass of that level's
+    # set, or 1 - F(q-) at level 1, whose set is [q, inf)
     mass = np.where(at.a == 1.0, 1.0 - at.left[0], _level_masses(at)[1])
-    return _worst(np.abs(below - rows.a)[wide], np.abs(f_lo - rows.a)[wide], np.abs(mass - f.jump_masses))
+    return _worst(np.abs(below - rows.a)[wide], np.abs(f_lo - rows.a)[wide], np.abs(mass - _jump_columns(f)[3]))
 
 
 @_analytic("jump_characterization", 0)

@@ -211,9 +211,8 @@ def _jump_gap_weights(f: Cdf, alphas: np.ndarray) -> np.ndarray:
     outside = (~((lo < alphas) & (alphas < hi))).ravel().nonzero()[0]  # NaN too
     if outside.size:
         n = int(outside[0] % lo.size)
-        _, gap_lo, gap_hi, _ = f._jumps[n]
         level = float(alphas.flat[outside[0]])
-        raise AlphaNotInJumpInterval(n, f"level {level} not inside ({gap_lo}, {gap_hi})")
+        raise AlphaNotInJumpInterval(n, f"level {level} not inside ({lo[n].item()}, {hi[n].item()})")
     return (alphas - lo) / mass
 
 
@@ -226,8 +225,9 @@ def jump_gap_values(f: Cdf, lams) -> list[float]:
     by its left limits.
     """
     lams = [float(v) for v in lams]
-    if len(lams) != len(f._jumps):
-        raise LengthMismatch(f"{len(lams)} weights for {len(f._jumps)} jump points")
+    m = _jump_columns(f).shape[1]
+    if len(lams) != m:
+        raise LengthMismatch(f"{len(lams)} weights for {m} jump points")
     for n, lam in enumerate(lams):
         if math.isnan(lam) or not 0.0 < lam < 1.0:
             raise LambdaOutOfRange(f"weight {n} must lie strictly inside (0, 1), got {lam}")
@@ -239,16 +239,17 @@ def jump_gap_weights(f: Cdf, alphas) -> list[float]:
 
     The n-th level must lie strictly inside the n-th open jump gap, else
     AlphaNotInJumpInterval(n) is raised.  The weight is (a - F(q-)) / jump(q)
-    with q the left quantile of a, read off the n-th row of the jump table
+    with q the left quantile of a, read off the n-th column of the jump table
     without a search, because q is the n-th jump point x_n.  Say x_n is the
     breakpoint x_i, with stored values c_j = F(x_j).  Then
     c_{i-1} <= F(x_n-) < a < F(x_n) = c_i, so the quantile scan stops at x_i
     (the first c_j >= a) and returns it (a >= F(x_i-)), where F(q-) and
-    jump(q) are the row's stored left limit and atom.
+    jump(q) are that column's stored left limit and atom.
     """
     alphas = [float(a) for a in alphas]
-    if len(alphas) != len(f._jumps):
-        raise LengthMismatch(f"{len(alphas)} levels for {len(f._jumps)} jump points")
+    m = _jump_columns(f).shape[1]
+    if len(alphas) != m:
+        raise LengthMismatch(f"{len(alphas)} levels for {m} jump points")
     return _jump_gap_weights(f, np.array(alphas)).tolist()
 
 

@@ -36,7 +36,6 @@ from stepdist.cdf import (
     _breakpoint_parts,
     _check_jump_round_trip,
     _FlatRun,
-    _Jump,
     _jump_columns,
     _jump_round_trip_levels,
     _left_quantiles,
@@ -76,10 +75,12 @@ from stepdist.transform import (
 )
 from test_vector_oracle import (
     FLOAT_RESOLUTION_LAWS,
+    Jump,
     OVERSHOOTING_UNIFORM,
     SUB_ULP_CASES,
     decimal_uniforms,
     evaluated,
+    jump_rows,
     rescaled_functions,
     reversed_table,
     rows_by_scalar_readers,
@@ -154,7 +155,7 @@ def quantile_ranges_by_point(f, grid, parts):
 
 @_analytic("jump_gap_complement", 0)
 def jump_gaps_by_pair(f):
-    raw = [Interval.open(j.lo, j.hi) for j in f._jumps]
+    raw = [Interval.open(j.lo, j.hi) for j in jump_rows(f)]
     unit = RealSet.of(Interval.open(0.0, 1.0))
     expected = unit.difference(attained_values(f))
     bad = 0 if RealSet(tuple(raw)).intersect(unit) == expected else 1
@@ -246,7 +247,7 @@ def uniformity_displays_by_row(f, rows):
         if hi > lo:
             below = measure_interval(f, Interval(-math.inf, hi, False, f.value(hi) == a))
             worst = max(worst, abs(below - a), abs(f.value(lo) - a))
-    for j in f._jumps:
+    for j in jump_rows(f):
         worst = max(worst, abs(measure_value_level(f, j.hi) - j.mass))
     return worst
 
@@ -254,11 +255,11 @@ def uniformity_displays_by_row(f, rows):
 def jump_gap_weights_by_scan(f, alphas) -> list:
     """The earlier body of ``jump_gap_weights``: after the same validation, each weight
     is (a - F(q-)) / jump(q) with q the left quantile of a, from one evaluation at q."""
-    alphas = [float(a) for a in alphas]
-    if len(alphas) != len(f._jumps):
-        raise sd.LengthMismatch(f"{len(alphas)} levels for {len(f._jumps)} jump points")
+    alphas, rows = [float(a) for a in alphas], jump_rows(f)
+    if len(alphas) != len(rows):
+        raise sd.LengthMismatch(f"{len(alphas)} levels for {len(rows)} jump points")
     out = []
-    for n, ((_, lo, hi, _), a) in enumerate(zip(f._jumps, alphas)):
+    for n, ((_, lo, hi, _), a) in enumerate(zip(rows, alphas)):
         if math.isnan(a) or not lo < a < hi:
             raise sd.AlphaNotInJumpInterval(n, f"level {a} not inside ({lo}, {hi})")
         _, left, jump = f._point(left_quantile(f, a))
@@ -311,7 +312,7 @@ def phi_roundtrip_by_round(f, attained):
     """The earlier body: eight rounds, each drawing one weight per jump and mapping
     them into the gaps and back with the public list functions."""
     rng = np.random.default_rng(20240901)
-    m = len(f._jumps)
+    m = len(jump_rows(f))
     worst = 0.0
     bad = 0
     for _ in range(8):
@@ -344,23 +345,23 @@ def total_mass_by_cell(f):
 
 def jump_set_by_scan(f):
     """The earlier body of ``jump_set``: one scalar quantile-pair scan per jump."""
-    for x, lo, hi, mass in f._jumps:
+    for x, lo, hi, mass in jump_rows(f):
         u = lo + 0.5 * mass
         if lo < u < hi and 0.0 < u < 1.0:
             pair = _quantile_pair_unchecked(f, u)
             if pair != (x, x):
                 raise sd.ValidationError(f"jump at {x} fails the quantile round trip: got {tuple(pair)}")
-    return [(j.x, j.mass) for j in f._jumps]
+    return [(j.x, j.mass) for j in jump_rows(f)]
 
 
 def jump_gap_values_by_jump(f, lams) -> list:
     """The earlier body of ``jump_gap_values``: one sum per jump, moved off a gap's
     ends one float at a time."""
-    lams = [float(v) for v in lams]
-    if len(lams) != len(f._jumps):
-        raise sd.LengthMismatch(f"{len(lams)} weights for {len(f._jumps)} jump points")
+    lams, rows = [float(v) for v in lams], jump_rows(f)
+    if len(lams) != len(rows):
+        raise sd.LengthMismatch(f"{len(lams)} weights for {len(rows)} jump points")
     out = []
-    for n, ((_, lo, hi, mass), lam) in enumerate(zip(f._jumps, lams)):
+    for n, ((_, lo, hi, mass), lam) in enumerate(zip(rows, lams)):
         if math.isnan(lam) or not 0.0 < lam < 1.0:
             raise sd.LambdaOutOfRange(f"weight {n} must lie strictly inside (0, 1), got {lam}")
         v = lo + lam * mass
@@ -376,7 +377,7 @@ def jump_gap_values_by_jump(f, lams) -> list:
 def jump_gaps_by_set(f, attained):
     """The earlier body of the complement check: the gaps' ``RealSet`` against the
     complement of the attained values in (0, 1)."""
-    raw = [Interval.open(j.lo, j.hi) for j in f._jumps]
+    raw = [Interval.open(j.lo, j.hi) for j in jump_rows(f)]
     unit = RealSet.of(Interval.open(0.0, 1.0))
     expected = unit.difference(attained)
     bad = 0 if RealSet(tuple(raw)).intersect(unit) == expected else 1
@@ -388,7 +389,7 @@ def jump_gaps_by_set(f, attained):
 def phi_roundtrip_by_set(f, attained):
     """The earlier body of the round trip: one draw of 8 x m weights and the gap
     kernels, with membership in the attained values' ``RealSet``."""
-    lams = np.random.default_rng(20240901).uniform(0.05, 0.95, size=(8, len(f._jumps)))
+    lams = np.random.default_rng(20240901).uniform(0.05, 0.95, size=(8, len(jump_rows(f))))
     vals = _jump_gap_values(f, lams)
     bad = int(np.count_nonzero(attained.contains_many(vals)))
     back = _jump_gap_weights(f, vals)
@@ -441,11 +442,12 @@ def same_result(got, ref) -> bool:
 
 
 def with_rows(f, rows):
-    """A copy of f whose jump table is ``rows``, its jump columns to be read from them:
-    the one way the tests hand the checks a jump table that disagrees with F."""
+    """A copy of f whose jump table is read-only columns set from ``rows``: the one way
+    the tests hand the checks a jump table that disagrees with F."""
     g = copy.copy(f)
-    object.__setattr__(g, "_jump_rows", tuple(rows))
-    object.__setattr__(g, "_jump_cols", None)
+    cols = np.array(tuple(rows), dtype=float).reshape(-1, 4).T
+    cols.flags.writeable = False
+    object.__setattr__(g, "_jump_cols", cols)
     return g
 
 
@@ -626,13 +628,13 @@ def test_successive_gaps_are_counted_as_the_pairwise_intersections(oracle_laws):
     for f in oracle_laws:
         with np.errstate(over="ignore", invalid="ignore"):  # the span that overflows
             assert same_result(checks._check_jump_gaps(f, _attained_ends(f)), jump_gaps_by_pair(f))
-        if len(f._jumps) < 2:
+        if len(jump_rows(f)) < 2:
             continue
         # gaps moved to random ends, empty ones included, on a copy of the law
         rows = []
-        for j in f._jumps:
+        for j in jump_rows(f):
             lo, hi = sorted(rng.choice(ends, 2).tolist())
-            rows.append(_Jump(j.x, lo, hi, j.mass))
+            rows.append(Jump(j.x, lo, hi, j.mass))
         g = with_rows(f, rows)
         got, ref = checks._check_jump_gaps(g, _attained_ends(g)), jump_gaps_by_pair(g)
         assert same_result(got, ref)
@@ -647,7 +649,7 @@ def gap_levels(f, rng) -> list:
     """Vectors of one level per jump to invert: three of random levels inside the gaps,
     and two of one float inside each end of every gap (a random level where the gap
     holds no float beside that end)."""
-    lo, hi = np.array([j.lo for j in f._jumps]), np.array([j.hi for j in f._jumps])
+    _, lo, hi, _ = np.array(jump_rows(f)).reshape(-1, 4).T
     inner = [np.array(transform.jump_gap_values(f, rng.uniform(0.05, 0.95, lo.size))) for _ in range(3)]
     up, down = np.nextafter(lo, math.inf), np.nextafter(hi, -math.inf)
     ends = (np.where(up < hi, up, inner[0]), np.where(down > lo, down, inner[0]))
@@ -810,7 +812,7 @@ def moved_gaps(f, rng):
     """A copy of f whose jump rows keep their points and masses but have gaps moved to
     random ends, empty and overlapping ones included."""
     ends = (0.0, 0.25, 0.5, 0.75, 1.0)
-    return with_rows(f, (_Jump(j.x, *sorted(rng.choice(ends, 2).tolist()), j.mass) for j in f._jumps))
+    return with_rows(f, (Jump(j.x, *sorted(rng.choice(ends, 2).tolist()), j.mass) for j in jump_rows(f)))
 
 
 def test_checks_reading_each_table_once_equal_the_earlier_bodies(population, fb, fm, fu):
@@ -895,19 +897,19 @@ def test_checks_reading_each_table_once_equal_the_earlier_bodies_on_wrong_inputs
             got, ref = checks._check_null_sets(f, grid, table), null_sets_by_weight(f, grid, table)
             assert same_result(got, ref), (f, got, ref)
             nonzero["null sets"] += ref.value > 0
-        if len(f._jumps) < 2:
+        if len(jump_rows(f)) < 2:
             continue
         g = moved_gaps(f, rng)
         got, ref = checks._check_phi_roundtrip(g, _attained_ends(g)), phi_roundtrip_by_round(g, attained_values(g))
         assert same_result(got, ref), (f, got, ref)
         nonzero[ref.detail.split(":")[0]] += 1
-        points = [j.x for j in f._jumps]
-        shifted = with_rows(f, (j._replace(x=x) for j, x in zip(f._jumps, points[1:] + points[:1])))
+        points = [j.x for j in jump_rows(f)]
+        shifted = with_rows(f, (j._replace(x=x) for j, x in zip(jump_rows(f), points[1:] + points[:1])))
         ref = outcome(jump_set_by_scan, shifted)
         assert outcome(jump_set, shifted) == ref
         nonzero["jump_set"] += ref[0] is sd.ValidationError
         flat = copy.copy(f)
-        x, lo, _, mass = f._jumps[0]
+        x, lo, _, mass = jump_rows(f)[0]
         runs = {**f._flat_runs, lo + 0.5 * mass: _FlatRun(x, x + 1.0, False)}
         object.__setattr__(flat, "_flat_table", runs)
         ref = outcome(jump_set_by_scan, flat)
@@ -924,7 +926,7 @@ def test_gap_kernels_equal_the_list_functions_row_by_row(population, fb, fm, fu)
     rng = np.random.default_rng(71)
     raised = mapped = 0
     for f in (*population, fb, fm, fu, *DEFECT_LAWS, *SUB_ULP_CASES[1:]):
-        m = len(f._jumps)
+        m = len(jump_rows(f))
         lams = np.random.default_rng(20240901).uniform(0.05, 0.95, size=(8, m))
         draws = np.random.default_rng(20240901)
         assert [bits(v) for v in lams.ravel().tolist()] == [bits(v) for _ in range(8) for v in draws.uniform(0.05, 0.95, size=m).tolist()]
@@ -989,7 +991,7 @@ def cross_checked(f, trip):
     """What jump_set returns, or raises, with its cross-check run on ``trip``, a pair
     (jump points, level table) from ``jump_tables``."""
     _check_jump_round_trip(*trip)
-    return [(j.x, j.mass) for j in f._jumps]
+    return [(j.x, j.mass) for j in jump_rows(f)]
 
 
 def assert_same_gap_checks(f) -> tuple:
@@ -1044,33 +1046,34 @@ def test_checks_on_the_suite_tables_equal_the_bodies_that_built_their_own_on_wro
     rng = np.random.default_rng(73)
     seen = Counter()
     gap_law = sd.Cdf(xs=(0.0, 1.0), atoms=(0.5, 0.5), rises=(0.0,))
-    first, second = gap_law._jumps
+    first, second = jump_rows(gap_law)
     hand_made = [
         with_rows(gap_law, (first._replace(hi=0.6), second._replace(lo=0.4))),
-        with_rows(gap_law, (first, _Jump(0.5, 0.25, 0.5, 0.25), second)),
+        with_rows(gap_law, (first, Jump(0.5, 0.25, 0.5, 0.25), second)),
         with_rows(gap_law, (first._replace(hi=0.3), first._replace(lo=0.2), second)),
         # a gap one float below the attained level 0.5 with a mass too small to leave
         # its left end: every output is moved up one float, onto {0.5}
-        with_rows(gap_law, (_Jump(0.0, math.nextafter(0.5, 0.0), 0.75, 1e-300), second)),
+        with_rows(gap_law, (Jump(0.0, math.nextafter(0.5, 0.0), 0.75, 1e-300), second)),
     ]
     got = [tuple((r.value, r.detail) for r in assert_same_gap_checks(g)) for g in hand_made]
     assert [complement for complement, _ in got] == [(2.0, ""), (1.0, ""), (1.0, ""), (2.0, "")]
     assert got[3][1] == (9.0, "output hit an attained level")
     for f in (fb, fm, fu, *DEFECT_LAWS[2:], *SUB_ULP_CASES, *small_population[:10]):
-        if not f._jumps:
+        if not jump_rows(f):
             continue
         complement, roundtrip = assert_same_gap_checks(moved_gaps(f, rng))
         seen["moved", complement.value > 1, roundtrip.detail.split(":")[0]] += 1
-        x, lo, hi, mass = f._jumps[0]
-        inner = _Jump(x, lo + 0.25 * (hi - lo), hi, mass)
+        first, *rest = rows = jump_rows(f)
+        x, lo, hi, mass = first
+        inner = Jump(x, lo + 0.25 * (hi - lo), hi, mass)
         if lo < inner.lo < hi:
-            complement, _ = assert_same_gap_checks(with_rows(f, (f._jumps[0], inner, *f._jumps[1:])))
+            complement, _ = assert_same_gap_checks(with_rows(f, (first, inner, *rest)))
             seen["copied", complement.value] += 1
-            split = (f._jumps[0]._replace(hi=lo + 0.6 * (hi - lo)), inner._replace(lo=lo + 0.4 * (hi - lo)))
-            complement, _ = assert_same_gap_checks(with_rows(f, (*split, *f._jumps[1:])))
+            split = (first._replace(hi=lo + 0.6 * (hi - lo)), inner._replace(lo=lo + 0.4 * (hi - lo)))
+            complement, _ = assert_same_gap_checks(with_rows(f, (*split, *rest)))
             seen["split", complement.value] += 1
-        points = [j.x for j in f._jumps]
-        shifted = with_rows(f, (j._replace(x=x) for j, x in zip(f._jumps, points[1:] + points[:1])))
+        points = [j.x for j in rows]
+        shifted = with_rows(f, (j._replace(x=x) for j, x in zip(rows, points[1:] + points[:1])))
         ref = jump_characterization_by_row(shifted, [])
         assert same_result(jump_characterization(shifted, _level_rows(shifted, [])[0]), ref)
         seen["shifted", ref.detail.startswith("raised ValidationError")] += 1

@@ -18,6 +18,7 @@ from stepdist.monotone import MonotoneStepLinear
 from stepdist.realset import Interval
 from stepdist.transform import _attained_ends
 from test_check_oracle import with_rows
+from test_vector_oracle import jump_rows, jumps_by_index
 
 
 class TestAlphaPopulation:
@@ -242,18 +243,19 @@ class TestAnalyticSuite:
         f = Cdf(xs=(0.0, 1.0), atoms=(0.5, 0.5), rises=(0.0,))
         attained = _attained_ends(f)
         assert checks._check_jump_gaps(f, attained).value == 0
-        rows = (f._jumps[0]._replace(hi=0.6), f._jumps[1]._replace(lo=0.4))
+        first, second = jump_rows(f)
+        rows = (first._replace(hi=0.6), second._replace(lo=0.4))
         assert checks._check_jump_gaps(with_rows(f, rows), attained).value == 2
 
     def test_jump_columns_are_built_once_per_cdf(self, fm, small_population):
-        # the readers of the jump table's columns share one read-only conversion of
-        # the rows, made on first use and kept beside them across runs
+        # the readers of the jump table share its one read-only array, read off the
+        # stored arrays on first use and kept across runs
         for law in (fm, *small_population[:4]):
-            f = with_rows(law, law._jumps)
+            f = Cdf._with_profile(law.xs, law.atoms, law.rises, law.base, law._lefts, law._cums)
             assert f._jump_cols is None
             analytic_checks(f)
             cols = f._jump_cols
-            assert cols.tobytes() == np.array(f._jumps, dtype=float).reshape(-1, 4).T.tobytes()
+            assert cols.tobytes() == np.array(jumps_by_index(f), dtype=float).reshape(-1, 4).T.tobytes()
             assert not cols.flags.writeable
             analytic_checks(f)
             assert cdf._jump_columns(f) is cols

@@ -16,6 +16,7 @@ import stepdist as sd
 from stepdist.checks import LAMBDA_GRID, probe_grid
 from stepdist.realset import Interval, RealSet
 from stepdist.transform import attained_values, inversion_null_set
+from test_vector_oracle import jump_rows
 
 INF = math.inf
 
@@ -204,7 +205,7 @@ def mixed(k):
 def mixed_sets():
     f = mixed(2000)
     attained = attained_values(f)
-    gaps = RealSet(tuple(Interval.open(j.lo, j.hi) for j in f._jumps))
+    gaps = RealSet(tuple(Interval.open(j.lo, j.hi) for j in jump_rows(f)))
     null_sets = [inversion_null_set(f, lam).union() for lam in LAMBDA_GRID]
     return f, attained, gaps, null_sets
 

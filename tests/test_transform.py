@@ -21,6 +21,7 @@ from stepdist.transform import (
     lambda_transform,
     quantile_range_of_point,
 )
+from test_vector_oracle import jump_rows
 
 INF = math.inf
 
@@ -155,7 +156,7 @@ class TestJumpGapBijection:
             for _ in range(5):
                 lams = rng.uniform(0.01, 0.99, size=m).tolist()
                 vals = jump_gap_values(f, lams)
-                for v, (_, lo, hi, _) in zip(vals, f._jumps):
+                for v, (_, lo, hi, _) in zip(vals, jump_rows(f)):
                     assert lo < v < hi
                     assert not attained.contains(v)
                 back = jump_gap_weights(f, vals)
@@ -164,7 +165,7 @@ class TestJumpGapBijection:
     def test_gap_union_is_unattained_part_of_unit(self, small_population):
         unit = RealSet.of(Interval.open(0.0, 1.0))
         for f in small_population:
-            gaps = RealSet(tuple(Interval.open(j.lo, j.hi) for j in f._jumps))
+            gaps = RealSet(tuple(Interval.open(j.lo, j.hi) for j in jump_rows(f)))
             assert gaps.intersect(unit) == unit.difference(attained_values(f))
 
 

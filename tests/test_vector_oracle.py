@@ -11,6 +11,7 @@ import dataclasses
 import itertools
 import math
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from stepdist.checks import (
     probe_grid,
 )
 from stepdist.cdf import (
+    _jump_columns,
     _left_quantiles,
     _raise_to_level,
     _right_quantile_unchecked,
@@ -490,7 +492,7 @@ def test_level_rows_are_array_passes_equal_to_the_scalar_readers(population, fb,
             # closed flags, bit for bit, and F, F(x-) and the jump there are what one
             # value_parts search of the ends gives; the mass of each set below level 1
             # as the checks form it is what measure_value_level returns there
-            levels = np.array([*alphas, *(j.hi for j in f._jumps), 1.0])
+            levels = np.array([*alphas, *(j.hi for j in jump_rows(f)), 1.0])
             ends = cdf._level_ends(f, levels)
             assert ends.a is levels
             for got, ref in zip(ends[-3:], f.value_parts(np.stack((ends.lo, ends.hi, ends.start))), strict=True):
@@ -1209,6 +1211,20 @@ def test_flat_table_is_read_off_stored_values():
 # -- the jump table -------------------------------------------------------------
 
 
+class Jump(NamedTuple):
+    """One row of the jump table: the point ``x``, ``lo`` = F(x-), ``hi`` = F(x) and the mass."""
+
+    x: float
+    lo: float
+    hi: float
+    mass: float
+
+
+def jump_rows(f):
+    """The jump table as rows of Python floats, read off its columns."""
+    return tuple(Jump(*row) for row in _jump_columns(f).T.tolist())
+
+
 def jumps_by_index(f):
     """The index reading the jump table replaced: one row per positive stored atom."""
     return [(f.xs[i], float(f._lefts[i]), float(f._cums[i]), f.atoms[i]) for i in np.nonzero(f._atoms_arr > 0.0)[0]]
@@ -1217,16 +1233,22 @@ def jumps_by_index(f):
 def test_jump_table_matches_index_reading(population, fb, fm, fu):
     rng = np.random.default_rng(29)
     large = [normalize(random_function(rng, k, 0.3, 0.25)) for k in (1, 2, 50, 5000)]
-    functions = [*population, fb, fm, fu, *rescaled_functions(rng, 300), *SUB_ULP_CASES, *large]
+    # the validator accepts a -0.0 atom, which gets no row
+    signed_zero = sd.Cdf(xs=(0.0, 1.0), atoms=(-0.0, 0.5), rises=(0.5,))
+    functions = [*population, fb, fm, fu, *rescaled_functions(rng, 300), *SUB_ULP_CASES, *large, signed_zero]
     for f in functions:
-        rows = [tuple(j) for j in f._jumps]
+        rows = jump_rows(f)
         old = jumps_by_index(f)
         assert [tuple(map(bits, r)) for r in rows] == [tuple(map(bits, r)) for r in old]
-        assert all(type(v) is float for r in rows for v in r)
-        assert f.jump_points == tuple(r[0] for r in old)
-        assert f.jump_masses == tuple(r[3] for r in old)
+        # the readers of the columns hand out Python floats, with the oracle's bits
+        points, masses, pairs = f.jump_points, f.jump_masses, sd.jump_set(f)
+        assert all(type(v) is float for v in (*itertools.chain(*rows), *points, *masses, *itertools.chain(*pairs)))
+        assert list(map(bits, points)) == [bits(r[0]) for r in old]
+        assert list(map(bits, masses)) == [bits(r[3]) for r in old]
+        assert [tuple(map(bits, p)) for p in pairs] == [(bits(r[0]), bits(r[3])) for r in old]
+    assert jump_rows(signed_zero) == (Jump(1.0, 0.5, 1.0, 0.5),)
     # an atom too small to move F keeps its row, with an empty gap
-    assert (1.0, 0.5, 0.5, 1e-300) in [tuple(j) for j in SUB_ULP_CASES[0]._jumps]
+    assert (1.0, 0.5, 0.5, 1e-300) in jump_rows(SUB_ULP_CASES[0])
 
 
 def test_sampling_never_builds_the_jump_table(fm):
@@ -1239,9 +1261,9 @@ def test_sampling_never_builds_the_jump_table(fm):
         us = distributional_transform(f, xs, SeededStream(1, 1), x_stream=SeededStream(1, 0))
         ks_uniformity(us)
         inversion_check(f, SeededStream(1, 2), 1000)
-        assert f._jump_rows is None and f._jump_cols is None and f._flat_table is None
+        assert f._jump_cols is None and f._flat_table is None
     f = normalize(sd.MonotoneStepLinear(xs=fm.xs, atoms=fm.atoms, rises=fm.rises))
-    assert f.jump_points == (0.5,) and f._jump_rows == f._jumps and f._flat_table is None
+    assert f.jump_points == (0.5,) and f._jump_cols is _jump_columns(f) and f._flat_table is None
     assert f.plateau_levels == (0.25,) and f._flat_table == f._flat_runs
 
 
