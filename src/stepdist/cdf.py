@@ -4,13 +4,15 @@ Quantiles are computed by a structural scan of the stored breakpoint values,
 with at most one linear solve inside a rising segment.  Levels that are
 attained at a breakpoint (atoms, flat pieces) always come back as the stored
 breakpoint abscissa, so set endpoints downstream are float-identical rather
-than merely close.  Level sets are read off the table of flat pieces,
-which, like the table of jumps, is built on first use.  The array reader of
-many levels (``_level_ends``) returns one level table: each level's left
-quantile, the ends of its set, and F, F(x-) and the jump at those ends from
-one search, which its readers take instead of evaluating F again.  Nothing
-here knows about transform weights: the jump-interpolating transform and its
-sublevel sets live in transform.py.
+than merely close.  Level sets are read off the flat table, one read-only
+index array built on first use, as the jump table's columns are: entry i is
+the right end of the flat piece that starts at x_i, and a level's piece is
+found by the quantile scan's own search of the stored values.  The array
+reader of many levels (``_level_ends``) returns one level table: each level's
+left quantile, the ends of its set, and F, F(x-) and the jump at those ends
+from one search, which its readers take instead of evaluating F again.
+Nothing here knows about transform weights: the jump-interpolating transform
+and its sublevel sets live in transform.py.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -47,32 +49,16 @@ class QuantilePair(NamedTuple):
     hi: float
 
 
-class _FlatRun(NamedTuple):
-    """One maximal flat piece of positive length at a level in [0, 1).
-
-    ``lo`` is the left quantile at the level and ``hi`` the right one.
-    ``closed_end`` records whether the function still equals the level at
-    ``hi`` (continuous take-off) or jumps past it there (atom at ``hi``).
-    """
-
-    lo: float
-    hi: float
-    closed_end: bool
-
-    def interval(self, closed_lo: bool) -> Interval:
-        """The level set with ``closed_lo``; without it, its part right of ``lo``."""
-        return Interval(self.lo, self.hi, closed_lo, self.closed_end)
-
-
 @dataclass(frozen=True)
 class Cdf(MonotoneStepLinear):
     """A distribution function: nondecreasing, right-continuous, limits 0 and 1.
 
-    Carries two tables read off the stored breakpoint values on first use:
-    the flat pieces below level 1, and the jumps (atoms) as four columns.
+    Carries two tables read off the stored breakpoint values on first use, each a
+    read-only array: the right end of the flat piece that starts at each
+    breakpoint (:func:`_flat_ends`), and the jumps (atoms) as four columns.
     """
 
-    _flat_table: dict | None = field(init=False, repr=False, compare=False)
+    _flat_end: np.ndarray | None = field(init=False, repr=False, compare=False)
     _jump_cols: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def _derive(self):
@@ -85,30 +71,8 @@ class Cdf(MonotoneStepLinear):
         # the tables are built on first use: the sampling kernels read none.  The
         # slots are set here, so filling them keeps every instance's attribute
         # layout the same (a key added later slows attribute reads on 3.11)
-        object.__setattr__(self, "_flat_table", None)
+        object.__setattr__(self, "_flat_end", None)
         object.__setattr__(self, "_jump_cols", None)
-
-    @property
-    def _flat_runs(self) -> dict[float, _FlatRun]:
-        """The maximal flat pieces below level 1, keyed by level, built on first use.
-
-        Read off the stored values: segments with F(x_{i+1}-) == F(x_i),
-        joined at x_i unless F(x_i) > F(x_{i-1}).
-        """
-        if self._flat_table is None:
-            # a memoryview, not a list of all k left limits, keeps peak memory down
-            cums = self._cums.tolist()
-            spans = []
-            for i in compress(range(len(cums) - 1), map(operator.eq, cums, memoryview(self._lefts)[1:])):
-                if spans and spans[-1][1] == i and cums[i] == cums[i - 1]:
-                    spans[-1][1] = i + 1
-                else:
-                    spans.append([i, i + 1])
-            # keyed by level: levels strictly increase from one piece to the next
-            runs = {cums[s]: _FlatRun(self.xs[s], self.xs[m], cums[m] == cums[s]) for s, m in spans}
-            runs.pop(1.0, None)
-            object.__setattr__(self, "_flat_table", runs)
-        return self._flat_table
 
     @property
     def jump_points(self) -> tuple[float, ...]:
@@ -120,8 +84,11 @@ class Cdf(MonotoneStepLinear):
 
     @property
     def plateau_levels(self) -> tuple[float, ...]:
-        """Levels a in (0,1) where the left and right quantiles differ."""
-        return tuple(level for level in self._flat_runs if level > 0.0)
+        """Levels a in (0,1) where the left and right quantiles differ: F at the
+        starts of the flat pieces, where it lies above 0."""
+        end = _flat_ends(self)
+        levels = self._cums[end > np.arange(end.size)]
+        return tuple(levels[levels > 0.0].tolist())
 
 
 def normalize(g: MonotoneStepLinear) -> Cdf:
@@ -159,6 +126,40 @@ def _check_alpha(alpha: float) -> float:
     if math.isnan(alpha) or not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(f"level must lie in (0, 1), got {alpha}")
     return alpha
+
+
+# -- the flat table -----------------------------------------------------------
+
+
+def _flat_ends(f: Cdf) -> np.ndarray:
+    """The flat table: one read-only int array whose entry i is the index of the right
+    end of the maximal flat piece below level 1 that starts at x_i, and i where no
+    piece starts there, built on first use from the stored values.
+
+    A piece starts at the first breakpoint of each run of equal values F(x_i) and ends
+    at the run's last breakpoint e, or at e + 1 where F(x_{e+1}-) == F(x_e).  The last
+    run is the one at level 1 (the top is exactly 1.0), which gets no piece.
+    """
+    if f._flat_end is None:
+        cums = f._cums
+        last = (cums[1:] != cums[:-1]).nonzero()[0]
+        end = np.arange(cums.size)
+        end[np.concatenate(([0], last + 1))[:-1]] = last + (f._lefts[last + 1] == cums[last])
+        end.flags.writeable = False
+        object.__setattr__(f, "_flat_end", end)
+    return f._flat_end
+
+
+def _flat_piece(f: Cdf, a: float, closed_lo: bool) -> Interval | None:
+    """The flat piece at level ``a`` in [0, 1], its left end included iff
+    ``closed_lo``, or None where F is not flat at ``a``.  The piece's right end is
+    included iff F still equals ``a`` there.  The search is the quantile scan's:
+    the first breakpoint x_i with F(x_i) >= a starts the piece if F(x_i) == a."""
+    i = bisect_left(f._cums, a)
+    e = _flat_ends(f).item(i)
+    if e == i or f._cums.item(i) != a:
+        return None
+    return Interval(f.xs[i], f.xs[e], closed_lo, f._cums.item(e) == a)
 
 
 # -- quantile scans ----------------------------------------------------------
@@ -267,8 +268,8 @@ def _left_quantile_unchecked(f: Cdf, a: float) -> float:
 def _quantile_pair_unchecked(f: Cdf, a: float) -> QuantilePair:
     # requires 0 <= a < 1: the flat pieces are tabled below level 1 only
     lo = _left_quantile_unchecked(f, a)
-    run = f._flat_runs.get(a)
-    return QuantilePair(lo, lo if run is None else run.hi)
+    piece = _flat_piece(f, a, True)
+    return QuantilePair(lo, lo if piece is None else piece.hi)
 
 
 def _right_quantile_unchecked(f: Cdf, a: float) -> float:
@@ -350,19 +351,20 @@ class _LevelEnds(NamedTuple):
 def _level_ends(f: Cdf, a: np.ndarray) -> _LevelEnds:
     """Array form of :func:`quantile_pair` and :func:`level_set` for levels already
     inside (0, 1], with F, F(x-) and the jump at the ends: one ``_left_quantiles``
-    pass, the flat table looked up by level and one search of the three ends.  The
-    one place that reads the flat table by level in array form, and the one
-    evaluation at level ends that its readers take F from.
+    pass, the flat table read at the first breakpoint with F(x_i) >= a (one search)
+    and one search of the three ends.  The one place that reads the flat table in
+    array form, and the one evaluation at level ends that its readers take F from.
     """
     lo = _left_quantiles(f, a)
-    runs = list(map(f._flat_runs.get, a.tolist()))
-    flat = np.array([run is not None for run in runs], dtype=bool)
-    start, hi, closed_end = lo.copy(), lo.copy(), np.zeros(a.shape, dtype=bool)
-    if flat.any():
-        start[flat], hi[flat], closed_end[flat] = zip(*filter(None, runs))
+    cums, xs = f._cums, f._xs_arr
+    i = cums.searchsorted(a)
+    e = _flat_ends(f)[i]
+    flat = (e > i) & (cums[i] == a)
+    start, hi = np.where(flat, xs[i], lo), np.where(flat, xs[e], lo)
     fx, left, jump = f.value_parts(np.array((lo, hi, start)))
     attained = fx[0] == a
-    return _LevelEnds(a, lo, hi, flat, start, closed_end | ~flat & attained, attained, fx, left, jump)
+    closed_end = np.where(flat, cums[e] == a, attained)
+    return _LevelEnds(a, lo, hi, flat, start, closed_end, attained, fx, left, jump)
 
 
 # -- level sets --------------------------------------------------------------
@@ -370,27 +372,13 @@ def _level_ends(f: Cdf, a: np.ndarray) -> _LevelEnds:
 _EMPTY = RealSet.empty()
 
 
-def _flat_or_point(run: _FlatRun | None, closed_lo: bool, point: RealSet, attained: bool) -> RealSet:
-    """A set read off the flat piece at a level: the piece ``run`` (its left end
-    included iff ``closed_lo``) where the level is flat, else ``point``, the set
-    {q} at the left quantile q, if ``attained``, else the empty set.
-
-    The level set is the closed-left piece, or {q} when F(q) equals the level;
-    the part of a sublevel split right of q is the open-left piece, or empty.
-    The scalar readers build them here.  The analytic suite builds none: it
-    reads the same sets off each level's columns (the piece's ends, its closed
-    end and whether F(q) equals the level), and tier-1 pins the two to agree.
-    """
-    if run is not None:
-        return RealSet.of(run.interval(closed_lo))
-    return point if attained else _EMPTY
-
-
 def _level_set_unchecked(f: Cdf, a: float) -> RealSet:
-    # requires 0 <= a < 1, as the quantile pair does
-    run = f._flat_runs.get(a)
+    # requires 0 <= a <= 1: the flat piece at a where there is one, else {q} or empty
+    piece = _flat_piece(f, a, True)
+    if piece is not None:
+        return RealSet.of(piece)
     q = _left_quantile_unchecked(f, a)
-    return _flat_or_point(run, True, RealSet.point(q), run is None and f.value(q) == a)
+    return RealSet.point(q) if f.value(q) == a else _EMPTY
 
 
 def level_set(f: Cdf, alpha: float) -> RealSet:
@@ -433,31 +421,31 @@ def _null_sets(f: Cdf) -> tuple[_NullSet, _NullSet]:
     weight 1, read off the stored values at breakpoint indices: no evaluation of F and
     no set sweep.
 
-    Every finite end is a breakpoint.  The zero set is (-inf, z0], or (-inf, z0) where
-    F(z0) > 0, with z0 the right end of the flat piece at level 0, else x0.  The plateau
-    runs follow, (lo, hi] or (lo, hi) as the flat table closes them, at every level
-    above 0, in the table's order, which is their order on the line.  The one set is
-    [z1, inf), or (z1, inf) where the weight is below 1 and F jumps at z1, with z1 the
-    first breakpoint where F = 1.  One search of the finite ends in xs gives their
-    indices.  Each component's mass is the subtraction ``measure_interval`` makes, F or
-    F(x-) read off ``_cums`` and ``_lefts`` at those indices (0 and 1 at infinite
-    ends; x - 0.0 is x), and the mass of a union is the builtin sum of its components'
-    masses in their order from 0.0, as ``measure_set`` sums them.  Components that
-    touch merge, as the set sweep merges them.  On a flat table read off the stored
-    values only the one set can touch anything, and only at weight 1: the zero set of
-    a single jump from 0 to 1, or a plateau that ends in the jump to 1.  Where F does
-    not jump at z1 the two weight classes have one set, returned twice.
+    Every finite end is a breakpoint, and the flat table gives the indices of all but
+    one.  The zero set is (-inf, z0], or (-inf, z0) where F(z0) > 0, with z0 the right
+    end of the flat piece at level 0, else x0.  The plateau runs follow, (lo, hi] or
+    (lo, hi) as F at hi equals their level or not, at every level above 0, in the
+    table's order, which is their order on the line.  The one set is [z1, inf), or
+    (z1, inf) where the weight is below 1 and F jumps at z1, with z1 the first
+    breakpoint where F = 1, the one end searched.  Each component's mass is the
+    subtraction ``measure_interval`` makes, F or F(x-) read off ``_cums`` and
+    ``_lefts`` at those indices (0 and 1 at infinite ends; x - 0.0 is x), and the mass
+    of a union is the builtin sum of its components' masses in their order from 0.0,
+    as ``measure_set`` sums them.  Components that touch merge, as the set sweep
+    merges them.  On a flat table read off the stored values only the one set can
+    touch anything, and only at weight 1: the zero set of a single jump from 0 to 1,
+    or a plateau that ends in the jump to 1.  Where F does not jump at z1 the two
+    weight classes have one set, returned twice.
     """
     cums, lefts, xs = f._cums, f._lefts, f.xs
-    runs = f._flat_runs
-    zero = runs.get(0.0)
-    plateaus = [run for level, run in runs.items() if level > 0.0]
-    p = len(plateaus)
-    run_lo, run_hi, run_closed = np.fromiter(chain.from_iterable(plateaus), float, 3 * p).reshape(-1, 3).T
-    run_closed = run_closed == 1.0
-    z0 = xs[0] if zero is None else zero.hi
-    at = f._xs_arr.searchsorted(np.concatenate(([z0], run_lo, run_hi)))
-    i0, lo_at, hi_at = at[0], at[1 : p + 1], at[p + 1 :]
+    end = _flat_ends(f)
+    # the pieces above level 0; one at level 0 can only start at x0
+    lo_at = ((end > np.arange(end.size)) & (cums > 0.0)).nonzero()[0]
+    hi_at = end[lo_at]
+    p = lo_at.size
+    run_lo, run_hi, run_closed = f._xs_arr[lo_at], f._xs_arr[hi_at], cums[hi_at] == cums[lo_at]
+    i0 = end.item(0) if cums.item(0) == 0.0 else 0
+    z0 = xs[i0]
     i1 = int(cums.searchsorted(1.0))
     zero_closed = cums.item(i0) == 0.0
     zero_mass = cums.item(i0) if zero_closed else lefts.item(i0)

@@ -20,10 +20,9 @@ builds the attained values once for both jump-gap checks, from that profile, as 
 sorted ends of their closed components: the complement check compares them with the
 merged jump gaps as arrays, and the round trip looks its outputs up in them with one
 search.  The round trip's weights are the first 8m draws of one seeded stream, drawn
-once per process and read-only, not a generator built per run.  The levels of the rows
-(``alpha_population``) and the probe grid are sorted and made distinct as arrays, and
-the run's path calls the array methods (``a.searchsorted``, ``.nonzero()``, ``.all()``)
-rather than their numpy wrapper functions.  The null-set check reads the
+once per process and read-only.  The levels of the rows (``alpha_population``) and the
+probe grid are sorted and made distinct as arrays, and the run's path calls the array
+methods (``a.searchsorted``, ``.nonzero()``, ``.all()``).  The null-set check reads the
 exceptional set of the inversion off the breakpoints (``cdf._null_sets``): the cuts of
 its components and their masses, at breakpoint indices, for weights below 1 and for
 weight 1, with no set built, measured or swept.  A check that verifies a function runs
@@ -565,7 +564,7 @@ def stochastic_checks(f: Cdf, seed: int, n: int) -> list[CheckResult]:
 
     worst = 0.0
     levels = np.array([0.25, 0.5, 0.75])
-    for a, exact in zip(levels.tolist(), _transform_cdf_totals(f, f, levels).tolist()):
+    for a, exact in zip(levels.tolist(), _transform_cdf_totals(f, levels).tolist()):
         est = float((us <= a).mean())
         se = math.sqrt(max(exact * (1.0 - exact), 1e-12) / n)
         worst = max(worst, abs(est - exact) / (4.0 * se))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdf import Cdf, _LevelEnds, _check_alpha, _left_quantile_unchecked, _left_quantiles, _level_ends
+from .cdf import Cdf, _LevelEnds, _check_alpha, _flat_piece, _left_quantile_unchecked, _left_quantiles, _level_ends
 from .errors import EmptySample, StreamCollision, ValidationError
 from .measure import measure_interval
 from .transform import _transform_parts
@@ -166,8 +166,8 @@ def transform_cdf_exact(f: Cdf, law_of_x: Cdf, alpha: float) -> TransformCdfBrea
     fq, qv, beta = f._point(q_pt)
     law_fq, _, law_beta = law_of_x._point(q_pt)
     c_beta = 0.0 if beta == 0.0 else (a - fq) / beta
-    run = f._flat_runs.get(a)
-    term_flat = 0.0 if run is None else measure_interval(law_of_x, run.interval(False))
+    piece = _flat_piece(f, a, False)
+    term_flat = 0.0 if piece is None else measure_interval(law_of_x, piece)
     term_atom = c_beta * (law_beta - beta)
     term_left = law_fq - fq
     total = a + term_flat + term_atom + term_left
@@ -183,30 +183,25 @@ def transform_cdf_exact(f: Cdf, law_of_x: Cdf, alpha: float) -> TransformCdfBrea
     )
 
 
-def _transform_cdf_totals(f: Cdf, law_of_x: Cdf, a: np.ndarray) -> np.ndarray:
-    """Array form of ``transform_cdf_exact(f, law_of_x, a_i).total`` for levels already
-    inside (0, 1), each equal to the scalar's bit for bit: the level table of ``a``
-    (``_level_ends``) and, where the law is not F itself, the law's F, F(x-) and jump
-    at the table's ends from one search, summed by :func:`_transform_cdf_totals_of`."""
-    table = _level_ends(f, a)
-    law = None if law_of_x is f else law_of_x.value_parts(np.stack((table.lo, table.hi, table.start)))
-    return _transform_cdf_totals_of(table, law)
+def _transform_cdf_totals(f: Cdf, a: np.ndarray) -> np.ndarray:
+    """Array form of ``transform_cdf_exact(f, f, a_i).total`` for levels already inside
+    (0, 1), each equal to the scalar's bit for bit: the level table of ``a``
+    (``_level_ends``), summed by :func:`_transform_cdf_totals_of`."""
+    return _transform_cdf_totals_of(_level_ends(f, a))
 
 
-def _transform_cdf_totals_of(table: _LevelEnds, law_parts=None) -> np.ndarray:
+def _transform_cdf_totals_of(table: _LevelEnds) -> np.ndarray:
     """The totals of :func:`_transform_cdf_totals` off a level table of F: the terms of
-    ``transform_cdf_exact`` from the levels' ends and F and the jump there, and the
-    law's F, F(x-) and jump at the same ends (``law_parts``, one row per end; the
-    table's own where the law is F), summed in the scalar's order."""
+    ``transform_cdf_exact`` with the law of X equal to F, from the levels' ends and F,
+    F(x-) and the jump there, summed in the scalar's order."""
     a, q, hi, flat, start, closed, _, fx, left, jump = table
-    law_fx, law_left, law_jump = (fx, left, jump) if law_parts is None else law_parts
     fq, beta = fx[0], jump[0]
     coef = np.zeros(a.shape)
     np.divide(a - fq, beta, out=coef, where=beta != 0.0)
-    # the law's mass on each flat piece right of its left end, read as measure_interval reads it
-    term_flat = np.where(flat, np.where(closed, law_fx[1], law_left[1]) - law_fx[2], 0.0)
-    term_atom = coef * (law_jump[0] - beta)
-    term_left = law_fx[0] - fq
+    # the mass on each flat piece right of its left end, read as measure_interval reads it
+    term_flat = np.where(flat, np.where(closed, fx[1], left[1]) - fx[2], 0.0)
+    term_atom = coef * (jump[0] - beta)
+    term_left = fx[0] - fq
     return a + term_flat + term_atom + term_left
 
 

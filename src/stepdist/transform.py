@@ -30,7 +30,7 @@ from .cdf import (
     Cdf,
     _breakpoint_parts,
     _check_alpha,
-    _flat_or_point,
+    _flat_piece,
     _jump_columns,
     _left_quantile_unchecked,
     _level_set_unchecked,
@@ -130,9 +130,9 @@ def sublevel_decomposition(f: Cdf, lam: float, alpha: float):
     lam = _check_weight(lam)
     a = _check_alpha(alpha)
     q = _left_quantile_unchecked(f, a)
-    point = RealSet.point(q)
-    beyond = _flat_or_point(f._flat_runs.get(a), False, point, False)
-    at = point if lambda_transform(f, q, lam) <= a else _EMPTY
+    piece = _flat_piece(f, a, False)
+    beyond = _EMPTY if piece is None else RealSet.of(piece)
+    at = RealSet.point(q) if lambda_transform(f, q, lam) <= a else _EMPTY
     return beyond, at, RealSet.of(Interval.open(-math.inf, q))
 
 
@@ -163,20 +163,10 @@ def quantile_range_of_point(f: Cdf, x: float) -> RealSet:
     return RealSet.empty()
 
 
-def _quantile_ranges(f: Cdf, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Array form of :func:`quantile_range_of_point`: ``(lo, hi, closed_lo, closed_hi)``,
-    one interval per point, whose ``RealSet`` equals the scalar's bit for bit; F and
-    F(x-) from one ``value_parts`` call, the rest from :func:`_quantile_ranges_of`."""
-    x = np.asarray(x, dtype=float)
-    if np.isnan(x).any():
-        raise ValidationError("evaluation point is NaN")
-    fx, left, _ = f.value_parts(x)
-    return _quantile_ranges_of(f, x, fx, left)
-
-
 def _quantile_ranges_of(f: Cdf, x: np.ndarray, fx: np.ndarray, left: np.ndarray) -> tuple:
-    """The ranges of :func:`_quantile_ranges` at points x that hold no NaN, from F and
-    F(x-) already read there.
+    """Array form of :func:`quantile_range_of_point` at points x that hold no NaN, from
+    F and F(x-) already read there: ``(lo, hi, closed_lo, closed_hi)``, one interval
+    per point, whose ``RealSet`` equals the scalar's bit for bit.
 
     The interval is (F(x-), F(x)) with the scalar's endpoint flags where F jumps
     at x, else {F(x)} (both flags set) or the empty set (F(x) at both ends, both
@@ -326,7 +316,7 @@ def inversion_null_set(f: Cdf, lam: float) -> NullSetReport:
     z1 = _left_quantile_unchecked(f, 1.0)
     one = RealSet.of(Interval(z1, math.inf, lam == 1.0 or f.jump(z1) == 0.0, False))
     # the level-0 piece lies inside the zero set
-    plateau = RealSet(tuple(run.interval(False) for a, run in f._flat_runs.items() if a > 0.0))
+    plateau = RealSet(tuple(_flat_piece(f, a, False) for a in f.plateau_levels))
     total = measure_set(f, zero.union(one).union(plateau))
     return NullSetReport(zero, one, plateau, float(total))
 

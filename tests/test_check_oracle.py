@@ -35,7 +35,7 @@ from stepdist import checks, transform
 from stepdist.cdf import (
     _breakpoint_parts,
     _check_jump_round_trip,
-    _FlatRun,
+    _flat_ends,
     _jump_columns,
     _jump_round_trip_levels,
     _left_quantiles,
@@ -63,7 +63,7 @@ from stepdist.transform import (
     _attained_ends,
     _jump_gap_values,
     _jump_gap_weights,
-    _quantile_ranges,
+    _quantile_ranges_of,
     _transforms_of_parts,
     attained_values,
     inversion_null_set,
@@ -80,6 +80,9 @@ from test_vector_oracle import (
     SUB_ULP_CASES,
     decimal_uniforms,
     evaluated,
+    flat_runs_by_loop,
+    flat_runs_by_stored_values,
+    flat_table_rows,
     jump_rows,
     rescaled_functions,
     reversed_table,
@@ -398,17 +401,16 @@ def phi_roundtrip_by_set(f, attained):
     return checks._worst(np.abs(back - lams))
 
 
-def transform_cdf_totals_by_own_table(f, law_of_x, a):
-    """The earlier body of ``_transform_cdf_totals``: a level table of its own, and the
-    law's parts off it where the law is F, else from one search of its ends."""
+def transform_cdf_totals_by_own_table(f, a):
+    """The earlier body of ``_transform_cdf_totals`` at the law F: a level table of its
+    own, and the law's parts off it."""
     _, q, hi, flat, start, closed, _, fx, left, jump = _level_ends(f, a)
-    law_fx, law_left, law_jump = (fx, left, jump) if law_of_x is f else law_of_x.value_parts(np.stack((q, hi, start)))
     fq, beta = fx[0], jump[0]
     coef = np.zeros(a.shape)
     np.divide(a - fq, beta, out=coef, where=beta != 0.0)
-    term_flat = np.where(flat, np.where(closed, law_fx[1], law_left[1]) - law_fx[2], 0.0)
-    term_atom = coef * (law_jump[0] - beta)
-    term_left = law_fx[0] - fq
+    term_flat = np.where(flat, np.where(closed, fx[1], left[1]) - fx[2], 0.0)
+    term_atom = coef * (jump[0] - beta)
+    term_left = fx[0] - fq
     return a + term_flat + term_atom + term_left
 
 
@@ -721,7 +723,7 @@ def test_quantile_range_of_point_equals_the_array_kernel(population, fb, fm, fu)
         x = np.concatenate(
             [probe_grid(f), np.nextafter(xs, -math.inf), np.nextafter(xs, math.inf), [-math.inf, math.inf, -0.0]]
         )
-        lo, hi, closed_lo, closed_hi = _quantile_ranges(f, x)
+        lo, hi, closed_lo, closed_hi = _quantile_ranges_of(f, x, *f.value_parts(x)[:2])
         for p, *iv in zip(x.tolist(), lo.tolist(), hi.tolist(), closed_lo.tolist(), closed_hi.tolist()):
             ref = quantile_range_of_point(f, p)
             assert range_bits(RealSet.of(Interval(*iv))) == range_bits(ref), (f, p)
@@ -762,23 +764,19 @@ def test_attained_values_equal_the_breakpoint_construction(population, fb, fm, f
     assert kinds == {True, False}
 
 
-def test_quantile_ranges_reject_nan_like_the_scalar(fm):
+def test_quantile_range_of_point_rejects_nan(fm):
     with pytest.raises(sd.ValidationError):
         quantile_range_of_point(fm, math.nan)
-    with pytest.raises(sd.ValidationError):
-        _quantile_ranges(fm, [0.0, math.nan])
 
 
 def test_transform_cdf_exact_totals_equal_the_array_kernel(population, fb, fm, fu):
+    # the array kernel is the law of the transform of X ~ F: the scalar with law F
     functions = [*population[:30], fb, fm, fu, *rescaled_functions(np.random.default_rng(53), 20)]
-    flat_terms = 0
-    for f, g in [*zip(functions, functions), *zip(functions, functions[1:])]:
+    for f in functions:
         levels = alpha_population(f)  # a percent grid, f's flat levels and jump-gap interiors
-        got = _transform_cdf_totals(f, g, np.array(levels))
-        refs = [transform_cdf_exact(f, g, a) for a in levels]
-        assert [bits(v) for v in got.tolist()] == [bits(r.total) for r in refs], (f, g)
-        flat_terms += sum(r.term_flat != 0.0 for r in refs)
-    assert flat_terms > 20  # g differs from f on flat levels of f
+        got = _transform_cdf_totals(f, np.array(levels))
+        refs = [transform_cdf_exact(f, f, a) for a in levels]
+        assert [bits(v) for v in got.tolist()] == [bits(r.total) for r in refs], f
 
 
 # -- the checks that read each table once ------------------------------------------
@@ -798,6 +796,18 @@ NULL_SET_EDGE_LAWS = [
     sd.Cdf(xs=(-1.0, 1.0, 2.0), atoms=(0.0, 0.0, 0.5), rises=(0.5, 0.0)),
     sd.Cdf(xs=(0.0, 1.0), atoms=(0.5, 0.0), rises=(0.5,)),
 ]
+
+
+def test_flat_table_holds_the_earlier_builders_rows():
+    # the index array holds, bit for bit, the rows the earlier loop over the stored
+    # values built, at float resolution and at k = 20,000; the loop over the declared
+    # masses agrees where no mass is too small to move F
+    large = mixed(20_000)
+    for f in (*SUB_ULP_CASES, *DEFECT_LAWS, *NULL_SET_EDGE_LAWS, large):
+        assert flat_table_rows(f) == repr(flat_runs_by_stored_values(f)), f
+    for f in (*FLOAT_RESOLUTION_LAWS, OVERSHOOTING_UNIFORM, *NULL_SET_EDGE_LAWS, large):
+        assert flat_table_rows(f) == repr(flat_runs_by_loop(f)), f
+    assert len(flat_runs_by_loop(large)) > 1000
 
 
 def outcome(call, *args):
@@ -878,8 +888,8 @@ def test_checks_reading_each_table_once_equal_the_earlier_bodies_on_wrong_inputs
     # halved, the weights' transforms in reverse order, one transform NaN), jump rows
     # whose gaps are moved (the values then hit attained levels, or a gap holds no
     # float), jump rows whose points are moved to the next jump's point, and a flat
-    # piece put at the level jump_set checks inside the first gap: every input gives
-    # the earlier body's result, and each kind of fault shows
+    # table with a wrong end index at the first jump: every input gives the earlier
+    # body's result, and each kind of fault that can move it shows
     rng = np.random.default_rng(67)
     nonzero = Counter()
     for f in (fb, fm, fu, *DEFECT_LAWS[2:], *small_population[:10]):
@@ -908,14 +918,15 @@ def test_checks_reading_each_table_once_equal_the_earlier_bodies_on_wrong_inputs
         ref = outcome(jump_set_by_scan, shifted)
         assert outcome(jump_set, shifted) == ref
         nonzero["jump_set"] += ref[0] is sd.ValidationError
+        # a piece's level is a stored F(x_i) and no gap interior is one, so a wrong end
+        # index at the first jump's breakpoint moves neither route's round trip
         flat = copy.copy(f)
-        x, lo, _, mass = jump_rows(f)[0]
-        runs = {**f._flat_runs, lo + 0.5 * mass: _FlatRun(x, x + 1.0, False)}
-        object.__setattr__(flat, "_flat_table", runs)
-        ref = outcome(jump_set_by_scan, flat)
-        assert outcome(jump_set, flat) == ref
-        nonzero["jump_set flat"] += ref[0] is sd.ValidationError
-    assert nonzero["null sets"] > 20 and nonzero["jump_set"] > 5 and nonzero["jump_set flat"] > 5
+        end = _flat_ends(f).copy()
+        end[f.xs.index(jump_rows(f)[0].x)] = len(end) - 1
+        end.flags.writeable = False
+        object.__setattr__(flat, "_flat_end", end)
+        assert outcome(jump_set, flat) == outcome(jump_set_by_scan, flat) == jump_set(f)
+    assert nonzero["null sets"] > 20 and nonzero["jump_set"] > 5
     assert nonzero["output hit an attained level"] > 0 and nonzero["raised AlphaNotInJumpInterval"] > 0
 
 
@@ -1011,23 +1022,22 @@ def assert_same_gap_checks(f) -> tuple:
 def test_checks_on_the_suite_tables_equal_the_bodies_that_built_their_own(population, fb, fm, fu):
     # the one level table sliced into the rows, the jump levels and jump_set's levels
     # holds, column for column, the tables each would get from a pass of its own; the
-    # law of the transform off a table is the totals that build their own, for the law
-    # F and another; the gap checks on the sorted ends are the set bodies; and the
-    # cross-check on the sliced table is jump_set's scan.  Bit for bit, or the same
-    # exception, on the population, the canonical and defect laws and mixed(2000)
+    # law of the transform off a table is the totals that build their own; the gap
+    # checks on the sorted ends are the set bodies; and the cross-check on the sliced
+    # table is jump_set's scan.  Bit for bit, or the same exception, on the
+    # population, the canonical and defect laws and mixed(2000)
     laws = [*population, fb, fm, fu, *DEFECT_LAWS, mixed(2000)]
     failed = set()
     with np.errstate(over="ignore", invalid="ignore"):  # the span that overflows
-        for n, f in enumerate(laws):
+        for f in laws:
             points, levels = _jump_round_trip_levels(f)
             alphas = np.array(alpha_population(f))
             rows, _, at_jumps, trip = _level_rows(f, alphas, _jump_columns(f)[2], levels)
             for table, a in ((rows, alphas), (at_jumps, _jump_columns(f)[2]), (trip, levels)):
                 assert [c.tobytes() for c in table] == [c.tobytes() for c in _level_ends(f, a)], f
-            for g in (f, laws[n - 1]):
-                ref = transform_cdf_totals_by_own_table(f, g, alphas)
-                assert _transform_cdf_totals(f, g, alphas).tobytes() == ref.tobytes(), (f, g)
-            assert _transform_cdf_totals_of(rows).tobytes() == transform_cdf_totals_by_own_table(f, f, alphas).tobytes()
+            ref = transform_cdf_totals_by_own_table(f, alphas)
+            assert _transform_cdf_totals(f, alphas).tobytes() == ref.tobytes(), f
+            assert _transform_cdf_totals_of(rows).tobytes() == ref.tobytes(), f
             assert outcome(cross_checked, f, (points, trip)) == outcome(jump_set_by_scan, f)
             for ref in assert_same_gap_checks(f):
                 if not ref.passed:

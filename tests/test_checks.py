@@ -218,7 +218,7 @@ class TestAnalyticSuite:
             grid = probe_grid(f)
             parts = checks._grid_parts(f, grid)
             fx, left = parts[:2]
-            _, _, closed_lo, _ = transform._quantile_ranges(f, grid)
+            _, _, closed_lo, _ = transform._quantile_ranges_of(f, grid, *f.value_parts(grid)[:2])
             assert checks._check_quantile_ranges(f, grid, parts).value == 0
             for b in np.flatnonzero(fx > left):
                 at_b = np.arange(grid.size) == b

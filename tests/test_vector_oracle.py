@@ -29,6 +29,7 @@ from stepdist.checks import (
     probe_grid,
 )
 from stepdist.cdf import (
+    _flat_ends,
     _jump_columns,
     _left_quantiles,
     _raise_to_level,
@@ -416,13 +417,14 @@ def sets_of(rows, with_q) -> list:
 
 def ends_by_scalar_readers(f, a) -> tuple:
     """At one level: the ends ``(lo, hi, flat, start, closed_end, attained)`` as the
-    quantile pair, the flat table and F(lo) give them; the level set's components as
-    those ends give them ([start, hi] where the level is flat, {lo} where F(lo) equals
-    the level, else none); and the level set the scalar reader returns.  Level 1,
-    which the public readers reject, is read by the unchecked ones."""
+    quantile pair, the flat table's rows (``flat_pieces``) and F(lo) give them; the
+    level set's components as those ends give them ([start, hi] where the level is
+    flat, {lo} where F(lo) equals the level, else none); and the level set the scalar
+    reader returns.  Level 1, which the public readers reject, is read by the
+    unchecked ones."""
     pair, level = (quantile_pair, level_set) if a < 1.0 else (cdf._quantile_pair_unchecked, cdf._level_set_unchecked)
     lo, hi = pair(f, a)
-    run = f._flat_runs.get(a)
+    run = flat_pieces(f).get(a)
     attained = f.value(lo) == a
     start, end, closed_end = (lo, lo, attained) if run is None else run
     ends = (lo, hi, run is not None, start, closed_end, attained)
@@ -1116,8 +1118,32 @@ def random_function(rng, k, atom_share, flat_share):
     return sd.MonotoneStepLinear(xs=xs, atoms=atoms, rises=rises, base=float(rng.uniform(-1.0, 1.0)))
 
 
+def flat_pieces(f) -> dict:
+    """The flat table as rows keyed by level, read off its index array by a loop:
+    ``F(x_i): (x_i, x_e, F(x_e) == F(x_i))`` for every entry i whose end e lies past i."""
+    cums = f._cums.tolist()
+    return {cums[i]: (f.xs[i], f.xs[e], cums[e] == cums[i]) for i, e in enumerate(_flat_ends(f).tolist()) if e > i}
+
+
+def flat_runs_by_stored_values(f) -> list:
+    """The earlier builder of the flat table, as rows ``(level, lo, hi, closed_end)``:
+    a loop over the segments with F(x_{i+1}-) == F(x_i), joined at x_i unless
+    F(x_i) > F(x_{i-1}), with the piece at level 1 dropped.  Unlike
+    ``flat_runs_by_loop`` it reads the stored values, not the declared masses, so it
+    also judges the sub-ulp laws."""
+    cums, lefts = f._cums.tolist(), f._lefts.tolist()
+    spans = []
+    for i in range(len(cums) - 1):
+        if cums[i] == lefts[i + 1]:
+            if spans and spans[-1][1] == i and cums[i] == cums[i - 1]:
+                spans[-1][1] = i + 1
+            else:
+                spans.append([i, i + 1])
+    return [(cums[s], f.xs[s], f.xs[m], cums[m] == cums[s]) for s, m in spans if cums[s] != 1.0]
+
+
 def flat_table_rows(f) -> str:
-    return repr([(level, *run) for level, run in f._flat_runs.items()])
+    return repr([(level, *run) for level, run in flat_pieces(f).items()])
 
 
 def test_profile_and_flat_runs_match_loops(fb, fm, fu):
@@ -1200,12 +1226,13 @@ SUB_ULP_CASES = [
 
 def test_flat_table_is_read_off_stored_values():
     # one flat piece across the tiny atom or rise, whose end is where the
-    # scanning kernel put the right quantile
+    # scanning kernel put the right quantile, and the rows of the earlier builder
     for f in SUB_ULP_CASES:
         for a in stored_levels(f):
             assert bits(right_quantile(f, a)) == bits(right_quantile_by_scan(f, a)[0])
         flat = [a for a in stored_levels(f) if left_quantile(f, a) < right_quantile(f, a)]
         assert list(f.plateau_levels) == flat
+        assert flat_table_rows(f) == repr(flat_runs_by_stored_values(f))
 
 
 # -- the jump table -------------------------------------------------------------
@@ -1261,10 +1288,10 @@ def test_sampling_never_builds_the_jump_table(fm):
         us = distributional_transform(f, xs, SeededStream(1, 1), x_stream=SeededStream(1, 0))
         ks_uniformity(us)
         inversion_check(f, SeededStream(1, 2), 1000)
-        assert f._jump_cols is None and f._flat_table is None
+        assert f._jump_cols is None and f._flat_end is None
     f = normalize(sd.MonotoneStepLinear(xs=fm.xs, atoms=fm.atoms, rises=fm.rises))
-    assert f.jump_points == (0.5,) and f._jump_cols is _jump_columns(f) and f._flat_table is None
-    assert f.plateau_levels == (0.25,) and f._flat_table == f._flat_runs
+    assert f.jump_points == (0.5,) and f._jump_cols is _jump_columns(f) and f._flat_end is None
+    assert f.plateau_levels == (0.25,) and f._flat_end is _flat_ends(f)
 
 
 def validated_fields(xs, atoms, rises, base):
@@ -1317,9 +1344,9 @@ def test_normalize_stores_fields_that_pass_validation(population, fb, fm, fu):
 
 def test_flat_table_is_built_on_first_read_and_once(population, fb, fm, fu):
     for f in map(normalize, normalize_sources(population, fb, fm, fu)):
-        assert f._flat_table is None
-        runs = f._flat_runs
-        assert f._flat_table is runs and f._flat_runs is runs
+        assert f._flat_end is None
+        end = _flat_ends(f)
+        assert f._flat_end is end and _flat_ends(f) is end and not end.flags.writeable
         assert flat_table_rows(f) == repr(flat_runs_by_loop(f))
 
 
@@ -1467,8 +1494,8 @@ def test_ramp_solves_are_corrected_by_one_kernel(fm, monkeypatch):
 def pair_by_scan(f, a):
     """The pair scanning at every level: one left scan, then the flat piece's right end."""
     lo = cdf._left_quantile_unchecked(f, a)
-    run = f._flat_runs.get(a)
-    return lo, lo if run is None else run.hi
+    run = flat_pieces(f).get(a)
+    return lo, lo if run is None else run[1]
 
 
 def level_set_by_pair(f, a, lo, hi):
